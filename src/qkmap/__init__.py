@@ -17,6 +17,7 @@ from .encodings import (
     custom,
     eval_encoding,
     feature_state,
+    feature_states,
     parse_phase_expression,
 )
 from .pauli import (
@@ -25,6 +26,7 @@ from .pauli import (
     closed_form_coefficients,
     coefficient_grid,
     coefficient_grids,
+    coefficients,
     coefficients_at,
     decompose,
     expectation,

@@ -95,16 +95,14 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _gram_builder(args, specs):
-    def build(points):
-        gs = [kernels.gram(spec, points, method=args.method,
-                           shots=args.shots, seed=args.seed)
-              for spec in specs]
-        if len(gs) == 1:
-            return gs[0]
-        weights = kernels.KernelWeights(tuple(args.weights or [1.0] * len(gs)))
-        return kernels.combine(gs, weights)
-    return build
+def _train_gram(args, specs, points):
+    gs = [kernels.gram(spec, points, method=args.method,
+                       shots=args.shots, seed=args.seed)
+          for spec in specs]
+    if len(gs) == 1:
+        return gs[0]
+    weights = kernels.KernelWeights(tuple(args.weights or [1.0] * len(gs)))
+    return kernels.combine(gs, weights)
 
 
 def cmd_train(args) -> int:
@@ -114,8 +112,9 @@ def cmd_train(args) -> int:
         specs.append(custom(parse_phase_expression(args.custom_phi12)))
     if not specs:
         raise ValueError("at least one encoding required")
-    builder = _gram_builder(args, specs)
-    report = svm.cross_validate(ds, builder, folds=args.folds, C=args.C,
+    # one Gram serves every fold and the saved model
+    full = _train_gram(args, specs, ds.points)
+    report = svm.cross_validate(ds, lambda points: full, folds=args.folds, C=args.C,
                                 tolerance=args.tolerance, seed=args.seed)
     if args.csv:
         print("fold,train_accuracy,test_accuracy")
@@ -126,7 +125,6 @@ def cmd_train(args) -> int:
     else:
         print(report.summary())
     if args.model_out:
-        full = builder(ds.points)
         model = svm.train(full, ds.labels, C=args.C, tolerance=args.tolerance,
                           points=ds.points)
         with open(args.model_out, "w") as fh:

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .states import StateVector, apply_diagonal_phase, apply_hadamard_all, zero_state
+import numpy as np
+
+from .states import StateVector, hadamard_layer, phase_layer
 
 PhaseFunction = Callable[[float, float], float]
 
@@ -83,22 +85,57 @@ def eval_encoding(spec: EncodingSpec, x) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def feature_state(spec: EncodingSpec, x) -> StateVector:
-    """|Phi(x)> = U_phi (H x H) U_phi (H x H) |00>.
+def encoding_phases(spec: EncodingSpec, points) -> np.ndarray:
+    """(N, 3) array of (phi1, phi2, phi12), one :func:`eval_encoding` per point.
 
-    The diagonal layer U_phi follows the phase-gate (u1) sequence
-    convention: basis state b picks up exp(-i/2 * (phi1 z1 + phi2 z2 +
-    phi12 z1 z2)), which is the convention under which the closed-form
-    coefficient table of :mod:`qkmap.pauli` holds exactly.
+    Phases stay scalar Python evaluations: ``math.exp`` and ``np.exp`` do
+    not always agree to the last bit, and evaluating point by point makes
+    the EncodingError name the first bad point.
     """
-    p1, p2, p12 = eval_encoding(spec, x)
-    state = zero_state(2)
+    return np.array([eval_encoding(spec, x) for x in points], dtype=float).reshape(-1, 3)
+
+
+def _feature_phase_layer(amps, phases, scale):
+    """The diagonal layer with phases ``scale * (phi1, phi2, phi12)``."""
+    p = scale * phases
+    return phase_layer(amps, [p[..., 0], p[..., 1]], {(1, 2): p[..., 2]})
+
+
+def phase_states(phases) -> np.ndarray:
+    """(..., 4) amplitudes of the feature circuit for (..., 3) phase rows.
+
+    |Phi> = U_phi (H x H) U_phi (H x H) |00>.  The diagonal layer U_phi
+    follows the phase-gate (u1) sequence convention: basis state b picks
+    up exp(-i/2 * (phi1 z1 + phi2 z2 + phi12 z1 z2)), which is the
+    convention under which the closed-form coefficient table of
+    :mod:`qkmap.pauli` holds exactly.
+    """
+    phases = np.asarray(phases, dtype=float)
+    amps = np.zeros(phases.shape[:-1] + (4,), dtype=np.complex128)
+    amps[..., 0] = 1.0
     for _ in range(2):
-        state = apply_hadamard_all(state)
-        state = apply_diagonal_phase(
-            state, [-0.5 * p1, -0.5 * p2], {(1, 2): -0.5 * p12}
-        )
-    return state
+        amps = _feature_phase_layer(hadamard_layer(amps), phases, -0.5)
+    return amps
+
+
+def inverse_feature_map(amps, phases) -> np.ndarray:
+    """U_Phi(x)^dagger applied to (..., 4) amplitudes, x given by its phases.
+
+    The conjugate phase layers (+phi/2) and the Hadamards, in reverse order.
+    """
+    for _ in range(2):
+        amps = hadamard_layer(_feature_phase_layer(amps, phases, 0.5))
+    return amps
+
+
+def feature_states(spec: EncodingSpec, points) -> np.ndarray:
+    """(N, 4) amplitudes of |Phi(x)> for every point x."""
+    return phase_states(encoding_phases(spec, points))
+
+
+def feature_state(spec: EncodingSpec, x) -> StateVector:
+    """|Phi(x)> for one point; see :func:`phase_states`."""
+    return StateVector(2, feature_states(spec, [x])[0])
 
 
 # --- expression mini-language --------------------------------------------

@@ -11,9 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import EncodingSpec, feature_state
-from .pauli import coefficients_at
-from .states import apply_diagonal_phase, apply_hadamard_all, inner_product, sample_measurement
+from .encodings import (
+    EncodingSpec,
+    encoding_phases,
+    feature_states,
+    inverse_feature_map,
+    phase_states,
+)
+from .pauli import coefficients
 
 EXACT = "exact"
 PAULI = "pauli"
@@ -81,46 +86,50 @@ class GramMatrix:
             parts.append("weights=" + ";".join(repr(w) for w in self.weights))
         with open(path, "w") as fh:
             fh.write("# " + " ".join(parts) + "\n")
-            for row in self.values:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in self.values.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def kernel_exact(spec: EncodingSpec, x, z) -> float:
     """K(x, z) = |<Phi(x)|Phi(z)>|^2."""
-    ov = inner_product(feature_state(spec, x), feature_state(spec, z))
-    return abs(ov) ** 2
+    a, b = feature_states(spec, [x, z])
+    return abs(complex(np.vdot(a, b))) ** 2
 
 
 def kernel_pauli(spec: EncodingSpec, x, z) -> float:
     """K(x, z) = 2^n * sum_i a_i(x) a_i(z), via the coefficient vectors."""
-    ax = coefficients_at(spec, x).coeffs
-    az = coefficients_at(spec, z).coeffs
+    ax, az = coefficients(spec, [x, z])
     return float(4.0 * ax @ az)
 
 
-def _inversion_test_state(spec: EncodingSpec, x, z):
-    """U_Phi(x)^dagger U_Phi(z) |00>: all-zero probability equals K(x, z)."""
-    from .encodings import eval_encoding
+def _all_zeros_probability(phases_x, states_z) -> np.ndarray:
+    """P(00) after U_Phi(x)^dagger U_Phi(z) |00>, per row: the inversion test.
 
-    state = feature_state(spec, z)
-    p1, p2, p12 = eval_encoding(spec, x)
-    # inverse of the two-layer circuit: conjugate phase layers and Hadamards
-    # in reverse order (feature_state applies phases -phi/2, so +phi/2 here).
-    for _ in range(2):
-        state = apply_diagonal_phase(
-            state, [0.5 * p1, 0.5 * p2], {(1, 2): 0.5 * p12}
-        )
-        state = apply_hadamard_all(state)
-    return state
+    Probabilities below 1e-12 are truncated to zero and the rest
+    renormalised, so a pair whose test state is |00> up to round-off
+    reads exactly 1.
+    """
+    probs = np.abs(inverse_feature_map(states_z, phases_x)) ** 2
+    probs[probs < 1e-12] = 0.0
+    return probs[:, 0] / probs.sum(axis=1)
+
+
+def _zero_count_fraction(p0: float, shots: int, seed: int) -> float:
+    """Fraction of "00" outcomes in ``shots`` measurements of the test state.
+
+    The count is one Binomial(shots, p0) draw, the first category of the
+    multinomial over the four outcomes drawn from the same generator state.
+    """
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    return int(np.random.default_rng(seed).binomial(shots, p0)) / shots
 
 
 def kernel_shots(spec: EncodingSpec, x, z, shots: int, seed: int) -> float:
     """Shot-estimated kernel: fraction of "00" outcomes over the inversion test."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    state = _inversion_test_state(spec, x, z)
-    counts = sample_measurement(state, shots, seed)
-    return counts.frequency("0" * state.n_qubits)
+    phases = encoding_phases(spec, [x, z])
+    p0 = _all_zeros_probability(phases[:1], phase_states(phases[1:]))
+    return _zero_count_fraction(float(p0[0]), shots, seed)
 
 
 def pair_seed(base_seed: int, i: int, j: int) -> int:
@@ -134,34 +143,31 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
 
     Shot-estimated matrices set the diagonal to exactly 1 without sampling
     (the inversion-test circuit is the identity there) and mirror each
-    off-diagonal estimate, so they are symmetric by construction.
+    off-diagonal estimate, so they are symmetric by construction.  Entry
+    (i, j) is drawn from its own seed ``pair_seed(seed, i, j)``.
     """
-    pts = [np.asarray(p, dtype=float) for p in points]
+    pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 1:
         raise ValueError("at least one point required")
-    k = np.empty((n, n))
     if method == EXACT:
-        states = np.array([feature_state(spec, p).amplitudes for p in pts])
-        overlaps = states.conj() @ states.T
-        k = np.abs(overlaps) ** 2
+        states = feature_states(spec, pts)
+        k = np.abs(states.conj() @ states.T) ** 2
         k = (k + k.T) / 2.0
         np.fill_diagonal(k, 1.0)
         return GramMatrix(k, EXACT)
     if method == PAULI:
-        coeffs = np.array([coefficients_at(spec, p).coeffs for p in pts])
+        coeffs = coefficients(spec, pts)
         k = 4.0 * coeffs @ coeffs.T
         k = (k + k.T) / 2.0
         return GramMatrix(k, PAULI)
     if method == SHOTS:
-        for i in range(n):
-            k[i, i] = 1.0
-            for j in range(i + 1, n):
-                try:
-                    v = kernel_shots(spec, pts[i], pts[j], shots, pair_seed(seed, i, j))
-                except Exception as exc:
-                    raise type(exc)(f"at pair ({i}, {j}): {exc}") from exc
-                k[i, j] = k[j, i] = v
+        phases = encoding_phases(spec, pts)
+        rows, cols = np.triu_indices(n, 1)
+        p0 = _all_zeros_probability(phases[rows], phase_states(phases)[cols])
+        k = np.eye(n)
+        for i, j, p in zip(rows.tolist(), cols.tolist(), p0.tolist()):
+            k[i, j] = k[j, i] = _zero_count_fraction(p, shots, pair_seed(seed, i, j))
         return GramMatrix(k, SHOTS, shots=shots, seed=seed)
     raise ValueError(f"unknown gram method {method!r}")
 

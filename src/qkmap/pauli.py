@@ -9,15 +9,16 @@ letter varies fastest (II, XI, YI, ZI, IX, XX, ...).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import EncodingSpec, eval_encoding, feature_state
+from .encodings import EncodingSpec, encoding_phases, feature_states
 from .states import StateVector
 
 _LETTERS = "IXYZ"
+_SINGLE = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
 
 def pauli_label(index: int, n_qubits: int = 2) -> str:
@@ -57,57 +58,53 @@ class PauliVector:
         return self.coeffs[key]
 
 
-def _pauli_action(n_qubits: int, index: int):
-    """Bit-level action of sigma_index: source permutation and phase vector."""
-    dim = 2 ** n_qubits
-    idx = np.arange(dim)
-    xmask = 0
-    phase = np.ones(dim, dtype=np.complex128)
+def pauli_matrix(index: int, n_qubits: int = 2) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of sigma_index; qubit 1 is the rightmost factor."""
+    if not 0 <= index < 4 ** n_qubits:
+        raise ValueError(f"index {index} out of range for n={n_qubits}")
+    m = np.ones((1, 1), dtype=np.complex128)
     for k in range(n_qubits):
-        d = (index >> (2 * k)) & 3
-        bit = (idx >> k) & 1
-        if d == 1:  # X: flip bit k
-            xmask |= 1 << k
-        elif d == 2:  # Y: flip bit k, phase +i into |1>, -i into |0>
-            xmask |= 1 << k
-            phase = phase * np.where(bit == 1, 1j, -1j)
-        elif d == 3:  # Z: sign on bit k
-            phase = phase * (1.0 - 2.0 * bit)
-    return idx ^ xmask, phase
+        m = np.kron(_SINGLE[(index >> (2 * k)) & 3], m)
+    return m
+
+
+def _simulated_coefficients(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(N, 4^n) coefficients <psi|sigma_i|psi> / 2^n of (N, 2^n) amplitudes."""
+    paulis = np.array([pauli_matrix(i, n_qubits) for i in range(4 ** n_qubits)])
+    e = np.einsum("nb,kbc,nc->nk", amps.conj(), paulis, amps)
+    bad = np.argwhere(np.abs(e.imag) > 1e-10)
+    if bad.size:
+        n, i = bad[0]
+        raise ArithmeticError(f"expectation of index {i} has imaginary residue {e.imag[n, i]}")
+    return e.real / 2 ** n_qubits
 
 
 def expectation(state: StateVector, index: int) -> complex:
-    """<psi| sigma_index |psi> computed by bit-index arithmetic."""
-    src, phase = _pauli_action(state.n_qubits, index)
-    sigma_psi = phase * state.amplitudes[src]
-    return complex(np.vdot(state.amplitudes, sigma_psi))
+    """<psi| sigma_index |psi> from the dense Pauli matrix."""
+    a = state.amplitudes
+    return complex(np.vdot(a, pauli_matrix(index, state.n_qubits) @ a))
 
 
 def decompose(state: StateVector) -> PauliVector:
     """All 4^n coefficients a_i = <psi|sigma_i|psi> / 2^n."""
     n = state.n_qubits
-    scale = 1.0 / 2 ** n
-    coeffs = np.empty(4 ** n)
-    for i in range(4 ** n):
-        e = expectation(state, i)
-        if abs(e.imag) > 1e-10:
-            raise ArithmeticError(f"expectation of index {i} has imaginary residue {e.imag}")
-        coeffs[i] = e.real * scale
-    return PauliVector(n, coeffs)
+    return PauliVector(n, _simulated_coefficients(state.amplitudes[None], n)[0])
 
 
-def closed_form_coefficients(phi1: float, phi2: float, phi12: float) -> PauliVector:
-    """Closed-form coefficients of the two-qubit feature circuit.
+def closed_form_table(phases) -> np.ndarray:
+    """Closed-form coefficients of the two-qubit feature circuit, (..., 16).
 
-    Independent of the simulator: these are the analytic trigonometric
-    expressions for a_i as functions of the three phases, in the standard
-    index order (II, XI, YI, ZI, IX, ...).
+    ``phases`` holds rows (phi1, phi2, phi12).  Independent of the
+    simulator: these are the analytic trigonometric expressions for a_i
+    as functions of the three phases, in the standard index order (II,
+    XI, YI, ZI, IX, ...).
     """
-    s1, c1 = math.sin(phi1), math.cos(phi1)
-    s2, c2 = math.sin(phi2), math.cos(phi2)
-    sp, cp = math.sin(phi12), math.cos(phi12)
+    p = np.asarray(phases, dtype=float)
+    s1, c1 = np.sin(p[..., 0]), np.cos(p[..., 0])
+    s2, c2 = np.sin(p[..., 1]), np.cos(p[..., 1])
+    sp, cp = np.sin(p[..., 2]), np.cos(p[..., 2])
     a = {
-        "II": 1.0,
+        "II": np.ones_like(s1),
         "XI": s1 * (s2 * sp ** 2 + s1 * cp ** 2 + c2 * c1 * sp),
         "YI": -s2 * c1 * sp ** 2 - s1 * c1 * cp ** 2 + c2 * s1 ** 2 * sp,
         "ZI": c1 * cp,
@@ -124,13 +121,22 @@ def closed_form_coefficients(phi1: float, phi2: float, phi12: float) -> PauliVec
         "YZ": s1 * (-s2 * sp * cp - c1 * c2 * cp + s1 * cp * sp),
         "ZZ": c1 * c2,
     }
-    coeffs = np.array([a[label] for label in TWO_QUBIT_LABELS]) / 4.0
-    return PauliVector(2, coeffs)
+    return np.stack([a[label] for label in TWO_QUBIT_LABELS], axis=-1) / 4.0
+
+
+def closed_form_coefficients(phi1: float, phi2: float, phi12: float) -> PauliVector:
+    """Closed-form coefficient vector for one phase triple."""
+    return PauliVector(2, closed_form_table([[phi1, phi2, phi12]])[0])
+
+
+def coefficients(spec: EncodingSpec, points) -> np.ndarray:
+    """(N, 16) closed-form coefficient vectors of the feature map at the points."""
+    return closed_form_table(encoding_phases(spec, points))
 
 
 def coefficients_at(spec: EncodingSpec, x) -> PauliVector:
     """Closed-form coefficient vector of the feature map at point x."""
-    return closed_form_coefficients(*eval_encoding(spec, x))
+    return PauliVector(2, coefficients(spec, [x])[0])
 
 
 def coefficient_grid(spec: EncodingSpec, pauli_index: int, x_range=(-1.0, 1.0),
@@ -139,8 +145,8 @@ def coefficient_grid(spec: EncodingSpec, pauli_index: int, x_range=(-1.0, 1.0),
 
     Row-major with x2 descending down the rows and x1 ascending along the
     columns, so printing the grid matches the usual heat-map orientation.
-    Values come from the simulator route (decompose of the feature state),
-    not the closed forms.
+    Values come from the simulator route (Pauli expectations of the
+    feature states), not the closed forms.
     """
     return coefficient_grids(spec, [pauli_index], x_range, resolution)[0]
 
@@ -156,24 +162,17 @@ def coefficient_grids(spec: EncodingSpec, pauli_indices, x_range=(-1.0, 1.0),
         raise ValueError("resolution must be at least 2")
     lo, hi = float(x_range[0]), float(x_range[1])
     x1s = np.linspace(lo, hi, resolution)
-    x2s = x1s[::-1]
-    grids = [np.empty((resolution, resolution)) for _ in indices]
-    for r, x2 in enumerate(x2s):
-        for c, x1 in enumerate(x1s):
-            try:
-                vec = decompose(feature_state(spec, (x1, x2)))
-            except Exception as exc:
-                raise type(exc)(f"at grid point x=({x1}, {x2}): {exc}") from exc
-            for g, i in zip(grids, indices):
-                g[r, c] = vec.coeffs[i]
-    return grids
+    x1, x2 = np.meshgrid(x1s, x1s[::-1])
+    states = feature_states(spec, np.stack([x1.ravel(), x2.ravel()], axis=1))
+    coeffs = _simulated_coefficients(states, 2)
+    return [coeffs[:, i].reshape(resolution, resolution) for i in indices]
 
 
 def grid_to_csv(grid: np.ndarray, path) -> None:
     """One grid row per line, '.'-decimal, full round-trip precision."""
     with open(path, "w") as fh:
-        for row in grid:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in np.asarray(grid, dtype=float).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def grid_to_pgm(grid: np.ndarray, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import EncodingSpec
-from .pauli import coefficients_at, pauli_label
+from .pauli import coefficients, pauli_label
 
 LEFT_POSITIVE = "left-positive"
 LEFT_NEGATIVE = "left-negative"
@@ -67,20 +67,15 @@ def axis_accuracy(values, labels) -> tuple[float, float, str]:
     n_neg = n - n_pos
 
     # split after t sorted points; t=0 is the below-minimum threshold
-    cuts = [0] + [t for t in range(1, n) if v_sorted[t] > v_sorted[t - 1]]
-    best_correct = -1
-    best_t = 0
-    best_orient = LEFT_POSITIVE
-    for t in cuts:
-        pos_left = int(pos_prefix[t])
-        neg_left = t - pos_left
-        correct_lp = pos_left + (n_neg - neg_left)
-        correct_ln = neg_left + (n_pos - pos_left)
-        for correct, orient in ((correct_lp, LEFT_POSITIVE), (correct_ln, LEFT_NEGATIVE)):
-            if correct > best_correct:
-                best_correct = correct
-                best_t = t
-                best_orient = orient
+    cuts = np.concatenate(([0], np.flatnonzero(v_sorted[1:] > v_sorted[:-1]) + 1))
+    pos, neg = pos_prefix[cuts], cuts - pos_prefix[cuts]
+    # candidates ordered by cut, left-positive before left-negative, so the
+    # first maximum is the same tie-break as a strict-improvement scan
+    correct = np.stack([pos + (n_neg - neg), neg + (n_pos - pos)], axis=1).ravel()
+    best = int(np.argmax(correct))
+    best_correct = int(correct[best])
+    best_t = int(cuts[best // 2])
+    best_orient = (LEFT_POSITIVE, LEFT_NEGATIVE)[best % 2]
     if best_t == 0:
         threshold = float(v_sorted[0] - 1.0)
     else:
@@ -97,7 +92,7 @@ def minimum_accuracy(dataset, spec: EncodingSpec) -> AxisAccuracyReport:
     """
     if len(dataset) < 1:
         raise ValueError("dataset must be nonempty")
-    coeffs = np.array([coefficients_at(spec, p).coeffs for p in dataset.points])
+    coeffs = coefficients(spec, dataset.points)
     per_axis = []
     for i in range(16):
         per_axis.append(axis_accuracy(coeffs[:, i], dataset.labels))

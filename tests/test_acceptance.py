@@ -2,9 +2,11 @@
 PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import qkmap as qk
 from qkmap.states import apply_diagonal_phase, apply_hadamard_all, zero_state
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 DATASET_SEED = 7
 TABLE_C = 100.0  # solver settings behind the published tables are unknown
 
@@ -238,8 +241,11 @@ def test_criterion_7_published_table_bands():
 
 
 def run_cli(tmp_path, tag, *argv):
+    # the child runs in tmp_path, so a relative PYTHONPATH would not reach src
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "qkmap.cli", *argv],
-                         capture_output=True, cwd=tmp_path)
+                         capture_output=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr.decode()
     return out.stdout
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qkmap as qk
+from qkmap import kernels
 from qkmap.cli import main
 
 
@@ -116,6 +118,25 @@ class TestTrain:
                          "--model-out", str(model))
         assert code == 0
         assert model.read_text().startswith("C=")
+
+    def test_model_reuses_cross_validation_gram(self, tmp_path, capsys, monkeypatch):
+        builds = []
+
+        def counting_gram(*args, **kwargs):
+            builds.append(args)
+            return qk.gram(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        model = tmp_path / "m.txt"
+        code, _, _ = run(capsys, "train", "--generate", "xor", "--n", "30",
+                         "--seed", "1", "--encodings", "ef1",
+                         "--model-out", str(model))
+        assert code == 0
+        assert len(builds) == 1
+        ds = qk.generate("xor", 30, 1)
+        want = qk.train(qk.gram(qk.builtin("ef1"), ds.points), ds.labels,
+                        points=ds.points)
+        assert model.read_text() == want.to_text()
 
     def test_rerun_identical(self, capsys):
         args = ("train", "--generate", "exp", "--n", "30", "--seed", "5",

@@ -10,8 +10,23 @@ from qkmap.encodings import (
     custom,
     eval_encoding,
     feature_state,
+    feature_states,
+    inverse_feature_map,
     parse_phase_expression,
+    phase_states,
 )
+from qkmap.kernels import gram, kernel_shots
+from qkmap.pauli import coefficient_grids, coefficients
+
+HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
+Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # qubit 1 is the least-significant bit
+Z2 = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def dense_feature_unitary(p1, p2, p12):
+    """U_phi (H x H) U_phi (H x H) as a dense 4x4 matrix."""
+    d = np.diag(np.exp(-0.5j * (p1 * Z1 + p2 * Z2 + p12 * Z1 * Z2)))
+    return d @ HH @ d @ HH
 
 
 class TestBuiltins:
@@ -78,12 +93,64 @@ class TestFeatureState:
         b = feature_state(spec, (0.3, -0.8))
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    @pytest.mark.parametrize("eid", BUILTIN_IDS)
+    def test_batched_states_match_dense_circuit(self, eid):
+        spec = builtin(eid)
+        points = np.random.default_rng(13).uniform(-1, 1, (40, 2))
+        got = feature_states(spec, points)
+        assert got.shape == (40, 4)
+        for x, row in zip(points, got):
+            want = dense_feature_unitary(*eval_encoding(spec, x))[:, 0]
+            assert np.max(np.abs(row - want)) <= 1e-12
+            assert np.array_equal(feature_state(spec, x).amplitudes, row)
+
+    def test_random_phases_and_inverse_match_dense_circuit(self):
+        rng = np.random.default_rng(14)
+        phases = rng.uniform(-2 * np.pi, 2 * np.pi, (60, 3))
+        states = phase_states(phases)
+        others = np.roll(states, 1, axis=0)
+        undone = inverse_feature_map(others, phases)
+        for p, st, other, back in zip(phases, states, others, undone):
+            u = dense_feature_unitary(*p)
+            assert np.max(np.abs(st - u[:, 0])) <= 1e-12
+            assert np.max(np.abs(back - u.conj().T @ other)) <= 1e-12
+
+    def test_empty_point_set(self):
+        assert feature_states(builtin("ef1"), np.empty((0, 2))).shape == (0, 4)
+
     def test_normalized(self):
         rng = np.random.default_rng(1)
         for eid in BUILTIN_IDS:
             x = rng.uniform(-1, 1, 2)
             st = feature_state(builtin(eid), x)
             assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-9
+
+
+def _bad_right_half(x1, x2):
+    return math.inf if x1 > 0.5 else 0.0
+
+
+class TestFirstBadPoint:
+    """Every batched route names the first point whose phase is not finite."""
+
+    POINTS = [(0.1, 0.2), (0.6, 0.3), (0.9, -0.4)]
+
+    @pytest.mark.parametrize("route", [
+        lambda spec, pts: feature_states(spec, pts),
+        lambda spec, pts: coefficients(spec, pts),
+        lambda spec, pts: gram(spec, pts, method="exact"),
+        lambda spec, pts: gram(spec, pts, method="pauli"),
+        lambda spec, pts: gram(spec, pts, method="shots", shots=10, seed=0),
+        lambda spec, pts: kernel_shots(spec, pts[0], pts[1], 10, seed=0),
+    ])
+    def test_routes(self, route):
+        with pytest.raises(EncodingError, match=r"phi12 is not finite at x=\(0\.6, 0\.3\)"):
+            route(custom(_bad_right_half), self.POINTS)
+
+    def test_grid_scan_order(self):
+        # rows run x2 = 1, 0, -1 and columns x1 = -1, 0, 1
+        with pytest.raises(EncodingError, match=r"x=\(1\.0, 1\.0\)"):
+            coefficient_grids(custom(_bad_right_half), [0], (-1, 1), 3)
 
 
 class TestExpressionLanguage:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qkmap.encodings import BUILTIN_IDS, builtin, feature_state
+from qkmap.datasets import generate
+from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_state
 from qkmap.kernels import (
     GramMatrix,
     KernelWeights,
@@ -13,6 +14,31 @@ from qkmap.kernels import (
     kernel_shots,
     pair_seed,
 )
+
+HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
+Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # qubit 1 is the least-significant bit
+Z2 = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def dense_feature_unitary(p1, p2, p12):
+    d = np.diag(np.exp(-0.5j * (p1 * Z1 + p2 * Z2 + p12 * Z1 * Z2)))
+    return d @ HH @ d @ HH
+
+
+def inversion_test_gram(spec, points, shots, seed):
+    """Per-pair reference: sample all four outcomes of U(x_i)^dagger U(x_j)|00>."""
+    n = len(points)
+    unitaries = [dense_feature_unitary(*eval_encoding(spec, p)) for p in points]
+    k = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            state = unitaries[i].conj().T @ unitaries[j][:, 0]
+            probs = np.abs(state) ** 2
+            probs[probs < 1e-12] = 0.0
+            probs /= probs.sum()
+            counts = np.random.default_rng(pair_seed(seed, i, j)).multinomial(shots, probs)
+            k[i, j] = k[j, i] = counts[0] / shots
+    return k
 
 
 class TestKernelExact:
@@ -130,6 +156,18 @@ class TestGram:
         a = gram(builtin("ef4"), pts, method="shots", shots=300, seed=2)
         b = gram(builtin("ef4"), pts, method="shots", shots=300, seed=2)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("kind, n, data_seed, eid, shots, seed", [
+        ("xor", 12, 2, "ef2", 400, 2),  # the CLI determinism criterion's input
+        ("circle", 20, 3, "ef1", 1000, 5),
+        ("exp", 16, 4, "ef3", 10_000, 9),
+    ])
+    def test_shot_matrix_equals_sampled_inversion_test(self, kind, n, data_seed, eid,
+                                                       shots, seed):
+        points = generate(kind, n, data_seed).points
+        got = gram(builtin(eid), points, method="shots", shots=shots, seed=seed)
+        want = inversion_test_gram(builtin(eid), points, shots, seed)
+        assert got.values.tobytes() == want.tobytes()
 
     def test_pair_seed_stable(self):
         assert pair_seed(0, 1, 2) == pair_seed(0, 1, 2)

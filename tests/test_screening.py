@@ -17,19 +17,25 @@ from qkmap.svm import LabeledDataset
 
 
 def exhaustive_axis_accuracy(values, labels):
-    """Independent oracle: try every threshold/orientation by direct counting."""
+    """Independent oracle: try every threshold/orientation by direct counting.
+
+    Returns (accuracy, threshold, orientation) of the first best candidate,
+    scanning thresholds upward and left-positive before left-negative.
+    """
     v = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=int)
     distinct = np.unique(v)
     thresholds = [distinct[0] - 1.0]
     thresholds += [(a + b) / 2 for a, b in zip(distinct[:-1], distinct[1:])]
-    best = 0
+    best = (-1, None, None)
     for thr in thresholds:
         left = v < thr
         correct_lp = np.sum((left & (y == 1)) | (~left & (y == -1)))
         correct_ln = np.sum((left & (y == -1)) | (~left & (y == 1)))
-        best = max(best, correct_lp, correct_ln)
-    return best / len(v)
+        for correct, orient in ((correct_lp, LEFT_POSITIVE), (correct_ln, LEFT_NEGATIVE)):
+            if correct > best[0]:
+                best = (correct, float(thr), orient)
+    return best[0] / len(v), best[1], best[2]
 
 
 class TestAxisAccuracy:
@@ -42,7 +48,7 @@ class TestAxisAccuracy:
     def test_alternating_labels(self):
         r, _, _ = axis_accuracy([1, 2, 3, 4], [1, -1, 1, -1])
         assert r == 0.75
-        assert exhaustive_axis_accuracy([1, 2, 3, 4], [1, -1, 1, -1]) == 0.75
+        assert exhaustive_axis_accuracy([1, 2, 3, 4], [1, -1, 1, -1])[0] == 0.75
 
     def test_constant_values_majority(self):
         labels = [1] * 6 + [-1] * 4
@@ -63,13 +69,17 @@ class TestAxisAccuracy:
         assert correct / 10 == 0.5
 
     def test_matches_exhaustive_oracle_random(self):
+        # few distinct values, so most samples have tied values; threshold
+        # and orientation must follow the oracle's tie-break as well
         rng = np.random.default_rng(0)
-        for _ in range(200):
+        for _ in range(300):
             n = rng.integers(1, 30)
             values = rng.choice([-1.0, -0.25, 0.0, 0.4, 1.0], size=n)
             labels = rng.choice([-1, 1], size=n)
-            r, _, _ = axis_accuracy(values, labels)
-            assert r == exhaustive_axis_accuracy(values, labels)
+            assert axis_accuracy(values, labels) == exhaustive_axis_accuracy(values, labels)
+        for labels in ([1] * 6 + [-1] * 4, [-1] * 5 + [1] * 5, [1, 1, 1]):
+            values = np.full(len(labels), 0.25)  # a constant column
+            assert axis_accuracy(values, labels) == exhaustive_axis_accuracy(values, labels)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -141,7 +151,7 @@ class TestMinimumAccuracy:
                            for p in pts])
         for i in range(16):
             want = exhaustive_axis_accuracy(coeffs[:, i], labels)
-            assert report.axis_accuracies[i][0] == want
+            assert report.axis_accuracies[i][0] == want[0]
 
     def test_empty_dataset_rejected(self):
         ds = generate("circle", 4, seed=0)
