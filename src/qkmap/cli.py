@@ -30,6 +30,9 @@ EXIT_NUMERICAL = 2
 def _encoding_from_args(encoding_id: str, custom_phi12: str | None) -> EncodingSpec:
     if custom_phi12 is not None:
         return custom(parse_phase_expression(custom_phi12))
+    if encoding_id == "custom":
+        raise ValueError("encoding 'custom' needs --custom-phi12 EXPR, "
+                         "e.g. --custom-phi12 'pi*x1*x2'")
     return builtin(encoding_id)
 
 

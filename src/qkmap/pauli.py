@@ -28,10 +28,14 @@ def pauli_label(index: int, n_qubits: int = 2) -> str:
     return "".join(_LETTERS[(index >> (2 * k)) & 3] for k in range(n_qubits))
 
 
-def pauli_index(label: str) -> int:
-    """Inverse of :func:`pauli_label`."""
-    digits = [_LETTERS.index(ch) for ch in label.upper()]
-    return sum(d << (2 * k) for k, d in enumerate(digits))
+def pauli_index(label: str, n_qubits: int = 2) -> int:
+    """Inverse of :func:`pauli_label`; rejects anything but n letters of IXYZ."""
+    letters = label.upper()
+    if len(letters) != n_qubits or any(ch not in _LETTERS for ch in letters):
+        valid = (", ".join(pauli_label(i) for i in range(16)) if n_qubits == 2
+                 else f"{n_qubits} letters from {_LETTERS}")
+        raise ValueError(f"invalid Pauli label {label!r}; expected one of: {valid}")
+    return sum(_LETTERS.index(ch) << (2 * k) for k, ch in enumerate(letters))
 
 
 TWO_QUBIT_LABELS = tuple(pauli_label(i, 2) for i in range(16))
@@ -54,7 +58,7 @@ class PauliVector:
 
     def __getitem__(self, key):
         if isinstance(key, str):
-            key = pauli_index(key)
+            key = pauli_index(key, self.n_qubits)
         return self.coeffs[key]
 
 

@@ -7,6 +7,15 @@ max(c over the lower set) <= min(c over the upper set) + 2 * tolerance;
 the pair attaining that gap is updated analytically each step.  At
 convergence the bias is the midpoint of the feasible interval, which
 makes every KKT residual at most the tolerance by construction.
+
+Before solving, the Gram matrix is checked for positive semidefiniteness:
+first a Cholesky factorisation of K + 1e-6 I (exact and Pauli Grams pass
+here), and only if that fails an eigendecomposition, which clamps
+eigenvalues below -1e-6 to zero with a RuntimeWarning naming the minimum
+eigenvalue (shot Grams).  Each model records ``iterations``,
+``converged`` and ``final_gap``; stopping at ``max_passes`` or on a
+stalled step with the gap still above 2 * tolerance raises a
+RuntimeWarning naming the gap and the tolerance.
 """
 
 from __future__ import annotations
@@ -49,7 +58,13 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Dual solution: multipliers, bias, and the training labels/points."""
+    """Dual solution: multipliers, bias, and the training labels/points.
+
+    ``iterations``, ``converged`` and ``final_gap`` are the solver's stats
+    (pair updates taken, whether the gap closed to 2*tolerance, and the
+    last gap); they are None for a model not produced by ``train``, such
+    as one read with ``from_text``, and are not serialised.
+    """
 
     alphas: np.ndarray = field(repr=False)
     bias: float
@@ -57,6 +72,9 @@ class SvmModel:
     C: float
     tolerance: float
     points: np.ndarray | None = field(default=None, repr=False)
+    iterations: int | None = None
+    converged: bool | None = None
+    final_gap: float | None = None
 
     def dual_objective(self, gram_values: np.ndarray) -> float:
         ay = self.alphas * self.labels
@@ -74,25 +92,39 @@ class SvmModel:
 
     @classmethod
     def from_text(cls, text: str) -> "SvmModel":
+        """Parse :meth:`to_text` output; malformed text raises ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = {}
-        for ln in lines[:3]:
-            key, val = ln.split("=", 1)
-            header[key] = float(val)
-        alphas, labels, points = [], [], []
-        for ln in lines[3:]:
-            parts = ln.split(",")
-            alphas.append(float(parts[0]))
-            labels.append(int(parts[1]))
-            if len(parts) > 2:
-                points.append([float(v) for v in parts[2:]])
-        pts = np.array(points) if points else None
-        return cls(np.array(alphas), header["bias"], np.array(labels, dtype=int),
-                   header["C"], header["tolerance"], pts)
+        header = dict(ln.split("=", 1) for ln in lines[:3] if "=" in ln)
+        for key in ("C", "tolerance", "bias"):
+            if key not in header:
+                raise ValueError(f"model text is missing the {key!r} header line")
+        rows = [ln.split(",") for ln in lines[3:]]
+        widths = {len(r) for r in rows}
+        if len(widths) > 1 or min(widths, default=2) < 2:
+            raise ValueError("model rows mix forms or are malformed; expected every "
+                             "row as alpha,label or every row as alpha,label,x1,x2")
+        pts = np.array([[float(v) for v in r[2:]] for r in rows]) \
+            if widths and min(widths) > 2 else None
+        return cls(np.array([float(r[0]) for r in rows]), float(header["bias"]),
+                   np.array([int(r[1]) for r in rows], dtype=int),
+                   float(header["C"]), float(header["tolerance"]), pts)
 
 
 def _clamp_psd(values: np.ndarray) -> np.ndarray:
-    """Clamp negative eigenvalues to zero (shot noise can break PSD-ness)."""
+    """Clamp negative eigenvalues to zero (shot noise can break PSD-ness).
+
+    A Cholesky factorisation of ``values + 1e-6 I`` succeeds exactly when
+    no eigenvalue lies below the -1e-6 acceptance threshold (up to
+    round-off), so PSD Grams return after one O(n^3/3) factorisation and
+    only the others pay for the eigendecomposition.
+    """
+    jittered = values.copy()
+    jittered.flat[::len(values) + 1] += 1e-6
+    try:
+        np.linalg.cholesky(jittered)
+        return values
+    except np.linalg.LinAlgError:
+        pass
     w, v = np.linalg.eigh(values)
     if w[0] >= -1e-6:
         return values
@@ -109,7 +141,9 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
     Deterministic: pair selection is the maximal violating pair with
-    lowest-index tie-breaks.
+    lowest-index tie-breaks.  Warns (RuntimeWarning) when it stops at
+    ``max_passes`` or on a stalled step before the gap closes; the
+    model's ``converged``, ``iterations`` and ``final_gap`` say the same.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -122,60 +156,98 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         raise ValueError("both classes must be present for training")
     if C <= 0 or tolerance <= 0:
         raise ValueError("C and tolerance must be positive")
+    if not np.all(np.isfinite(k)):
+        raise ValueError("gram has non-finite entries")
     k = _clamp_psd(k)
 
-    alphas = np.zeros(n)
+    # Python floats for the pair arithmetic; numpy only for n-vectors.
+    ys = y.tolist()
+    diag = k.diagonal().tolist()
+    alphas = [0.0] * n
+    cap = C - 1e-12
     g = np.zeros(n)  # sum_j alpha_j y_j K_ij, bias-free margin
+    step = np.empty(n)
+    step_j = np.empty(n)
+    # c = y - g on the lower (upper) set and -inf (+inf) off it is
+    # y_low - g (y_up - g), where y_low holds y on the lower set and -inf
+    # off it.  Only the updated pair can change sets, so y_low and y_up
+    # are kept incrementally.
+    y_low = np.empty(n)
+    y_up = np.empty(n)
+    c_low = np.empty(n)
+    c_up = np.empty(n)
+
+    def place(m):
+        """Put index m in or out of the lower and upper sets by its alpha."""
+        a, y_m = alphas[m], ys[m]
+        at_zero = a <= 1e-12
+        at_c = a >= cap
+        free = not (at_zero or at_c)
+        # lower: alpha=0 & y=+1, alpha=C & y=-1, free (force b >= c_m - tol)
+        # upper: alpha=0 & y=-1, alpha=C & y=+1, free (force b <= c_m + tol)
+        in_low = free or (at_zero and y_m > 0) or (at_c and y_m < 0)
+        in_up = free or (at_zero and y_m < 0) or (at_c and y_m > 0)
+        y_low[m] = y_m if in_low else -np.inf
+        y_up[m] = y_m if in_up else np.inf
+
+    for m in range(n):
+        place(m)
 
     def feasibility():
         """(gap, i_low, i_up, b) for the current multipliers."""
-        c = y - g
-        # lower set: indices forcing b >= c_i - tol
-        #   alpha=0 & y=+1, alpha=C & y=-1, 0<alpha<C
-        # upper set: indices forcing b <= c_i + tol
-        #   alpha=0 & y=-1, alpha=C & y=+1, 0<alpha<C
-        at_zero = alphas <= 1e-12
-        at_c = alphas >= C - 1e-12
-        free = ~at_zero & ~at_c
-        lower = free | (at_zero & (y > 0)) | (at_c & (y < 0))
-        upper = free | (at_zero & (y < 0)) | (at_c & (y > 0))
-        c_low = np.where(lower, c, -np.inf)
-        c_up = np.where(upper, c, np.inf)
+        np.subtract(y_low, g, out=c_low)
+        np.subtract(y_up, g, out=c_up)
         i_low = int(np.argmax(c_low))
         i_up = int(np.argmin(c_up))
-        gap = c_low[i_low] - c_up[i_up]
-        b = (c_low[i_low] + c_up[i_up]) / 2.0
-        return gap, i_low, i_up, b
+        top, bottom = c_low.item(i_low), c_up.item(i_up)
+        return top - bottom, i_low, i_up, (top + bottom) / 2.0
 
-    b = 0.0
+    iterations = 0
     for _ in range(max_passes):
         gap, i, j, b = feasibility()
         if gap <= 2.0 * tolerance:
             break
         # two-variable analytic update of (alpha_i, alpha_j)
-        if y[i] != y[j]:
-            lo = max(0.0, alphas[j] - alphas[i])
-            hi = min(C, C + alphas[j] - alphas[i])
+        a_i, a_j, y_i, y_j = alphas[i], alphas[j], ys[i], ys[j]
+        if y_i != y_j:
+            lo = max(0.0, a_j - a_i)
+            hi = min(C, C + a_j - a_i)
         else:
-            lo = max(0.0, alphas[i] + alphas[j] - C)
-            hi = min(C, alphas[i] + alphas[j])
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+            lo = max(0.0, a_i + a_j - C)
+            hi = min(C, a_i + a_j)
+        eta = diag[i] + diag[j] - 2.0 * k.item(i, j)
         eta = max(eta, 1e-12)
-        e_i = g[i] - y[i]
-        e_j = g[j] - y[j]
-        aj_new = np.clip(alphas[j] + y[j] * (e_i - e_j) / eta, lo, hi)
-        d_j = aj_new - alphas[j]
+        e_i = g.item(i) - y_i
+        e_j = g.item(j) - y_j
+        aj_new = min(max(a_j + y_j * (e_i - e_j) / eta, lo), hi)
+        d_j = aj_new - a_j
         if abs(d_j) < 1e-14:
             break  # numerically stuck; bias midpoint still minimizes residuals
-        d_i = -y[i] * y[j] * d_j
+        d_i = -y_i * y_j * d_j
         alphas[i] += d_i
         alphas[j] += d_j
-        g += (d_i * y[i]) * k[i] + (d_j * y[j]) * k[j]
+        iterations += 1
+        np.multiply(k[i], d_i * y_i, out=step)
+        np.multiply(k[j], d_j * y_j, out=step_j)
+        np.add(step, step_j, out=step)
+        np.add(g, step, out=g)
+        place(i)
+        place(j)
     else:
-        _, _, _, b = feasibility()
+        gap, _, _, b = feasibility()
 
-    return SvmModel(alphas, float(b), np.asarray(labels, dtype=int), C, tolerance,
-                    None if points is None else np.asarray(points, dtype=float))
+    converged = gap <= 2.0 * tolerance
+    if not converged:
+        why = (f"max_passes={max_passes} reached" if iterations == max_passes
+               else "step stalled below 1e-14")
+        warnings.warn(
+            f"SMO stopped unconverged after {iterations} iterations ({why}): "
+            f"gap {gap:.3e} > 2*tolerance {2.0 * tolerance:.3e}",
+            RuntimeWarning,
+        )
+    return SvmModel(np.array(alphas), float(b), np.asarray(labels, dtype=int), C,
+                    tolerance, None if points is None else np.asarray(points, dtype=float),
+                    iterations, converged, gap)
 
 
 def decide(model: SvmModel, kernel_row) -> float:
@@ -192,8 +264,12 @@ def classify(model: SvmModel, kernel_row) -> int:
 
 
 def accuracy(model: SvmModel, kernel_rows: np.ndarray, labels) -> float:
-    """Fraction of rows classified with the correct label."""
-    preds = np.array([classify(model, row) for row in np.asarray(kernel_rows)])
+    """Fraction of rows classified with the correct label (zero counts as +1)."""
+    rows = np.asarray(kernel_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(model.alphas):
+        raise ValueError("kernel row length does not match training size")
+    decisions = rows @ (model.alphas * model.labels) + model.bias
+    preds = np.where(decisions >= 0.0, 1, -1)
     return float(np.mean(preds == np.asarray(labels)))
 
 
@@ -248,6 +324,8 @@ def cross_validate(dataset: LabeledDataset, gram_builder, folds: int = 5,
     with a derived seed, then an error is raised.
     """
     n = len(dataset)
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
     if n % folds != 0:
         raise ValueError(f"dataset size {n} not divisible by {folds} folds")
     full = gram_builder(dataset.points)

@@ -65,6 +65,25 @@ class TestHeatmap:
         assert len(list(out.glob("*.pgm"))) == 16
         assert (out / "YX.csv").exists()
 
+    def test_invalid_axis_names_valid_labels(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "heatmap", "--axis", "QQ",
+                              "--out", str(tmp_path / "hm"))
+        assert code == 1
+        assert "'QQ'" in stderr and "ZZ" in stderr and "XY" in stderr
+
+    @pytest.mark.parametrize("command", ("heatmap", "kernel", "screen"))
+    def test_custom_without_expression(self, tmp_path, capsys, command):
+        argv = {"heatmap": ["heatmap", "--encoding", "custom"],
+                "kernel": ["kernel", "--generate", "xor", "--n", "10",
+                           "--encoding", "custom"],
+                "screen": ["screen", "--generate", "xor", "--n", "10",
+                           "--encodings", "custom"]}[command]
+        if command != "screen":
+            argv += ["--out", str(tmp_path / "o")]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert "--custom-phi12" in stderr
+
 
 class TestScreen:
     def test_circle_all_builtins(self, tmp_path, capsys):
@@ -137,6 +156,14 @@ class TestTrain:
         want = qk.train(qk.gram(qk.builtin("ef1"), ds.points), ds.labels,
                         points=ds.points)
         assert model.read_text() == want.to_text()
+
+    @pytest.mark.parametrize("folds", ("0", "-1"))
+    def test_too_few_folds(self, capsys, folds):
+        code, stdout, stderr = run(capsys, "train", "--generate", "xor", "--n", "20",
+                                   "--encodings", "ef1", "--folds", folds)
+        assert code == 1
+        assert "folds must be at least 2" in stderr
+        assert stdout == ""
 
     def test_rerun_identical(self, capsys):
         args = ("train", "--generate", "exp", "--n", "30", "--seed", "5",

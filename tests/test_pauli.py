@@ -49,6 +49,17 @@ class TestIndexing:
         with pytest.raises(ValueError):
             pauli_label(16, 2)
 
+    @pytest.mark.parametrize("label", ("QQ", "Z", "ZZZ", "", "Z1"))
+    def test_invalid_label_rejected(self, label):
+        with pytest.raises(ValueError, match="expected one of: II, XI"):
+            pauli_index(label)
+
+    def test_lowercase_and_other_sizes(self):
+        assert pauli_index("zx") == pauli_index("ZX")
+        assert pauli_index("IZI", 3) == 3 << 2
+        with pytest.raises(ValueError, match="3 letters"):
+            pauli_index("ZZ", 3)
+
 
 class TestDecompose:
     def test_ground_state(self):

@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkmap.datasets import generate
 from qkmap.encodings import builtin
@@ -14,6 +17,7 @@ from qkmap.svm import (
     classify,
     cross_validate,
     decide,
+    _clamp_psd,
     kkt_residuals,
     train,
 )
@@ -58,6 +62,83 @@ def brute_force_dual(k, y, C):
             continue
         best = max(best, objective(np.clip(a, 0, C)))
     return best
+
+
+def mvp_clamp_psd(values):
+    """The eigh-only PSD check the solver used before the Cholesky path."""
+    w, v = np.linalg.eigh(values)
+    if w[0] >= -1e-6:
+        return values
+    warnings.warn(
+        f"Gram matrix has minimum eigenvalue {w[0]:.3e}; clamping to PSD",
+        RuntimeWarning,
+    )
+    w = np.clip(w, 0.0, None)
+    return (v * w) @ v.T
+
+
+def mvp_train(k, labels, C=1.0, tolerance=1e-3, max_passes=10_000):
+    """Reference SMO loop, kept verbatim from the first solver version.
+
+    Rebuilds every index mask each iteration and does the pair arithmetic
+    on numpy scalars; ``train`` must reproduce its (alphas, bias) bit for
+    bit.
+    """
+    y = np.asarray(labels, dtype=float)
+    n = len(y)
+    k = mvp_clamp_psd(np.asarray(k, dtype=float))
+
+    alphas = np.zeros(n)
+    g = np.zeros(n)  # sum_j alpha_j y_j K_ij, bias-free margin
+
+    def feasibility():
+        """(gap, i_low, i_up, b) for the current multipliers."""
+        c = y - g
+        # lower set: indices forcing b >= c_i - tol
+        #   alpha=0 & y=+1, alpha=C & y=-1, 0<alpha<C
+        # upper set: indices forcing b <= c_i + tol
+        #   alpha=0 & y=-1, alpha=C & y=+1, 0<alpha<C
+        at_zero = alphas <= 1e-12
+        at_c = alphas >= C - 1e-12
+        free = ~at_zero & ~at_c
+        lower = free | (at_zero & (y > 0)) | (at_c & (y < 0))
+        upper = free | (at_zero & (y < 0)) | (at_c & (y > 0))
+        c_low = np.where(lower, c, -np.inf)
+        c_up = np.where(upper, c, np.inf)
+        i_low = int(np.argmax(c_low))
+        i_up = int(np.argmin(c_up))
+        gap = c_low[i_low] - c_up[i_up]
+        b = (c_low[i_low] + c_up[i_up]) / 2.0
+        return gap, i_low, i_up, b
+
+    b = 0.0
+    for _ in range(max_passes):
+        gap, i, j, b = feasibility()
+        if gap <= 2.0 * tolerance:
+            break
+        # two-variable analytic update of (alpha_i, alpha_j)
+        if y[i] != y[j]:
+            lo = max(0.0, alphas[j] - alphas[i])
+            hi = min(C, C + alphas[j] - alphas[i])
+        else:
+            lo = max(0.0, alphas[i] + alphas[j] - C)
+            hi = min(C, alphas[i] + alphas[j])
+        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        eta = max(eta, 1e-12)
+        e_i = g[i] - y[i]
+        e_j = g[j] - y[j]
+        aj_new = np.clip(alphas[j] + y[j] * (e_i - e_j) / eta, lo, hi)
+        d_j = aj_new - alphas[j]
+        if abs(d_j) < 1e-14:
+            break  # numerically stuck; bias midpoint still minimizes residuals
+        d_i = -y[i] * y[j] * d_j
+        alphas[i] += d_i
+        alphas[j] += d_j
+        g += (d_i * y[i]) * k[i] + (d_j * y[j]) * k[j]
+    else:
+        _, _, _, b = feasibility()
+
+    return alphas, float(b)
 
 
 class TestTrain:
@@ -130,6 +211,98 @@ class TestTrain:
         assert np.array_equal(a.alphas, b.alphas)
         assert a.bias == b.bias
 
+    def test_non_finite_gram_rejected(self):
+        k = np.eye(4)
+        k[0, 1] = k[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            train(k, [1, -1, 1, -1])
+
+
+class TestSolverStats:
+    def problem(self):
+        ds = generate("moon", 60, seed=7)
+        return gram(builtin("ef1"), ds.points), ds.labels
+
+    def test_converged_stats(self):
+        g, labels = self.problem()
+        model = train(g, labels, C=1.0)
+        assert model.converged is True
+        assert model.iterations > 0
+        assert model.final_gap <= 2.0 * model.tolerance
+
+    def test_iteration_cap_warns_with_gap(self):
+        g, labels = self.problem()
+        with pytest.warns(RuntimeWarning, match="max_passes=3") as caught:
+            model = train(g, labels, C=100.0, max_passes=3)
+        message = str(caught[0].message)
+        assert "gap" in message and "tolerance" in message
+        assert "clamp" not in message
+        assert model.converged is False and model.iterations == 3
+        assert model.final_gap > 2.0 * model.tolerance
+
+    def test_stall_warns(self):
+        # eta = 2e15 makes the first step 1e-15, below the 1e-14 stall floor
+        with pytest.warns(RuntimeWarning, match="stalled") as caught:
+            model = train(np.diag([1e15, 1e15]), [1, -1])
+        assert "clamp" not in str(caught[0].message)
+        assert model.converged is False and model.iterations == 0
+
+    def test_stats_not_serialised(self):
+        g, labels = self.problem()
+        model = train(g, labels, C=10.0, points=np.zeros((60, 2)))
+        bare = SvmModel(model.alphas, model.bias, model.labels, model.C,
+                        model.tolerance, model.points)
+        assert bare.iterations is None and bare.converged is None
+        assert model.to_text() == bare.to_text()
+        assert SvmModel.from_text(model.to_text()).final_gap is None
+
+
+@st.composite
+def problems(draw):
+    """Random solver inputs: a Gram of any route, labels and C."""
+    n = draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    route = draw(st.sampled_from(["exact", "pauli", "shots"]))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 2))
+    labels = rng.choice([-1, 1], size=n)
+    if len(np.unique(labels)) < 2:
+        labels[0] = -labels[1]
+    spec = builtin(draw(st.sampled_from(["ef1", "ef2", "ef3", "ef4", "ef5"])))
+    k = gram(spec, pts, method=route, shots=draw(st.sampled_from([30, 1000])),
+             seed=seed).values
+    return k, labels, draw(st.sampled_from([0.5, 1.0, 10.0, 100.0, 1000.0]))
+
+
+class TestSolverProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(problems(), st.sampled_from([40, 10_000]))
+    def test_byte_equal_to_reference_loop(self, problem, max_passes):
+        k, labels, c = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_alphas, want_bias = mvp_train(k, labels, C=c, max_passes=max_passes)
+            model = train(k, labels, C=c, max_passes=max_passes)
+            psd = _clamp_psd(k)
+        assert model.alphas.tobytes() == want_alphas.tobytes()
+        assert repr(model.bias) == repr(want_bias)
+        if model.converged:
+            assert np.max(kkt_residuals(model, psd)) <= model.tolerance + 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(problems())
+    def test_cholesky_decision_matches_eigh(self, problem):
+        k = problem[0]
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            out = _clamp_psd(k)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref = mvp_clamp_psd(k)
+        assert (out is k) == (ref is k)
+        assert out.tobytes() == ref.tobytes()
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
 
 class TestDecide:
     def test_bias_only_model(self):
@@ -159,6 +332,17 @@ class TestDecide:
     def test_tie_resolves_positive(self):
         model = SvmModel(np.zeros(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
         assert classify(model, np.zeros(2)) == 1
+        assert accuracy(model, np.zeros((3, 2)), [1, 1, 1]) == 1.0
+
+    def test_accuracy_matches_per_row_classify(self):
+        rng = np.random.default_rng(6)
+        model = SvmModel(rng.uniform(0, 2, 30), 0.1, rng.choice([-1, 1], 30), 2.0, 1e-3)
+        rows = rng.uniform(-1, 1, (50, 30))
+        labels = rng.choice([-1, 1], 50)
+        preds = np.array([classify(model, row) for row in rows])
+        assert accuracy(model, rows, labels) == float(np.mean(preds == labels))
+        with pytest.raises(ValueError):
+            accuracy(model, rows[:, :29], labels)
 
 
 class TestSerialization:
@@ -174,6 +358,18 @@ class TestSerialization:
         assert np.array_equal(back.labels, model.labels)
         assert np.array_equal(back.points, model.points)
         assert back.C == model.C and back.tolerance == model.tolerance
+
+    @pytest.mark.parametrize("key", ("C", "tolerance", "bias"))
+    def test_missing_header_named(self, key):
+        text = "C=1.0\ntolerance=0.001\nbias=0.5\n0.5,1\n0.5,-1\n"
+        lines = [ln for ln in text.splitlines() if not ln.startswith(key + "=")]
+        with pytest.raises(ValueError, match=repr(key)):
+            SvmModel.from_text("\n".join(lines))
+
+    def test_mixed_row_forms_rejected(self):
+        text = "C=1.0\ntolerance=0.001\nbias=0.5\n0.5,1,0.1,0.2\n0.5,-1\n"
+        with pytest.raises(ValueError, match="mix"):
+            SvmModel.from_text(text)
 
 
 class TestCrossValidate:
@@ -211,6 +407,12 @@ class TestCrossValidate:
         r = CvReport((1.0, 0.9, 0.8, 0.7, 0.6), (0.5, 0.5, 0.5, 0.5, 0.5), 0)
         assert abs(r.mean_train - 0.8) < 1e-12
         assert abs(r.mean_test - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("folds", (0, 1, -1))
+    def test_fewer_than_two_folds_rejected(self, folds):
+        ds = generate("circle", 40, seed=0)
+        with pytest.raises(ValueError, match="at least 2"):
+            cross_validate(ds, lambda p: gram(builtin("ef1"), p), folds=folds)
 
     def test_indivisible_size_rejected(self):
         ds = generate("circle", 42, seed=0)
