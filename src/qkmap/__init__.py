@@ -1,14 +1,5 @@
 """Feature-map analysis and screening toolkit for kernel-based quantum classifiers."""
 
-from .states import (
-    MeasurementCounts,
-    StateVector,
-    apply_diagonal_phase,
-    apply_hadamard_all,
-    inner_product,
-    sample_measurement,
-    zero_state,
-)
 from .encodings import (
     BUILTIN_IDS,
     EncodingError,
@@ -29,7 +20,6 @@ from .pauli import (
     coefficients,
     coefficients_at,
     decompose,
-    expectation,
     grid_to_csv,
     grid_to_pgm,
     pauli_index,
@@ -40,7 +30,6 @@ from .kernels import (
     KernelWeights,
     combine,
     gram,
-    gram_from_kernel,
     kernel_exact,
     kernel_pauli,
     kernel_shots,

@@ -110,7 +110,7 @@ def _train_gram(args, specs, points):
 
 def cmd_train(args) -> int:
     ds = _load_dataset(args)
-    specs = [_encoding_from_args(eid, None) for eid in args.encodings]
+    specs = [_encoding_from_args(eid, None) for eid in args.encodings or []]
     if args.custom_phi12:
         specs.append(custom(parse_phase_expression(args.custom_phi12)))
     if not specs:

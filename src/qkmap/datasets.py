@@ -41,15 +41,18 @@ class GeneratorConfig:
 DEFAULT_CONFIG = GeneratorConfig()
 
 
-def _balanced_rejection(rng, n_points, labeler):
-    """Uniform draws on [-1,1]^2, kept until each class holds n/2 points."""
+def _balanced_rejection(rng, n_points, draw):
+    """Draws kept until each class holds n/2 points, then shuffled.
+
+    ``draw(rng, next_label)`` returns a point and its label, or None to
+    reject it; ``next_label`` is the first class still short of n/2.
+    """
     per_class = n_points // 2
     kept = {1: [], -1: []}
     for _ in range(_MAX_DRAWS):
         if len(kept[1]) == per_class and len(kept[-1]) == per_class:
             break
-        x = rng.uniform(-1.0, 1.0, 2)
-        label = labeler(x)
+        x, label = draw(rng, 1 if len(kept[1]) < per_class else -1)
         if label is not None and len(kept[label]) < per_class:
             kept[label].append(x)
     else:
@@ -60,6 +63,15 @@ def _balanced_rejection(rng, n_points, labeler):
     return LabeledDataset(points[order], labels[order])
 
 
+def _uniform(labeler):
+    """Draw function for uniform points on [-1,1]^2 labelled by ``labeler``."""
+    def draw(rng, next_label):
+        x = rng.uniform(-1.0, 1.0, 2)
+        return x, labeler(x)
+
+    return draw
+
+
 def _gen_circle(rng, n_points, cfg):
     def labeler(x):
         r = float(np.linalg.norm(x))
@@ -67,7 +79,7 @@ def _gen_circle(rng, n_points, cfg):
             return None
         return 1 if r < cfg.circle_radius else -1
 
-    return _balanced_rejection(rng, n_points, labeler)
+    return _balanced_rejection(rng, n_points, _uniform(labeler))
 
 
 def _gen_exp(rng, n_points, cfg):
@@ -77,7 +89,7 @@ def _gen_exp(rng, n_points, cfg):
             return None
         return 1 if x[1] > boundary else -1
 
-    return _balanced_rejection(rng, n_points, labeler)
+    return _balanced_rejection(rng, n_points, _uniform(labeler))
 
 
 def _gen_xor(rng, n_points, cfg):
@@ -87,17 +99,12 @@ def _gen_xor(rng, n_points, cfg):
             return None
         return 1 if prod > 0 else -1
 
-    return _balanced_rejection(rng, n_points, labeler)
+    return _balanced_rejection(rng, n_points, _uniform(labeler))
 
 
 def _gen_moon(rng, n_points, cfg):
     """Two interleaved half-annuli; points outside the square are redrawn."""
-    per_class = n_points // 2
-    kept = {1: [], -1: []}
-    for _ in range(_MAX_DRAWS):
-        if len(kept[1]) == per_class and len(kept[-1]) == per_class:
-            break
-        label = 1 if len(kept[1]) < per_class else -1
+    def draw(rng, label):
         theta = rng.uniform(0.0, np.pi)
         radius = cfg.moon_radius + rng.uniform(-0.5, 0.5) * cfg.moon_width
         if label == 1:
@@ -106,14 +113,9 @@ def _gen_moon(rng, n_points, cfg):
         else:
             x = np.array([radius * np.cos(theta) + cfg.moon_x_offset,
                           -radius * np.sin(theta) + cfg.moon_y_offset])
-        if np.all(np.abs(x) <= 1.0):
-            kept[label].append(x)
-    else:
-        raise RuntimeError("rejection sampling exceeded the draw budget")
-    points = np.array(kept[1] + kept[-1])
-    labels = np.array([1] * per_class + [-1] * per_class)
-    order = rng.permutation(n_points)
-    return LabeledDataset(points[order], labels[order])
+        return x, label if np.all(np.abs(x) <= 1.0) else None
+
+    return _balanced_rejection(rng, n_points, draw)
 
 
 _GENERATORS = {

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import StateVector, hadamard_layer, phase_layer
+from .states import hadamard_layer, phase_layer
 
 PhaseFunction = Callable[[float, float], float]
 
@@ -133,9 +133,9 @@ def feature_states(spec: EncodingSpec, points) -> np.ndarray:
     return phase_states(encoding_phases(spec, points))
 
 
-def feature_state(spec: EncodingSpec, x) -> StateVector:
-    """|Phi(x)> for one point; see :func:`phase_states`."""
-    return StateVector(2, feature_states(spec, [x])[0])
+def feature_state(spec: EncodingSpec, x) -> np.ndarray:
+    """(4,) amplitudes of |Phi(x)> for one point; see :func:`phase_states`."""
+    return feature_states(spec, [x])[0]
 
 
 # --- expression mini-language --------------------------------------------

@@ -172,23 +172,6 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
     raise ValueError(f"unknown gram method {method!r}")
 
 
-def gram_from_kernel(kernel_fn, points, method: str = "callable") -> GramMatrix:
-    """Gram matrix from an arbitrary symmetric kernel function."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    n = len(pts)
-    if n < 1:
-        raise ValueError("at least one point required")
-    k = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                v = float(kernel_fn(pts[i], pts[j]))
-            except Exception as exc:
-                raise type(exc)(f"at pair ({i}, {j}): {exc}") from exc
-            k[i, j] = k[j, i] = v
-    return GramMatrix(k, method)
-
-
 def combine(grams, weights: KernelWeights) -> GramMatrix:
     """Entrywise weighted sum of Gram matrices (PSD-preserving)."""
     grams = list(grams)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import EncodingSpec, encoding_phases, feature_states
-from .states import StateVector
 
 _LETTERS = "IXYZ"
 _SINGLE = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
@@ -83,16 +82,21 @@ def _simulated_coefficients(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     return e.real / 2 ** n_qubits
 
 
-def expectation(state: StateVector, index: int) -> complex:
-    """<psi| sigma_index |psi> from the dense Pauli matrix."""
-    a = state.amplitudes
-    return complex(np.vdot(a, pauli_matrix(index, state.n_qubits) @ a))
+def decompose(amps) -> PauliVector:
+    """All 4^n coefficients a_i = <psi|sigma_i|psi> / 2^n of one state.
 
-
-def decompose(state: StateVector) -> PauliVector:
-    """All 4^n coefficients a_i = <psi|sigma_i|psi> / 2^n."""
-    n = state.n_qubits
-    return PauliVector(n, _simulated_coefficients(state.amplitudes[None], n)[0])
+    ``amps`` is a (2^n,) amplitude vector; n is inferred from its length,
+    which must be a power of two, and its norm must be 1 within 1e-9.
+    """
+    a = np.asarray(amps, dtype=np.complex128)
+    dim = a.shape[0] if a.ndim == 1 else 0
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"expected 2**n amplitudes with n >= 1, got shape {a.shape}")
+    norm = np.linalg.norm(a)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state not normalized: |psi| = {norm!r}")
+    n = dim.bit_length() - 1
+    return PauliVector(n, _simulated_coefficients(a[None], n)[0])
 
 
 def closed_form_table(phases) -> np.ndarray:

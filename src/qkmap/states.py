@@ -1,76 +1,17 @@
 """Minimal pure-state simulator for the phase-encoding circuit family.
 
+A state is a plain complex array whose last axis holds the 2**n
+amplitudes; leading axes batch over states.
+
 Convention: qubit 1 is the least-significant bit of the amplitude index,
 and the leftmost letter in Pauli labels (so "ZI" acts on qubit 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-_NORM_TOL = 1e-9
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitude vector of a pure n-qubit state."""
-
-    n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ValueError(
-                f"expected {2 ** self.n_qubits} amplitudes, got {amps.shape}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: |psi| = {norm!r}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class MeasurementCounts:
-    """Z-basis measurement record. Bit-strings list qubit 1 first."""
-
-    shots: int
-    counts: dict
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to shots")
-
-    def frequency(self, bitstring: str) -> float:
-        return self.counts.get(bitstring, 0) / self.shots
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on n qubits."""
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def basis_index_to_bitstring(index: int, n_qubits: int) -> str:
-    """Bit-string for a basis index, qubit 1 (LSB) written first."""
-    return "".join(str((index >> q) & 1) for q in range(n_qubits))
 
 
 def hadamard_layer(amps) -> np.ndarray:
@@ -114,43 +55,3 @@ def phase_layer(amps, phi_single, phi_pairs) -> np.ndarray:
             raise ValueError(f"invalid qubit pair ({k}, {l}) for n={n}")
         phase += np.multiply.outer(phi, z[k - 1]) * z[l - 1]
     return a * np.exp(1j * phase)
-
-
-def apply_hadamard_all(state: StateVector) -> StateVector:
-    """Apply H to every qubit."""
-    return StateVector(state.n_qubits, hadamard_layer(state.amplitudes))
-
-
-def apply_diagonal_phase(state: StateVector, phi_single, phi_pairs) -> StateVector:
-    """Apply the diagonal phase gate of :func:`phase_layer` to one state."""
-    return StateVector(state.n_qubits,
-                       phase_layer(state.amplitudes, phi_single, phi_pairs))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> over the computational basis."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states have different qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def sample_measurement(state: StateVector, shots: int, seed: int) -> MeasurementCounts:
-    """Draw ``shots`` Z-basis samples; deterministic per seed (PCG64).
-
-    Probabilities below 1e-12 are truncated to zero before sampling, so
-    states that are a computational basis state up to floating-point
-    round-off measure deterministically.
-    """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    probs = state.probabilities()
-    probs[probs < 1e-12] = 0.0
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    counts = {
-        basis_index_to_bitstring(b, state.n_qubits): int(c)
-        for b, c in enumerate(draws)
-        if c > 0
-    }
-    return MeasurementCounts(shots, counts)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qkmap as qk
-from qkmap.states import apply_diagonal_phase, apply_hadamard_all, zero_state
+from qkmap.states import hadamard_layer, phase_layer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATASET_SEED = 7
@@ -39,10 +39,10 @@ def test_criterion_1_closed_form_equivalence():
     worst = 0.0
     for _ in range(1000):
         p1, p2, p12 = rng.uniform(-np.pi, np.pi, 3)
-        st = zero_state(2)
+        st = np.array([1.0, 0.0, 0.0, 0.0])
         for _ in range(2):
-            st = apply_hadamard_all(st)
-            st = apply_diagonal_phase(st, [-p1 / 2, -p2 / 2], {(1, 2): -p12 / 2})
+            st = hadamard_layer(st)
+            st = phase_layer(st, [-p1 / 2, -p2 / 2], {(1, 2): -p12 / 2})
         got = qk.decompose(st).coeffs
         want = qk.closed_form_coefficients(p1, p2, p12).coeffs
         worst = max(worst, float(np.max(np.abs(got - want))))

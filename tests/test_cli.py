@@ -165,6 +165,18 @@ class TestTrain:
         assert "folds must be at least 2" in stderr
         assert stdout == ""
 
+    def test_custom_without_encodings(self, capsys):
+        code, stdout, _ = run(capsys, "train", "--generate", "circle", "--n", "30",
+                              "--seed", "7", "--custom-phi12", "x1*x2")
+        assert code == 0
+        assert "mean train=" in stdout
+
+    def test_no_encoding_rejected(self, capsys):
+        code, stdout, stderr = run(capsys, "train", "--generate", "circle", "--n", "30")
+        assert code == 1
+        assert "at least one encoding required" in stderr
+        assert stdout == ""
+
     def test_rerun_identical(self, capsys):
         args = ("train", "--generate", "exp", "--n", "30", "--seed", "5",
                 "--encodings", "ef1", "--method", "shots", "--shots", "200",

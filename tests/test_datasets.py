@@ -2,14 +2,42 @@ import numpy as np
 import pytest
 
 from qkmap.datasets import (
+    _MAX_DRAWS,
     DEFAULT_CONFIG,
     DatasetKind,
     from_csv,
     generate,
     to_csv,
 )
+from qkmap.svm import LabeledDataset
 
 ALL_KINDS = ("circle", "exp", "moon", "xor")
+
+
+def reference_moon(rng, n_points, cfg):
+    """The moon generator with its own copy of the rejection loop, as first written."""
+    per_class = n_points // 2
+    kept = {1: [], -1: []}
+    for _ in range(_MAX_DRAWS):
+        if len(kept[1]) == per_class and len(kept[-1]) == per_class:
+            break
+        label = 1 if len(kept[1]) < per_class else -1
+        theta = rng.uniform(0.0, np.pi)
+        radius = cfg.moon_radius + rng.uniform(-0.5, 0.5) * cfg.moon_width
+        if label == 1:
+            x = np.array([radius * np.cos(theta) - cfg.moon_x_offset,
+                          radius * np.sin(theta) - cfg.moon_y_offset])
+        else:
+            x = np.array([radius * np.cos(theta) + cfg.moon_x_offset,
+                          -radius * np.sin(theta) + cfg.moon_y_offset])
+        if np.all(np.abs(x) <= 1.0):
+            kept[label].append(x)
+    else:
+        raise RuntimeError("rejection sampling exceeded the draw budget")
+    points = np.array(kept[1] + kept[-1])
+    labels = np.array([1] * per_class + [-1] * per_class)
+    order = rng.permutation(n_points)
+    return LabeledDataset(points[order], labels[order])
 
 
 class TestGenerate:
@@ -67,6 +95,14 @@ class TestGenerate:
             r = np.hypot(x1 - center[0], x2 - center[1])
             assert cfg.moon_radius - cfg.moon_width / 2 - 1e-12 <= r
             assert r <= cfg.moon_radius + cfg.moon_width / 2 + 1e-12
+
+    @pytest.mark.parametrize("n", (2, 100, 1600))
+    def test_moon_matches_reference_loop(self, n):
+        for seed in range(10):
+            got = generate("moon", n, seed=seed)
+            want = reference_moon(np.random.default_rng(seed), n, DEFAULT_CONFIG)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError, match="even"):

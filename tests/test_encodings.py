@@ -84,14 +84,14 @@ class TestFeatureState:
     def test_zero_phases_give_ground_state(self):
         spec = custom(lambda x1, x2: 0.0, lambda x1, x2: 0.0, lambda x1, x2: 0.0)
         st = feature_state(spec, (0.7, -0.2))
-        assert abs(st.amplitudes[0] - 1.0) < 1e-12
-        assert np.max(np.abs(st.amplitudes[1:])) < 1e-12
+        assert abs(st[0] - 1.0) < 1e-12
+        assert np.max(np.abs(st[1:])) < 1e-12
 
     def test_deterministic(self):
         spec = builtin("ef3")
         a = feature_state(spec, (0.3, -0.8))
         b = feature_state(spec, (0.3, -0.8))
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("eid", BUILTIN_IDS)
     def test_batched_states_match_dense_circuit(self, eid):
@@ -102,7 +102,7 @@ class TestFeatureState:
         for x, row in zip(points, got):
             want = dense_feature_unitary(*eval_encoding(spec, x))[:, 0]
             assert np.max(np.abs(row - want)) <= 1e-12
-            assert np.array_equal(feature_state(spec, x).amplitudes, row)
+            assert np.array_equal(feature_state(spec, x), row)
 
     def test_random_phases_and_inverse_match_dense_circuit(self):
         rng = np.random.default_rng(14)
@@ -123,7 +123,7 @@ class TestFeatureState:
         for eid in BUILTIN_IDS:
             x = rng.uniform(-1, 1, 2)
             st = feature_state(builtin(eid), x)
-            assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(st) - 1.0) < 1e-9
 
 
 def _bad_right_half(x1, x2):

@@ -8,7 +8,6 @@ from qkmap.kernels import (
     KernelWeights,
     combine,
     gram,
-    gram_from_kernel,
     kernel_exact,
     kernel_pauli,
     kernel_shots,
@@ -53,7 +52,7 @@ class TestKernelExact:
         rng = np.random.default_rng(1)
         for _ in range(10):
             z = rng.uniform(-1, 1, 2)
-            amp00 = feature_state(spec, z).amplitudes[0]
+            amp00 = feature_state(spec, z)[0]
             assert abs(kernel_exact(spec, (0.0, 0.0), z) - abs(amp00) ** 2) < 1e-12
 
     def test_range(self):
@@ -179,8 +178,8 @@ class TestGram:
             gram(builtin("ef1"), [(0, 0)], method="magic")
 
     def test_gram_from_kernel(self):
-        pts = [(0.5, 0.5), (1.0, 0.5)]
-        g = gram_from_kernel(lambda x, z: float(x @ z) + 1.0, pts, method="linear")
+        pts = np.array([(0.5, 0.5), (1.0, 0.5)])
+        g = GramMatrix(pts @ pts.T + 1.0, "linear")
         assert g.values[0, 1] == g.values[1, 0] == 1.75
         assert g.values[0, 0] == 1.5
 

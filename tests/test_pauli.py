@@ -14,7 +14,7 @@ from qkmap.pauli import (
     pauli_index,
     pauli_label,
 )
-from qkmap.states import StateVector, zero_state
+from qkmap.states import hadamard_layer, phase_layer
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,7 +31,7 @@ def dense_pauli(label):
 
 def random_state(rng, n=2):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 class TestIndexing:
@@ -63,7 +63,7 @@ class TestIndexing:
 
 class TestDecompose:
     def test_ground_state(self):
-        vec = decompose(zero_state(2))
+        vec = decompose(np.array([1.0, 0.0, 0.0, 0.0]))
         for label in TWO_QUBIT_LABELS:
             expect = 0.25 if label in ("II", "ZI", "IZ", "ZZ") else 0.0
             assert abs(vec[label] - expect) < 1e-12
@@ -73,7 +73,7 @@ class TestDecompose:
         for _ in range(25):
             st = random_state(rng)
             vec = decompose(st)
-            rho = np.outer(st.amplitudes, np.conj(st.amplitudes))
+            rho = np.outer(st, np.conj(st))
             for i, label in enumerate(TWO_QUBIT_LABELS):
                 expect = np.trace(rho @ dense_pauli(label)).real / 4.0
                 assert abs(vec.coeffs[i] - expect) < 1e-12
@@ -86,7 +86,7 @@ class TestDecompose:
             assert abs(vec["II"] - 0.25) < 1e-10
             assert abs(np.sum(vec.coeffs ** 2) - 0.25) < 1e-9
             # same identity through the dense route: tr(rho^2) = 1
-            rho = np.outer(st.amplitudes, np.conj(st.amplitudes))
+            rho = np.outer(st, np.conj(st))
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-9
 
     def test_three_qubit_identity_coefficient(self):
@@ -114,14 +114,10 @@ class TestClosedForms:
         rng = np.random.default_rng(3)
         for _ in range(200):
             p1, p2, p12 = rng.uniform(-np.pi, np.pi, 3)
-            from qkmap.states import apply_diagonal_phase, apply_hadamard_all
-
-            st = zero_state(2)
+            st = np.array([1.0, 0.0, 0.0, 0.0])
             for _ in range(2):
-                st = apply_hadamard_all(st)
-                st = apply_diagonal_phase(
-                    st, [-p1 / 2, -p2 / 2], {(1, 2): -p12 / 2}
-                )
+                st = phase_layer(hadamard_layer(st), [-p1 / 2, -p2 / 2],
+                                 {(1, 2): -p12 / 2})
             got = decompose(st).coeffs
             want = closed_form_coefficients(p1, p2, p12).coeffs
             assert np.max(np.abs(got - want)) < 1e-10

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qkmap.datasets import generate
 from qkmap.encodings import builtin
-from qkmap.kernels import gram
+from qkmap.kernels import GramMatrix, gram
 from qkmap.svm import (
     CvReport,
     LabeledDataset,
@@ -383,10 +383,8 @@ class TestCrossValidate:
     def test_separable_mean_train_one(self):
         ds = self.make_separable()
         # linear kernel separates on x1 directly
-        from qkmap.kernels import gram_from_kernel
-
         report = cross_validate(
-            ds, lambda p: gram_from_kernel(lambda a, b: float(a @ b) + 1.0, p),
+            ds, lambda p: GramMatrix(p @ p.T + 1.0, "linear"),
             folds=5, C=1000.0,
         )
         assert report.mean_train == 1.0
