@@ -13,12 +13,8 @@ from .encodings import (
 )
 from .pauli import (
     TWO_QUBIT_LABELS,
-    PauliVector,
-    closed_form_coefficients,
-    coefficient_grid,
     coefficient_grids,
     coefficients,
-    coefficients_at,
     decompose,
     grid_to_csv,
     grid_to_pgm,

@@ -27,13 +27,30 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _encoding_from_args(encoding_id: str, custom_phi12: str | None) -> EncodingSpec:
-    if custom_phi12 is not None:
-        return custom(parse_phase_expression(custom_phi12))
-    if encoding_id == "custom":
-        raise ValueError("encoding 'custom' needs --custom-phi12 EXPR, "
-                         "e.g. --custom-phi12 'pi*x1*x2'")
-    return builtin(encoding_id)
+def _encodings_from_args(ids, custom_phi12: str | None) -> list[tuple[str, EncodingSpec]]:
+    """(id, spec) for each named encoding; --custom-phi12 adds 'custom' if unnamed."""
+    ids = list(ids)
+    if custom_phi12 is not None and "custom" not in ids:
+        ids.append("custom")
+    pairs = []
+    for eid in ids:
+        if eid != "custom":
+            pairs.append((eid, builtin(eid)))
+        elif custom_phi12 is None:
+            raise ValueError("encoding 'custom' needs --custom-phi12 EXPR, "
+                             "e.g. --custom-phi12 'pi*x1*x2'")
+        else:
+            pairs.append((eid, custom(parse_phase_expression(custom_phi12))))
+    return pairs
+
+
+def _encoding_from_args(args) -> EncodingSpec:
+    """The one encoding of heatmap and kernel: --encoding (default ef1) or the expression."""
+    pairs = _encodings_from_args([args.encoding] if args.encoding else [], args.custom_phi12)
+    if len(pairs) > 1:
+        raise ValueError(f"--encoding {args.encoding} conflicts with --custom-phi12; "
+                         "give one of them, or --encoding custom with the expression")
+    return pairs[0][1] if pairs else builtin("ef1")
 
 
 def _load_dataset(args) -> svm.LabeledDataset:
@@ -58,7 +75,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    spec = _encoding_from_args(args.encoding, args.custom_phi12)
+    spec = _encoding_from_args(args)
     if args.axis == "all":
         indices = list(range(16))
     else:
@@ -77,13 +94,8 @@ def cmd_heatmap(args) -> int:
 
 def cmd_screen(args) -> int:
     ds = _load_dataset(args)
-    ids = args.encodings or list(BUILTIN_IDS)
-    rows = []
-    for eid in ids:
-        spec = _encoding_from_args(eid, None) if eid != "custom" else \
-            _encoding_from_args(eid, args.custom_phi12)
-        report = screening.minimum_accuracy(ds, spec)
-        rows.append((eid, report))
+    rows = [(eid, screening.minimum_accuracy(ds, spec)) for eid, spec in
+            _encodings_from_args(args.encodings or BUILTIN_IDS, args.custom_phi12)]
     if args.csv:
         print("encoding,minimum_accuracy,best_axis,best_threshold,orientation")
         for eid, r in rows:
@@ -110,9 +122,7 @@ def _train_gram(args, specs, points):
 
 def cmd_train(args) -> int:
     ds = _load_dataset(args)
-    specs = [_encoding_from_args(eid, None) for eid in args.encodings or []]
-    if args.custom_phi12:
-        specs.append(custom(parse_phase_expression(args.custom_phi12)))
+    specs = [spec for _, spec in _encodings_from_args(args.encodings or [], args.custom_phi12)]
     if not specs:
         raise ValueError("at least one encoding required")
     # one Gram serves every fold and the saved model
@@ -138,7 +148,7 @@ def cmd_train(args) -> int:
 
 def cmd_kernel(args) -> int:
     ds = _load_dataset(args)
-    spec = _encoding_from_args(args.encoding, args.custom_phi12)
+    spec = _encoding_from_args(args)
     g = kernels.gram(spec, ds.points, method=args.method,
                      shots=args.shots, seed=args.seed)
     g.to_csv(args.out)
@@ -161,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("heatmap", help="export coefficient grids as CSV/PGM")
-    p.add_argument("--encoding", default="ef1", choices=list(BUILTIN_IDS) + ["custom"])
-    p.add_argument("--custom-phi12", help="phi12 expression for --encoding custom")
+    p.add_argument("--encoding", choices=list(BUILTIN_IDS) + ["custom"],
+                   help="encoding (default ef1, or custom with --custom-phi12)")
+    p.add_argument("--custom-phi12", help="phi12 expression of the custom encoding")
     p.add_argument("--axis", default="all",
                    help='Pauli label like ZZ, or "all" for the 16-panel set')
     p.add_argument("--resolution", type=int, default=101)
@@ -176,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     p.add_argument("--encodings", nargs="*", choices=list(BUILTIN_IDS) + ["custom"],
                    help="encodings to screen (default: all five built-ins)")
-    p.add_argument("--custom-phi12")
+    p.add_argument("--custom-phi12", help="phi12 expression; adds the custom encoding")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true", help="machine-readable output")
     p.add_argument("--per-axis", action="store_true",
@@ -185,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="cross-validated SVM training report")
     _add_dataset_flags(p)
-    p.add_argument("--encodings", nargs="+", choices=list(BUILTIN_IDS),
+    p.add_argument("--encodings", nargs="+", choices=list(BUILTIN_IDS) + ["custom"],
                    help="one or more encodings (several are combined)")
-    p.add_argument("--custom-phi12")
+    p.add_argument("--custom-phi12", help="phi12 expression; adds the custom encoding")
     p.add_argument("--weights", type=float, nargs="*",
                    help="combination weights (default equal, must sum to count)")
     p.add_argument("--method", default="exact", choices=["exact", "pauli", "shots"])
@@ -202,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="dump a Gram matrix CSV")
     _add_dataset_flags(p)
-    p.add_argument("--encoding", default="ef1", choices=list(BUILTIN_IDS) + ["custom"])
-    p.add_argument("--custom-phi12")
+    p.add_argument("--encoding", choices=list(BUILTIN_IDS) + ["custom"],
+                   help="encoding (default ef1, or custom with --custom-phi12)")
+    p.add_argument("--custom-phi12", help="phi12 expression of the custom encoding")
     p.add_argument("--method", default="exact", choices=["exact", "pauli", "shots"])
     p.add_argument("--shots", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)

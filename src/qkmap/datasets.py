@@ -150,12 +150,16 @@ def from_csv(path) -> LabeledDataset:
         header = fh.readline().strip()
         if header.replace(" ", "") != "x1,x2,label":
             raise ValueError(f"unexpected dataset header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            x1, x2, y = line.strip().split(",")
-            points.append([float(x1), float(x2)])
-            labels.append(int(y))
+            try:
+                x1, x2, y = line.strip().split(",")
+                points.append([float(x1), float(x2)])
+                labels.append(int(y))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}; "
+                                 "expected x1,x2,label") from None
     if not points:
         raise ValueError("dataset file contains no points")
     return LabeledDataset(np.array(points), np.array(labels))

@@ -76,7 +76,10 @@ def eval_encoding(spec: EncodingSpec, x) -> tuple[float, float, float]:
     out = []
     for name, fn in (("phi1", spec.phi1), ("phi2", spec.phi2), ("phi12", spec.phi12)):
         try:
-            v = float(fn(x1, x2))
+            v = fn(x1, x2)
+            if isinstance(v, complex):
+                raise ValueError(f"complex value {v}")
+            v = float(v)
         except (ArithmeticError, ValueError) as exc:
             raise EncodingError(f"{name} failed at x=({x1}, {x2}): {exc}") from exc
         if not math.isfinite(v):
@@ -95,12 +98,6 @@ def encoding_phases(spec: EncodingSpec, points) -> np.ndarray:
     return np.array([eval_encoding(spec, x) for x in points], dtype=float).reshape(-1, 3)
 
 
-def _feature_phase_layer(amps, phases, scale):
-    """The diagonal layer with phases ``scale * (phi1, phi2, phi12)``."""
-    p = scale * phases
-    return phase_layer(amps, [p[..., 0], p[..., 1]], {(1, 2): p[..., 2]})
-
-
 def phase_states(phases) -> np.ndarray:
     """(..., 4) amplitudes of the feature circuit for (..., 3) phase rows.
 
@@ -110,21 +107,11 @@ def phase_states(phases) -> np.ndarray:
     convention under which the closed-form coefficient table of
     :mod:`qkmap.pauli` holds exactly.
     """
-    phases = np.asarray(phases, dtype=float)
-    amps = np.zeros(phases.shape[:-1] + (4,), dtype=np.complex128)
+    p = -0.5 * np.asarray(phases, dtype=float)
+    amps = np.zeros(p.shape[:-1] + (4,), dtype=np.complex128)
     amps[..., 0] = 1.0
     for _ in range(2):
-        amps = _feature_phase_layer(hadamard_layer(amps), phases, -0.5)
-    return amps
-
-
-def inverse_feature_map(amps, phases) -> np.ndarray:
-    """U_Phi(x)^dagger applied to (..., 4) amplitudes, x given by its phases.
-
-    The conjugate phase layers (+phi/2) and the Hadamards, in reverse order.
-    """
-    for _ in range(2):
-        amps = hadamard_layer(_feature_phase_layer(amps, phases, 0.5))
+        amps = phase_layer(hadamard_layer(amps), [p[..., 0], p[..., 1]], {(1, 2): p[..., 2]})
     return amps
 
 
@@ -176,6 +163,11 @@ def _validate_expr(node: ast.AST, text: str) -> None:
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric constant in expression {text!r}")
+        # floats, not arbitrary-precision ints: 9^9^9 overflows instead of hanging
+        try:
+            node.value = float(node.value)
+        except OverflowError as exc:
+            raise ValueError(f"constant too large in expression {text!r}") from exc
     else:
         raise ValueError(f"unsupported syntax in expression {text!r}")
 

@@ -2,7 +2,10 @@
 
 Routes: exact (squared statevector overlap), pauli (2^n * dot product of
 coefficient vectors, the real-feature-space identity), and shots (fraction
-of all-zero outcomes when measuring the inversion-test circuit).
+of all-zero outcomes when measuring the inversion-test circuit
+U_Phi(x)^dagger U_Phi(z)|00>).  That outcome has probability
+|<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et al., Nature 567, 209
+(2019)), so the shot route samples counts from the exact overlaps.
 """
 
 from __future__ import annotations
@@ -11,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import (
-    EncodingSpec,
-    encoding_phases,
-    feature_states,
-    inverse_feature_map,
-    phase_states,
-)
+from .encodings import EncodingSpec, feature_states
 from .pauli import coefficients
 
 EXACT = "exact"
@@ -102,18 +99,6 @@ def kernel_pauli(spec: EncodingSpec, x, z) -> float:
     return float(4.0 * ax @ az)
 
 
-def _all_zeros_probability(phases_x, states_z) -> np.ndarray:
-    """P(00) after U_Phi(x)^dagger U_Phi(z) |00>, per row: the inversion test.
-
-    Probabilities below 1e-12 are truncated to zero and the rest
-    renormalised, so a pair whose test state is |00> up to round-off
-    reads exactly 1.
-    """
-    probs = np.abs(inverse_feature_map(states_z, phases_x)) ** 2
-    probs[probs < 1e-12] = 0.0
-    return probs[:, 0] / probs.sum(axis=1)
-
-
 def _zero_count_fraction(p0: float, shots: int, seed: int) -> float:
     """Fraction of "00" outcomes in ``shots`` measurements of the test state.
 
@@ -127,9 +112,7 @@ def _zero_count_fraction(p0: float, shots: int, seed: int) -> float:
 
 def kernel_shots(spec: EncodingSpec, x, z, shots: int, seed: int) -> float:
     """Shot-estimated kernel: fraction of "00" outcomes over the inversion test."""
-    phases = encoding_phases(spec, [x, z])
-    p0 = _all_zeros_probability(phases[:1], phase_states(phases[1:]))
-    return _zero_count_fraction(float(p0[0]), shots, seed)
+    return _zero_count_fraction(min(kernel_exact(spec, x, z), 1.0), shots, seed)
 
 
 def pair_seed(base_seed: int, i: int, j: int) -> int:
@@ -144,32 +127,32 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
     Shot-estimated matrices set the diagonal to exactly 1 without sampling
     (the inversion-test circuit is the identity there) and mirror each
     off-diagonal estimate, so they are symmetric by construction.  Entry
-    (i, j) is drawn from its own seed ``pair_seed(seed, i, j)``.
+    (i, j) is one Binomial(shots, K_ij) draw, K_ij the exact entry clipped
+    to at most 1, from its own seed ``pair_seed(seed, i, j)``.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 1:
         raise ValueError("at least one point required")
-    if method == EXACT:
-        states = feature_states(spec, pts)
-        k = np.abs(states.conj() @ states.T) ** 2
-        k = (k + k.T) / 2.0
-        np.fill_diagonal(k, 1.0)
-        return GramMatrix(k, EXACT)
     if method == PAULI:
         coeffs = coefficients(spec, pts)
         k = 4.0 * coeffs @ coeffs.T
         k = (k + k.T) / 2.0
         return GramMatrix(k, PAULI)
-    if method == SHOTS:
-        phases = encoding_phases(spec, pts)
-        rows, cols = np.triu_indices(n, 1)
-        p0 = _all_zeros_probability(phases[rows], phase_states(phases)[cols])
-        k = np.eye(n)
-        for i, j, p in zip(rows.tolist(), cols.tolist(), p0.tolist()):
-            k[i, j] = k[j, i] = _zero_count_fraction(p, shots, pair_seed(seed, i, j))
-        return GramMatrix(k, SHOTS, shots=shots, seed=seed)
-    raise ValueError(f"unknown gram method {method!r}")
+    if method not in (EXACT, SHOTS):
+        raise ValueError(f"unknown gram method {method!r}")
+    states = feature_states(spec, pts)
+    k = np.abs(states.conj() @ states.T) ** 2
+    k = (k + k.T) / 2.0
+    np.fill_diagonal(k, 1.0)
+    if method == EXACT:
+        return GramMatrix(k, EXACT)
+    rows, cols = np.triu_indices(n, 1)
+    p0 = np.minimum(k[rows, cols], 1.0)
+    k = np.eye(n)
+    for i, j, p in zip(rows.tolist(), cols.tolist(), p0.tolist()):
+        k[i, j] = k[j, i] = _zero_count_fraction(p, shots, pair_seed(seed, i, j))
+    return GramMatrix(k, SHOTS, shots=shots, seed=seed)
 
 
 def combine(grams, weights: KernelWeights) -> GramMatrix:

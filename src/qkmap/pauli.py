@@ -9,8 +9,6 @@ letter varies fastest (II, XI, YI, ZI, IX, XX, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .encodings import EncodingSpec, encoding_phases, feature_states
@@ -40,27 +38,6 @@ def pauli_index(label: str, n_qubits: int = 2) -> int:
 TWO_QUBIT_LABELS = tuple(pauli_label(i, 2) for i in range(16))
 
 
-@dataclass(frozen=True)
-class PauliVector:
-    """The 4^n real coefficients a_i of a pure state's density matrix."""
-
-    n_qubits: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (4 ** self.n_qubits,):
-            raise ValueError(f"expected {4 ** self.n_qubits} coefficients")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __getitem__(self, key):
-        if isinstance(key, str):
-            key = pauli_index(key, self.n_qubits)
-        return self.coeffs[key]
-
-
 def pauli_matrix(index: int, n_qubits: int = 2) -> np.ndarray:
     """Dense 2^n x 2^n matrix of sigma_index; qubit 1 is the rightmost factor."""
     if not 0 <= index < 4 ** n_qubits:
@@ -82,11 +59,12 @@ def _simulated_coefficients(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     return e.real / 2 ** n_qubits
 
 
-def decompose(amps) -> PauliVector:
+def decompose(amps) -> np.ndarray:
     """All 4^n coefficients a_i = <psi|sigma_i|psi> / 2^n of one state.
 
     ``amps`` is a (2^n,) amplitude vector; n is inferred from its length,
     which must be a power of two, and its norm must be 1 within 1e-9.
+    Returns a read-only (4^n,) array in the module's index order.
     """
     a = np.asarray(amps, dtype=np.complex128)
     dim = a.shape[0] if a.ndim == 1 else 0
@@ -96,7 +74,9 @@ def decompose(amps) -> PauliVector:
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state not normalized: |psi| = {norm!r}")
     n = dim.bit_length() - 1
-    return PauliVector(n, _simulated_coefficients(a[None], n)[0])
+    coeffs = _simulated_coefficients(a[None], n)[0]
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def closed_form_table(phases) -> np.ndarray:
@@ -132,36 +112,21 @@ def closed_form_table(phases) -> np.ndarray:
     return np.stack([a[label] for label in TWO_QUBIT_LABELS], axis=-1) / 4.0
 
 
-def closed_form_coefficients(phi1: float, phi2: float, phi12: float) -> PauliVector:
-    """Closed-form coefficient vector for one phase triple."""
-    return PauliVector(2, closed_form_table([[phi1, phi2, phi12]])[0])
-
-
 def coefficients(spec: EncodingSpec, points) -> np.ndarray:
     """(N, 16) closed-form coefficient vectors of the feature map at the points."""
     return closed_form_table(encoding_phases(spec, points))
 
 
-def coefficients_at(spec: EncodingSpec, x) -> PauliVector:
-    """Closed-form coefficient vector of the feature map at point x."""
-    return PauliVector(2, coefficients(spec, [x])[0])
-
-
-def coefficient_grid(spec: EncodingSpec, pauli_index: int, x_range=(-1.0, 1.0),
-                     resolution: int = 101) -> np.ndarray:
-    """Sample a_{pauli_index}(x) on a uniform grid over x_range x x_range.
-
-    Row-major with x2 descending down the rows and x1 ascending along the
-    columns, so printing the grid matches the usual heat-map orientation.
-    Values come from the simulator route (Pauli expectations of the
-    feature states), not the closed forms.
-    """
-    return coefficient_grids(spec, [pauli_index], x_range, resolution)[0]
-
-
 def coefficient_grids(spec: EncodingSpec, pauli_indices, x_range=(-1.0, 1.0),
                       resolution: int = 101) -> list[np.ndarray]:
-    """Several coefficient grids sharing one sweep of feature states."""
+    """Grids of a_i(x) for each index i, sharing one sweep of feature states.
+
+    Each grid samples a uniform resolution x resolution lattice over
+    x_range x x_range, row-major with x2 descending down the rows and x1
+    ascending along the columns, so printing a grid matches the usual
+    heat-map orientation.  Values come from the simulator route (Pauli
+    expectations of the feature states), not the closed forms.
+    """
     indices = list(pauli_indices)
     for i in indices:
         if not 0 <= i < 16:

@@ -331,24 +331,21 @@ def cross_validate(dataset: LabeledDataset, gram_builder, folds: int = 5,
     full = gram_builder(dataset.points)
     k = full.values if isinstance(full, GramMatrix) else np.asarray(full, dtype=float)
 
-    def fold_indices(shuffle_seed):
+    def fold_splits(shuffle_seed):
         order = np.random.default_rng(shuffle_seed).permutation(n)
         size = n // folds
-        return [order[f * size:(f + 1) * size] for f in range(folds)]
+        parts = [order[f * size:(f + 1) * size] for f in range(folds)]
+        return [(np.concatenate(parts[:f] + parts[f + 1:]), parts[f]) for f in range(folds)]
 
-    parts = fold_indices(seed)
-    if any(len(np.unique(dataset.labels[np.concatenate([p for g, p in enumerate(parts) if g != f])])) < 2
-           for f in range(folds)):
-        parts = fold_indices(seed + 1)
-        for f in range(folds):
-            train_idx = np.concatenate([p for g, p in enumerate(parts) if g != f])
-            if len(np.unique(dataset.labels[train_idx])) < 2:
-                raise ValueError("a fold is missing a class even after re-shuffle")
+    for shuffle_seed in (seed, seed + 1):
+        splits = fold_splits(shuffle_seed)
+        if all(len(np.unique(dataset.labels[tr])) >= 2 for tr, _ in splits):
+            break
+    else:
+        raise ValueError("a fold is missing a class even after re-shuffle")
 
     train_acc, test_acc = [], []
-    for f in range(folds):
-        test_idx = parts[f]
-        train_idx = np.concatenate([p for g, p in enumerate(parts) if g != f])
+    for train_idx, test_idx in splits:
         sub = k[np.ix_(train_idx, train_idx)]
         model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance)
         train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))

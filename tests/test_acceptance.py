@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qkmap as qk
+from qkmap.pauli import closed_form_table
 from qkmap.states import hadamard_layer, phase_layer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,8 +44,8 @@ def test_criterion_1_closed_form_equivalence():
         for _ in range(2):
             st = hadamard_layer(st)
             st = phase_layer(st, [-p1 / 2, -p2 / 2], {(1, 2): -p12 / 2})
-        got = qk.decompose(st).coeffs
-        want = qk.closed_form_coefficients(p1, p2, p12).coeffs
+        got = qk.decompose(st)
+        want = closed_form_table((p1, p2, p12))
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0
     report("criterion 1: closed-form oracle equivalence",
@@ -78,8 +79,8 @@ def test_criterion_3_purity_and_normalization():
         spec = qk.builtin(eid)
         x = rng.uniform(-1, 1, 2)
         vec = qk.decompose(qk.feature_state(spec, x))
-        worst_ii = max(worst_ii, abs(vec.coeffs[0] - 0.25))
-        worst_purity = max(worst_purity, abs(np.sum(vec.coeffs ** 2) - 0.25))
+        worst_ii = max(worst_ii, abs(vec[0] - 0.25))
+        worst_purity = max(worst_purity, abs(np.sum(vec ** 2) - 0.25))
         if _ % 10 == 0:
             worst_self = max(worst_self, abs(qk.kernel_exact(spec, x, x) - 1.0))
     report("criterion 3: purity and normalization",
@@ -282,11 +283,11 @@ def test_criterion_9_heat_map_fidelity():
     xs = np.linspace(-1.0, 1.0, res)
     worst = 0.0
     for label in ("ZZ", "ZI", "IZ"):
-        grid = qk.coefficient_grid(spec, qk.pauli_index(label), (-1, 1), res)
+        grid = qk.coefficient_grids(spec, [qk.pauli_index(label)], (-1, 1), res)[0]
         for r, x2 in enumerate(xs[::-1]):
             for c, x1 in enumerate(xs):
                 p1, p2, p12 = qk.eval_encoding(spec, (x1, x2))
-                want = qk.closed_form_coefficients(p1, p2, p12)[label]
+                want = closed_form_table((p1, p2, p12))[qk.pauli_index(label)]
                 worst = max(worst, abs(grid[r, c] - want))
 
     t0 = time.perf_counter()

@@ -84,6 +84,22 @@ class TestHeatmap:
         assert code == 1
         assert "--custom-phi12" in stderr
 
+    @pytest.mark.parametrize("command", ("heatmap", "kernel"))
+    def test_builtin_and_expression_conflict(self, tmp_path, capsys, command):
+        argv = [command, "--custom-phi12", "x1*x2", "--out", str(tmp_path / "o")]
+        if command == "kernel":
+            argv += ["--generate", "xor", "--n", "10"]
+        if command == "heatmap":
+            argv += ["--resolution", "3"]
+        code, stdout, stderr = run(capsys, *argv, "--encoding", "ef3")
+        assert code == 1
+        assert "--encoding ef3 conflicts with --custom-phi12" in stderr
+        assert stdout == ""
+        # the expression alone, or with --encoding custom, selects the custom encoding
+        for extra in ([], ["--encoding", "custom"]):
+            code, stdout, _ = run(capsys, *argv, *extra)
+            assert code == 0 and stdout.startswith("wrote")
+
 
 class TestScreen:
     def test_circle_all_builtins(self, tmp_path, capsys):
@@ -104,6 +120,31 @@ class TestScreen:
         code, _, stderr = run(capsys, "screen", "--dataset", str(ds))
         assert code == 1
         assert "no points" in stderr
+
+    def test_malformed_row_names_file_and_line(self, tmp_path, capsys):
+        ds = tmp_path / "bad.csv"
+        ds.write_text("x1,x2,label\n0.1,0.2,1\n0.3,0.4\n")
+        code, stdout, stderr = run(capsys, "screen", "--dataset", str(ds))
+        assert code == 1
+        assert stderr == f"error: {ds}:3: malformed row '0.3,0.4'; expected x1,x2,label\n"
+        assert stdout == ""
+
+    def test_expression_adds_custom_row(self, capsys):
+        argv = ("screen", "--generate", "circle", "--n", "20", "--csv")
+        _, builtins_only, _ = run(capsys, *argv)
+        code, stdout, _ = run(capsys, *argv, "--custom-phi12", "pi*x1*x2")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert "\n".join(lines[:6]) + "\n" == builtins_only
+        assert lines[6].startswith("custom,") and len(lines) == 7
+
+    def test_complex_phase_is_a_validation_error(self, capsys):
+        code, stdout, stderr = run(capsys, "screen", "--generate", "circle", "--n", "20",
+                                   "--encodings", "custom", "--custom-phi12", "x1^0.5")
+        assert code == 1
+        assert stderr.startswith("error: phi12 failed at x=(-")
+        assert "complex" in stderr and stderr.count("\n") == 1
+        assert stdout == ""
 
     def test_rerun_identical(self, tmp_path, capsys):
         ds = tmp_path / "c.csv"
@@ -170,6 +211,15 @@ class TestTrain:
                               "--seed", "7", "--custom-phi12", "x1*x2")
         assert code == 0
         assert "mean train=" in stdout
+
+    def test_custom_named_in_encodings(self, capsys):
+        argv = ("train", "--generate", "circle", "--n", "30", "--seed", "7",
+                "--custom-phi12", "x1*x2")
+        _, implied, _ = run(capsys, *argv)
+        code, named, _ = run(capsys, *argv, "--encodings", "custom")
+        assert code == 0 and named == implied
+        code, _, stderr = run(capsys, *argv[:-2], "--encodings", "custom")
+        assert code == 1 and "--custom-phi12" in stderr
 
     def test_no_encoding_rejected(self, capsys):
         code, stdout, stderr = run(capsys, "train", "--generate", "circle", "--n", "30")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,13 @@ from qkmap.encodings import (
     eval_encoding,
     feature_state,
     feature_states,
-    inverse_feature_map,
     parse_phase_expression,
     phase_states,
 )
 from qkmap.kernels import gram, kernel_shots
 from qkmap.pauli import coefficient_grids, coefficients
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
 Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # qubit 1 is the least-significant bit
 Z2 = np.array([1.0, 1.0, -1.0, -1.0])
@@ -107,13 +111,8 @@ class TestFeatureState:
     def test_random_phases_and_inverse_match_dense_circuit(self):
         rng = np.random.default_rng(14)
         phases = rng.uniform(-2 * np.pi, 2 * np.pi, (60, 3))
-        states = phase_states(phases)
-        others = np.roll(states, 1, axis=0)
-        undone = inverse_feature_map(others, phases)
-        for p, st, other, back in zip(phases, states, others, undone):
-            u = dense_feature_unitary(*p)
-            assert np.max(np.abs(st - u[:, 0])) <= 1e-12
-            assert np.max(np.abs(back - u.conj().T @ other)) <= 1e-12
+        for p, st in zip(phases, phase_states(phases)):
+            assert np.max(np.abs(st - dense_feature_unitary(*p)[:, 0])) <= 1e-12
 
     def test_empty_point_set(self):
         assert feature_states(builtin("ef1"), np.empty((0, 2))).shape == (0, 4)
@@ -194,3 +193,28 @@ class TestExpressionLanguage:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_phase_expression("x1 +")
+
+    def test_integer_tower_overflows_instead_of_hanging(self):
+        # integer literals evaluated as big ints made this run without end
+        script = ("from qkmap.encodings import EncodingError, custom, eval_encoding, "
+                  "parse_phase_expression\n"
+                  "try:\n"
+                  "    eval_encoding(custom(parse_phase_expression('9^9^9')), (0.1, 0.2))\n"
+                  "except EncodingError as exc:\n"
+                  "    print(exc)\n")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=20, env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("phi12 failed at x=(0.1, 0.2)")
+
+    def test_rejects_oversized_constant(self):
+        with pytest.raises(ValueError, match="too large"):
+            parse_phase_expression("1" + "0" * 400)
+
+    def test_complex_value_names_phase_and_point(self):
+        spec = custom(parse_phase_expression("x1^0.5"))
+        assert eval_encoding(spec, (0.25, 0.0))[2] == 0.5
+        match = r"phi12 failed at x=\(-0\.25, 0\.5\): complex"
+        with pytest.raises(EncodingError, match=match):
+            eval_encoding(spec, (-0.25, 0.5))

@@ -156,14 +156,18 @@ class TestGram:
         b = gram(builtin("ef4"), pts, method="shots", shots=300, seed=2)
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("kind, n, data_seed, eid, shots, seed", [
-        ("xor", 12, 2, "ef2", 400, 2),  # the CLI determinism criterion's input
-        ("circle", 20, 3, "ef1", 1000, 5),
-        ("exp", 16, 4, "ef3", 10_000, 9),
+    @pytest.mark.parametrize("kind, n, data_seed, eid, shots, seed, duplicates", [
+        pytest.param("xor", 12, 2, "ef2", 400, 2, 0,  # the CLI determinism criterion's input
+                     id="xor-12-2-ef2-400-2"),
+        pytest.param("circle", 20, 3, "ef1", 1000, 5, 0, id="circle-20-3-ef1-1000-5"),
+        pytest.param("exp", 16, 4, "ef3", 10_000, 9, 0, id="exp-16-4-ef3-10000-9"),
+        # K = 1 off the diagonal: the reference truncates and renormalises to P(00) = 1
+        pytest.param("moon", 20, 6, "ef4", 1000, 3, 5, id="moon-20-6-ef4-1000-3-dup5"),
     ])
     def test_shot_matrix_equals_sampled_inversion_test(self, kind, n, data_seed, eid,
-                                                       shots, seed):
+                                                       shots, seed, duplicates):
         points = generate(kind, n, data_seed).points
+        points = np.concatenate([points, points[:duplicates]])
         got = gram(builtin(eid), points, method="shots", shots=shots, seed=seed)
         want = inversion_test_gram(builtin(eid), points, shots, seed)
         assert got.values.tobytes() == want.tobytes()

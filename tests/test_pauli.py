@@ -4,10 +4,9 @@ import pytest
 from qkmap.encodings import builtin, eval_encoding, feature_state
 from qkmap.pauli import (
     TWO_QUBIT_LABELS,
-    closed_form_coefficients,
-    coefficient_grid,
+    closed_form_table,
     coefficient_grids,
-    coefficients_at,
+    coefficients,
     decompose,
     grid_to_csv,
     grid_to_pgm,
@@ -66,7 +65,7 @@ class TestDecompose:
         vec = decompose(np.array([1.0, 0.0, 0.0, 0.0]))
         for label in TWO_QUBIT_LABELS:
             expect = 0.25 if label in ("II", "ZI", "IZ", "ZZ") else 0.0
-            assert abs(vec[label] - expect) < 1e-12
+            assert abs(vec[pauli_index(label)] - expect) < 1e-12
 
     def test_matches_dense_matrix_oracle(self):
         rng = np.random.default_rng(0)
@@ -76,15 +75,15 @@ class TestDecompose:
             rho = np.outer(st, np.conj(st))
             for i, label in enumerate(TWO_QUBIT_LABELS):
                 expect = np.trace(rho @ dense_pauli(label)).real / 4.0
-                assert abs(vec.coeffs[i] - expect) < 1e-12
+                assert abs(vec[i] - expect) < 1e-12
 
     def test_identity_coefficient_and_purity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             st = random_state(rng)
             vec = decompose(st)
-            assert abs(vec["II"] - 0.25) < 1e-10
-            assert abs(np.sum(vec.coeffs ** 2) - 0.25) < 1e-9
+            assert abs(vec[pauli_index("II")] - 0.25) < 1e-10
+            assert abs(np.sum(vec ** 2) - 0.25) < 1e-9
             # same identity through the dense route: tr(rho^2) = 1
             rho = np.outer(st, np.conj(st))
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-9
@@ -93,22 +92,22 @@ class TestDecompose:
         rng = np.random.default_rng(2)
         st = random_state(rng, 3)
         vec = decompose(st)
-        assert abs(vec.coeffs[0] - 1.0 / 8.0) < 1e-10
-        assert abs(np.sum(vec.coeffs ** 2) - 1.0 / 8.0) < 1e-9
+        assert abs(vec[0] - 1.0 / 8.0) < 1e-10
+        assert abs(np.sum(vec ** 2) - 1.0 / 8.0) < 1e-9
 
 
 class TestClosedForms:
     def test_zero_phases(self):
-        vec = closed_form_coefficients(0.0, 0.0, 0.0)
+        vec = closed_form_table((0.0, 0.0, 0.0))
         for label in TWO_QUBIT_LABELS:
             expect = 0.25 if label in ("II", "ZI", "IZ", "ZZ") else 0.0
-            assert abs(vec[label] - expect) < 1e-15
+            assert abs(vec[pauli_index(label)] - expect) < 1e-15
 
     def test_quarter_turn(self):
-        vec = closed_form_coefficients(np.pi / 2, 0.0, 0.0)
-        assert abs(vec["ZZ"]) < 1e-15
-        assert abs(vec["IZ"] - 0.25) < 1e-15
-        assert abs(vec["ZI"]) < 1e-15
+        vec = closed_form_table((np.pi / 2, 0.0, 0.0))
+        assert abs(vec[pauli_index("ZZ")]) < 1e-15
+        assert abs(vec[pauli_index("IZ")] - 0.25) < 1e-15
+        assert abs(vec[pauli_index("ZI")]) < 1e-15
 
     def test_matches_simulator_on_random_phases(self):
         rng = np.random.default_rng(3)
@@ -118,8 +117,8 @@ class TestClosedForms:
             for _ in range(2):
                 st = phase_layer(hadamard_layer(st), [-p1 / 2, -p2 / 2],
                                  {(1, 2): -p12 / 2})
-            got = decompose(st).coeffs
-            want = closed_form_coefficients(p1, p2, p12).coeffs
+            got = decompose(st)
+            want = closed_form_table((p1, p2, p12))
             assert np.max(np.abs(got - want)) < 1e-10
 
     @pytest.mark.parametrize("eid", ("ef1", "ef2", "ef3", "ef4", "ef5"))
@@ -128,51 +127,51 @@ class TestClosedForms:
         spec = builtin(eid)
         for _ in range(50):
             x = rng.uniform(-1, 1, 2)
-            got = decompose(feature_state(spec, x)).coeffs
-            want = coefficients_at(spec, x).coeffs
+            got = decompose(feature_state(spec, x))
+            want = coefficients(spec, [x])[0]
             assert np.max(np.abs(got - want)) < 1e-10
 
 
 class TestGrids:
     def test_identity_axis_constant(self):
-        grid = coefficient_grid(builtin("ef2"), pauli_index("II"), (-1, 1), 5)
+        grid = coefficient_grids(builtin("ef2"), [pauli_index("II")], (-1, 1), 5)[0]
         assert np.max(np.abs(grid - 0.25)) < 1e-12
 
     def test_zz_lattice_values(self):
-        grid = coefficient_grid(builtin("ef1"), pauli_index("ZZ"), (-1, 1), 3)
+        grid = coefficient_grids(builtin("ef1"), [pauli_index("ZZ")], (-1, 1), 3)[0]
         xs = np.array([-1.0, 0.0, 1.0])
         for r, x2 in enumerate(xs[::-1]):
             for c, x1 in enumerate(xs):
                 assert abs(grid[r, c] - np.cos(x1) * np.cos(x2) / 4.0) < 1e-12
 
     def test_zz_same_for_ef1_and_ef2(self):
-        g1 = coefficient_grid(builtin("ef1"), pauli_index("ZZ"), (-1, 1), 7)
-        g2 = coefficient_grid(builtin("ef2"), pauli_index("ZZ"), (-1, 1), 7)
+        g1 = coefficient_grids(builtin("ef1"), [pauli_index("ZZ")], (-1, 1), 7)[0]
+        g2 = coefficient_grids(builtin("ef2"), [pauli_index("ZZ")], (-1, 1), 7)[0]
         assert np.max(np.abs(g1 - g2)) < 1e-12
 
     def test_orientation_x2_descends(self):
         # ZI depends on phi12 too under ef1; use IZ = cos(x2)cos(phi12)/4 at
         # phi12=0 along x1=0 column? simpler: probe a direction-sensitive axis
-        grid = coefficient_grid(builtin("ef1"), pauli_index("IZ"), (0, 1), 2)
+        grid = coefficient_grids(builtin("ef1"), [pauli_index("IZ")], (0, 1), 2)[0]
         # top row is x2=1, bottom x2=0; at x1=0 column, phi12=0
         assert abs(grid[0, 0] - np.cos(1.0) / 4.0) < 1e-12
         assert abs(grid[1, 0] - 0.25) < 1e-12
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            coefficient_grid(builtin("ef1"), 16, (-1, 1), 3)
+            coefficient_grids(builtin("ef1"), [16], (-1, 1), 3)
         with pytest.raises(ValueError):
-            coefficient_grid(builtin("ef1"), 0, (-1, 1), 1)
+            coefficient_grids(builtin("ef1"), [0], (-1, 1), 1)
 
     def test_shared_sweep_consistent(self):
         gs = coefficient_grids(builtin("ef3"), [3, 15], (-1, 1), 4)
-        lone = coefficient_grid(builtin("ef3"), 15, (-1, 1), 4)
+        lone = coefficient_grids(builtin("ef3"), [15], (-1, 1), 4)[0]
         assert np.array_equal(gs[1], lone)
 
 
 class TestSerialization:
     def test_csv_roundtrip(self, tmp_path):
-        grid = coefficient_grid(builtin("ef1"), pauli_index("ZZ"), (-1, 1), 3)
+        grid = coefficient_grids(builtin("ef1"), [pauli_index("ZZ")], (-1, 1), 3)[0]
         path = tmp_path / "zz.csv"
         grid_to_csv(grid, path)
         back = np.array([[float(v) for v in line.split(",")]
@@ -180,7 +179,7 @@ class TestSerialization:
         assert np.array_equal(back, grid)
 
     def test_pgm_header_and_range(self, tmp_path):
-        grid = coefficient_grid(builtin("ef1"), pauli_index("ZZ"), (-1, 1), 4)
+        grid = coefficient_grids(builtin("ef1"), [pauli_index("ZZ")], (-1, 1), 4)[0]
         path = tmp_path / "zz.pgm"
         grid_to_pgm(grid, path)
         raw = path.read_bytes()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qkmap.datasets import from_csv, to_csv
 from qkmap.encodings import BUILTIN_IDS, builtin, feature_state, feature_states
 from qkmap.kernels import gram, kernel_exact, kernel_pauli
-from qkmap.pauli import coefficients, coefficients_at, decompose
+from qkmap.pauli import coefficients, decompose
 from qkmap.svm import LabeledDataset, SvmModel, train
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
@@ -54,7 +54,7 @@ class TestBatchedEqualsScalar:
         states, coeffs = feature_states(spec, pts), coefficients(spec, pts)
         for x, state, coeff in zip(pts, states, coeffs):
             assert feature_state(spec, x).tobytes() == state.tobytes()
-            assert coefficients_at(spec, x).coeffs.tobytes() == coeff.tobytes()
+            assert coefficients(spec, [x])[0].tobytes() == coeff.tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(specs, point_sets(max_size=8))
@@ -71,8 +71,8 @@ class TestPurity:
     def test_decompose_identity_coefficient_and_purity(self, amps):
         vec = decompose(amps)
         scale = 1.0 / len(amps)
-        assert abs(vec.coeffs[0] - scale) <= 1e-12
-        assert abs(np.sum(vec.coeffs ** 2) - scale) <= 1e-12
+        assert abs(vec[0] - scale) <= 1e-12
+        assert abs(np.sum(vec ** 2) - scale) <= 1e-12
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(specs, point_sets())

@@ -5,7 +5,7 @@ import pytest
 
 from qkmap.datasets import generate
 from qkmap.encodings import BUILTIN_IDS, builtin
-from qkmap.pauli import closed_form_coefficients, pauli_index
+from qkmap.pauli import closed_form_table, pauli_index
 from qkmap.screening import (
     LEFT_NEGATIVE,
     LEFT_POSITIVE,
@@ -147,8 +147,7 @@ class TestMinimumAccuracy:
         # independent route: closed forms + exhaustive threshold search
         from qkmap.encodings import eval_encoding
 
-        coeffs = np.array([closed_form_coefficients(*eval_encoding(spec, p)).coeffs
-                           for p in pts])
+        coeffs = closed_form_table([eval_encoding(spec, p) for p in pts])
         for i in range(16):
             want = exhaustive_axis_accuracy(coeffs[:, i], labels)
             assert report.axis_accuracies[i][0] == want[0]

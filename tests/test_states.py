@@ -3,7 +3,7 @@ import pytest
 
 from qkmap.encodings import custom, feature_states, phase_states
 from qkmap.kernels import gram, kernel_exact, kernel_shots
-from qkmap.pauli import decompose
+from qkmap.pauli import decompose, pauli_index
 from qkmap.states import hadamard_layer, phase_layer
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -51,7 +51,7 @@ class TestStateVector:
         # the bound is 1e-9 on |psi|
         with pytest.raises(ValueError, match="normalized"):
             decompose(np.array([1.0 + 1e-8, 0.0]))
-        assert decompose(np.array([1.0 + 1e-10, 0.0]))["Z"] > 0.0
+        assert decompose(np.array([1.0 + 1e-10, 0.0]))[pauli_index("Z", 1)] > 0.0
 
     def test_rejects_bad_length(self):
         for amps in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], np.zeros(0)):
@@ -67,7 +67,7 @@ class TestStateVector:
         phase_layer(st, [0.3, -0.2], {(1, 2): 0.5})
         assert np.array_equal(st, before)
         with pytest.raises(ValueError):
-            decompose(st).coeffs[0] = 0.5
+            decompose(st)[0] = 0.5
 
 
 class TestHadamard:

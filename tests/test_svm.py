@@ -416,3 +416,14 @@ class TestCrossValidate:
         ds = generate("circle", 42, seed=0)
         with pytest.raises(ValueError, match="divisible"):
             cross_validate(ds, lambda p: gram(builtin("ef1"), p), folds=5)
+
+    def test_reshuffle_when_a_fold_misses_a_class(self):
+        # two positives among six points in three folds: shuffle seeds 0 and
+        # 36 put both positives in one test fold; seed 1 does not, 37 does
+        ds = LabeledDataset(np.random.default_rng(0).uniform(-1, 1, (6, 2)),
+                            np.array([1, 1, -1, -1, -1, -1]))
+        builder = lambda p: gram(builtin("ef1"), p)
+        report = cross_validate(ds, builder, folds=3, seed=0)
+        assert report.seed == 0 and len(report.fold_test_accuracies) == 3
+        with pytest.raises(ValueError, match="missing a class even after re-shuffle"):
+            cross_validate(ds, builder, folds=3, seed=36)
