@@ -94,8 +94,10 @@ def cmd_heatmap(args) -> int:
 
 def cmd_screen(args) -> int:
     ds = _load_dataset(args)
-    rows = [(eid, screening.minimum_accuracy(ds, spec)) for eid, spec in
-            _encodings_from_args(args.encodings or BUILTIN_IDS, args.custom_phi12)]
+    pairs = _encodings_from_args(args.encodings or BUILTIN_IDS, args.custom_phi12)
+    if args.per_axis and len(pairs) != 1:
+        raise ValueError(f"--per-axis needs exactly one encoding, got {len(pairs)}")
+    rows = [(eid, screening.minimum_accuracy(ds, spec)) for eid, spec in pairs]
     if args.csv:
         print("encoding,minimum_accuracy,best_axis,best_threshold,orientation")
         for eid, r in rows:
@@ -105,18 +107,21 @@ def cmd_screen(args) -> int:
         print(f"{'encoding':>10} {'min acc':>8} {'axis':>5}")
         for eid, r in rows:
             print(f"{eid:>10} {r.minimum_accuracy:8.4f} {r.best_axis_label:>5}")
-    if args.per_axis and len(rows) == 1:
+    if args.per_axis:
         sys.stdout.write(rows[0][1].to_csv())
     return 0
 
 
 def _train_gram(args, specs, points):
+    values = args.weights or [1.0] * len(specs)
+    if len(values) != len(specs):
+        raise ValueError(f"--weights has {len(values)} values for {len(specs)} encoding(s)")
+    weights = kernels.KernelWeights(tuple(values))
     gs = [kernels.gram(spec, points, method=args.method,
                        shots=args.shots, seed=args.seed)
           for spec in specs]
-    if len(gs) == 1:
+    if args.weights is None and len(gs) == 1:
         return gs[0]
-    weights = kernels.KernelWeights(tuple(args.weights or [1.0] * len(gs)))
     return kernels.combine(gs, weights)
 
 
@@ -191,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true", help="machine-readable output")
     p.add_argument("--per-axis", action="store_true",
-                   help="with one encoding, print the per-axis table")
+                   help="print the per-axis table (needs exactly one encoding)")
     p.set_defaults(fn=cmd_screen)
 
     p = sub.add_parser("train", help="cross-validated SVM training report")
@@ -200,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one or more encodings (several are combined)")
     p.add_argument("--custom-phi12", help="phi12 expression; adds the custom encoding")
     p.add_argument("--weights", type=float, nargs="*",
-                   help="combination weights (default equal, must sum to count)")
+                   help="one weight per encoding (default equal, must sum to count)")
     p.add_argument("--method", default="exact", choices=["exact", "pauli", "shots"])
     p.add_argument("--shots", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)

@@ -99,25 +99,12 @@ def kernel_pauli(spec: EncodingSpec, x, z) -> float:
     return float(4.0 * ax @ az)
 
 
-def _zero_count_fraction(p0: float, shots: int, seed: int) -> float:
-    """Fraction of "00" outcomes in ``shots`` measurements of the test state.
-
-    The count is one Binomial(shots, p0) draw, the first category of the
-    multinomial over the four outcomes drawn from the same generator state.
-    """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    return int(np.random.default_rng(seed).binomial(shots, p0)) / shots
-
-
 def kernel_shots(spec: EncodingSpec, x, z, shots: int, seed: int) -> float:
     """Shot-estimated kernel: fraction of "00" outcomes over the inversion test."""
-    return _zero_count_fraction(min(kernel_exact(spec, x, z), 1.0), shots, seed)
-
-
-def pair_seed(base_seed: int, i: int, j: int) -> int:
-    """Stable per-pair seed: first word of SeedSequence((base_seed, i, j))."""
-    return int(np.random.SeedSequence((base_seed, i, j)).generate_state(1)[0])
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    p0 = min(kernel_exact(spec, x, z), 1.0)
+    return int(np.random.default_rng(seed).binomial(shots, p0)) / shots
 
 
 def gram(spec: EncodingSpec, points, method: str = EXACT,
@@ -126,10 +113,16 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
 
     Shot-estimated matrices set the diagonal to exactly 1 without sampling
     (the inversion-test circuit is the identity there) and mirror each
-    off-diagonal estimate, so they are symmetric by construction.  Entry
-    (i, j) is one Binomial(shots, K_ij) draw, K_ij the exact entry clipped
-    to at most 1, from its own seed ``pair_seed(seed, i, j)``.
+    off-diagonal estimate, so they are symmetric by construction.  Row i
+    draws its entries j > i in order, each one Binomial(shots, K_ij) with
+    K_ij the exact entry clipped to at most 1, from one generator seeded by
+    ``SeedSequence((seed, i))``.  The matrix is deterministic for a given
+    point set and seed, but not promised bit-stable when points are
+    appended: an exact overlap may move in the last bit, and one changed
+    draw shifts the rest of its row.
     """
+    if method == SHOTS and shots < 1:
+        raise ValueError("shots must be at least 1")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 1:
@@ -147,11 +140,11 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
     np.fill_diagonal(k, 1.0)
     if method == EXACT:
         return GramMatrix(k, EXACT)
-    rows, cols = np.triu_indices(n, 1)
-    p0 = np.minimum(k[rows, cols], 1.0)
+    p0 = np.minimum(k, 1.0)
     k = np.eye(n)
-    for i, j, p in zip(rows.tolist(), cols.tolist(), p0.tolist()):
-        k[i, j] = k[j, i] = _zero_count_fraction(p, shots, pair_seed(seed, i, j))
+    for i in range(n - 1):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        k[i, i + 1:] = k[i + 1:, i] = rng.binomial(shots, p0[i, i + 1:]) / shots
     return GramMatrix(k, SHOTS, shots=shots, seed=seed)
 
 

@@ -146,6 +146,17 @@ class TestScreen:
         assert "complex" in stderr and stderr.count("\n") == 1
         assert stdout == ""
 
+    def test_per_axis_needs_one_encoding(self, capsys):
+        argv = ("screen", "--generate", "circle", "--n", "20", "--per-axis")
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stderr == "error: --per-axis needs exactly one encoding, got 5\n"
+        assert stdout == ""
+        code, stdout, _ = run(capsys, *argv, "--encodings", "ef2")
+        assert code == 0
+        assert stdout.splitlines()[2] == "axis,accuracy,threshold,orientation"
+        assert len(stdout.splitlines()) == 3 + 16
+
     def test_rerun_identical(self, tmp_path, capsys):
         ds = tmp_path / "c.csv"
         run(capsys, "gen", "exp", "--n", "40", "--seed", "2", "--out", str(ds))
@@ -220,6 +231,18 @@ class TestTrain:
         assert code == 0 and named == implied
         code, _, stderr = run(capsys, *argv[:-2], "--encodings", "custom")
         assert code == 1 and "--custom-phi12" in stderr
+
+    def test_weights_checked_for_one_encoding(self, capsys):
+        argv = ("train", "--generate", "circle", "--n", "20", "--encodings", "ef1")
+        code, stdout, stderr = run(capsys, *argv, "--weights", "5", "7")
+        assert code == 1
+        assert stderr == "error: --weights has 2 values for 1 encoding(s)\n"
+        assert stdout == ""
+        code, stdout, stderr = run(capsys, *argv, "--weights", "0.5")
+        assert code == 1 and "must sum to 1" in stderr and stdout == ""
+        _, bare, _ = run(capsys, *argv)
+        code, weighted, _ = run(capsys, *argv, "--weights", "1")
+        assert code == 0 and weighted == bare
 
     def test_no_encoding_rejected(self, capsys):
         code, stdout, stderr = run(capsys, "train", "--generate", "circle", "--n", "30")

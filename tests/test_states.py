@@ -186,6 +186,8 @@ class TestSampling:
                 kernel_shots(SEPARABLE, ORIGIN, QUARTER, shots, seed=0)
             with pytest.raises(ValueError, match="shots"):
                 gram(SEPARABLE, [ORIGIN, QUARTER], method="shots", shots=shots)
+            with pytest.raises(ValueError, match="shots"):
+                gram(SEPARABLE, [ORIGIN], method="shots", shots=shots)
 
     def test_frequencies_converge(self):
         # 4-sigma band around the exact kernel per pair
