@@ -18,13 +18,10 @@ import qkmap as qk
 
 
 def cv_train_accuracy(dataset, encoding_ids, C):
-    def builder(points):
-        grams = [qk.gram(qk.builtin(eid), points) for eid in encoding_ids]
-        if len(grams) == 1:
-            return grams[0]
-        return qk.combine(grams, qk.KernelWeights((1.0,) * len(grams)))
-
-    return qk.cross_validate(dataset, builder, folds=5, C=C, seed=0).mean_train
+    grams = [qk.gram(qk.builtin(eid), dataset.points) for eid in encoding_ids]
+    full = grams[0] if len(grams) == 1 else qk.combine(
+        grams, qk.KernelWeights((1.0,) * len(grams)))
+    return qk.cross_validate(dataset, full, folds=5, C=C, seed=0).mean_train
 
 
 def main():

@@ -20,7 +20,7 @@ def main():
 
     x = (0.3, -0.7)
     print(f"phases at {x}: {qk.eval_encoding(spec, x)}")
-    print(f"self-kernel K(x, x) = {qk.kernel_exact(spec, x, x):.12f}")
+    print(f"self-kernel K(x, x) = {qk.gram(spec, [x, x]).values[0, 1]:.12f}")
     print()
 
     dataset = qk.generate("xor", 100, seed=7)
@@ -28,7 +28,7 @@ def main():
     print(f"screening on XOR: minimum accuracy {report.minimum_accuracy:.2f} "
           f"on axis {report.best_axis_label}")
 
-    cv = qk.cross_validate(dataset, lambda pts: qk.gram(spec, pts),
+    cv = qk.cross_validate(dataset, qk.gram(spec, dataset.points),
                            folds=5, C=100.0, seed=0)
     print(f"5-fold CV: mean train {cv.mean_train:.3f}, "
           f"mean test {cv.mean_test:.3f}")

@@ -24,16 +24,18 @@ def main():
     spec = qk.builtin("ef2")
     pairs = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(50)]
 
+    # one kernel value is the off-diagonal entry of a two-point Gram
+    exact = [qk.gram(spec, [x, z]).values[0, 1] for x, z in pairs]
+    pauli = [qk.gram(spec, [x, z], method="pauli").values[0, 1] for x, z in pairs]
+
     print("route agreement (exact vs coefficient dot product):")
-    worst = max(abs(qk.kernel_exact(spec, x, z) - qk.kernel_pauli(spec, x, z))
-                for x, z in pairs)
+    worst = max(abs(e - p) for e, p in zip(exact, pauli))
     print(f"  max |exact - pauli| over 50 random pairs: {worst:.2e}")
     print()
 
     print("shot-based estimation error vs number of shots:")
-    exact = [qk.kernel_exact(spec, x, z) for x, z in pairs]
     for shots in (100, 400, 1600, 6400, 25600):
-        errs = [qk.kernel_shots(spec, x, z, shots, seed=i) - k
+        errs = [qk.gram(spec, [x, z], method="shots", shots=shots, seed=i).values[0, 1] - k
                 for i, ((x, z), k) in enumerate(zip(pairs, exact))]
         rms = float(np.sqrt(np.mean(np.square(errs))))
         print(f"  {shots:>6} shots: rms error {rms:.4f} "

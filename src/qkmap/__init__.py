@@ -7,7 +7,6 @@ from .encodings import (
     builtin,
     custom,
     eval_encoding,
-    feature_state,
     feature_states,
     parse_phase_expression,
 )
@@ -21,27 +20,18 @@ from .pauli import (
     pauli_index,
     pauli_label,
 )
-from .kernels import (
-    GramMatrix,
-    KernelWeights,
-    combine,
-    gram,
-    kernel_exact,
-    kernel_pauli,
-    kernel_shots,
-)
+from .kernels import GramMatrix, KernelWeights, combine, gram
 from .svm import (
     CvReport,
     LabeledDataset,
     SvmModel,
     accuracy,
-    classify,
     cross_validate,
     decide,
     kkt_residuals,
     train,
 )
 from .screening import AxisAccuracyReport, axis_accuracy, minimum_accuracy, vc_dimension
-from .datasets import DatasetKind, GeneratorConfig, from_csv, generate, to_csv
+from .datasets import DatasetKind, from_csv, generate, to_csv
 
 __version__ = "0.1.0"

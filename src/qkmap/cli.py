@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
         raise ValueError("at least one encoding required")
     # one Gram serves every fold and the saved model
     full = _train_gram(args, specs, ds.points)
-    report = svm.cross_validate(ds, lambda points: full, folds=args.folds, C=args.C,
+    report = svm.cross_validate(ds, full, folds=args.folds, C=args.C,
                                 tolerance=args.tolerance, seed=args.seed)
     if args.csv:
         print("fold,train_accuracy,test_accuracy")

@@ -2,14 +2,12 @@
 
 The published benchmarks exist only as scatter plots, so these are
 documented reconstructions: each boundary carries a small margin band so
-the classes are cleanly separable.  All constants live in
-:class:`GeneratorConfig` and can be re-tuned.
+the classes are cleanly separable.  The shape constants are below.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,28 +15,22 @@ from .svm import LabeledDataset
 
 _MAX_DRAWS = 10 ** 6
 
+MARGIN = 0.05  # half-width of the empty band around every class boundary
+CIRCLE_RADIUS = 0.6
+EXP_SCALE = 0.4  # exp boundary: x2 = EXP_SCALE * exp(EXP_RATE * x1) + EXP_OFFSET
+EXP_RATE = 2.0
+EXP_OFFSET = -0.6
+MOON_RADIUS = 0.7
+MOON_WIDTH = 0.25
+MOON_X_OFFSET = 0.35
+MOON_Y_OFFSET = 0.35
+
 
 class DatasetKind(enum.Enum):
     CIRCLE = "circle"
     EXP = "exp"
     MOON = "moon"
     XOR = "xor"
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    margin: float = 0.05
-    circle_radius: float = 0.6
-    exp_scale: float = 0.4
-    exp_rate: float = 2.0
-    exp_offset: float = -0.6
-    moon_radius: float = 0.7
-    moon_width: float = 0.25
-    moon_x_offset: float = 0.35
-    moon_y_offset: float = 0.35
-
-
-DEFAULT_CONFIG = GeneratorConfig()
 
 
 def _balanced_rejection(rng, n_points, draw):
@@ -72,47 +64,47 @@ def _uniform(labeler):
     return draw
 
 
-def _gen_circle(rng, n_points, cfg):
+def _gen_circle(rng, n_points):
     def labeler(x):
         r = float(np.linalg.norm(x))
-        if abs(r - cfg.circle_radius) <= cfg.margin:
+        if abs(r - CIRCLE_RADIUS) <= MARGIN:
             return None
-        return 1 if r < cfg.circle_radius else -1
+        return 1 if r < CIRCLE_RADIUS else -1
 
     return _balanced_rejection(rng, n_points, _uniform(labeler))
 
 
-def _gen_exp(rng, n_points, cfg):
+def _gen_exp(rng, n_points):
     def labeler(x):
-        boundary = cfg.exp_scale * np.exp(cfg.exp_rate * x[0]) + cfg.exp_offset
-        if abs(x[1] - boundary) <= cfg.margin:
+        boundary = EXP_SCALE * np.exp(EXP_RATE * x[0]) + EXP_OFFSET
+        if abs(x[1] - boundary) <= MARGIN:
             return None
         return 1 if x[1] > boundary else -1
 
     return _balanced_rejection(rng, n_points, _uniform(labeler))
 
 
-def _gen_xor(rng, n_points, cfg):
+def _gen_xor(rng, n_points):
     def labeler(x):
         prod = x[0] * x[1]
-        if abs(prod) <= cfg.margin:
+        if abs(prod) <= MARGIN:
             return None
         return 1 if prod > 0 else -1
 
     return _balanced_rejection(rng, n_points, _uniform(labeler))
 
 
-def _gen_moon(rng, n_points, cfg):
+def _gen_moon(rng, n_points):
     """Two interleaved half-annuli; points outside the square are redrawn."""
     def draw(rng, label):
         theta = rng.uniform(0.0, np.pi)
-        radius = cfg.moon_radius + rng.uniform(-0.5, 0.5) * cfg.moon_width
+        radius = MOON_RADIUS + rng.uniform(-0.5, 0.5) * MOON_WIDTH
         if label == 1:
-            x = np.array([radius * np.cos(theta) - cfg.moon_x_offset,
-                          radius * np.sin(theta) - cfg.moon_y_offset])
+            x = np.array([radius * np.cos(theta) - MOON_X_OFFSET,
+                          radius * np.sin(theta) - MOON_Y_OFFSET])
         else:
-            x = np.array([radius * np.cos(theta) + cfg.moon_x_offset,
-                          -radius * np.sin(theta) + cfg.moon_y_offset])
+            x = np.array([radius * np.cos(theta) + MOON_X_OFFSET,
+                          -radius * np.sin(theta) + MOON_Y_OFFSET])
         return x, label if np.all(np.abs(x) <= 1.0) else None
 
     return _balanced_rejection(rng, n_points, draw)
@@ -126,15 +118,14 @@ _GENERATORS = {
 }
 
 
-def generate(kind: DatasetKind, n_points: int = 100, seed: int = 0,
-             config: GeneratorConfig = DEFAULT_CONFIG) -> LabeledDataset:
+def generate(kind: DatasetKind, n_points: int = 100, seed: int = 0) -> LabeledDataset:
     """Deterministic balanced dataset of the given kind."""
     if isinstance(kind, str):
         kind = DatasetKind(kind.lower())
     if n_points < 2 or n_points % 2 != 0:
         raise ValueError("n_points must be an even number >= 2")
     rng = np.random.default_rng(seed)
-    return _GENERATORS[kind](rng, n_points, config)
+    return _GENERATORS[kind](rng, n_points)
 
 
 def to_csv(dataset: LabeledDataset, path) -> None:

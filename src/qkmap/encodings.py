@@ -120,11 +120,6 @@ def feature_states(spec: EncodingSpec, points) -> np.ndarray:
     return phase_states(encoding_phases(spec, points))
 
 
-def feature_state(spec: EncodingSpec, x) -> np.ndarray:
-    """(4,) amplitudes of |Phi(x)> for one point; see :func:`phase_states`."""
-    return feature_states(spec, [x])[0]
-
-
 # --- expression mini-language --------------------------------------------
 #
 # Custom phase functions can be given as text expressions over x1 and x2.

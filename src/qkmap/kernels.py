@@ -1,11 +1,13 @@
-"""Kernel values and Gram matrices by three routes, plus weighted combination.
+"""Gram matrices over point sets by three routes, plus weighted combination.
 
 Routes: exact (squared statevector overlap), pauli (2^n * dot product of
 coefficient vectors, the real-feature-space identity), and shots (fraction
 of all-zero outcomes when measuring the inversion-test circuit
 U_Phi(x)^dagger U_Phi(z)|00>).  That outcome has probability
 |<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et al., Nature 567, 209
-(2019)), so the shot route samples counts from the exact overlaps.
+(2019)), so the shot route samples counts from the exact overlaps.  One
+kernel value is an entry of a two-point Gram:
+``gram(spec, [x, z], method, shots, seed).values[0, 1]``.
 """
 
 from __future__ import annotations
@@ -85,26 +87,6 @@ class GramMatrix:
             fh.write("# " + " ".join(parts) + "\n")
             for row in self.values.tolist():
                 fh.write(",".join(map(repr, row)) + "\n")
-
-
-def kernel_exact(spec: EncodingSpec, x, z) -> float:
-    """K(x, z) = |<Phi(x)|Phi(z)>|^2."""
-    a, b = feature_states(spec, [x, z])
-    return abs(complex(np.vdot(a, b))) ** 2
-
-
-def kernel_pauli(spec: EncodingSpec, x, z) -> float:
-    """K(x, z) = 2^n * sum_i a_i(x) a_i(z), via the coefficient vectors."""
-    ax, az = coefficients(spec, [x, z])
-    return float(4.0 * ax @ az)
-
-
-def kernel_shots(spec: EncodingSpec, x, z, shots: int, seed: int) -> float:
-    """Shot-estimated kernel: fraction of "00" outcomes over the inversion test."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    p0 = min(kernel_exact(spec, x, z), 1.0)
-    return int(np.random.default_rng(seed).binomial(shots, p0)) / shots
 
 
 def gram(spec: EncodingSpec, points, method: str = EXACT,

@@ -16,6 +16,11 @@ eigenvalue (shot Grams).  Each model records ``iterations``,
 ``converged`` and ``final_gap``; stopping at ``max_passes`` or on a
 stalled step with the gap still above 2 * tolerance raises a
 RuntimeWarning naming the gap and the tolerance.
+
+Everything after training is batched: :func:`decide` maps an (m, n)
+block of kernel rows against the n training points to m decision
+values, and :func:`cross_validate` slices every fold out of the one
+full-dataset Gram matrix it is given.
 """
 
 from __future__ import annotations
@@ -51,9 +56,6 @@ class LabeledDataset:
 
     def __len__(self):
         return len(self.labels)
-
-    def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(self.points[indices], self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -99,14 +101,19 @@ class SvmModel:
             if key not in header:
                 raise ValueError(f"model text is missing the {key!r} header line")
         rows = [ln.split(",") for ln in lines[3:]]
+        if not rows:
+            raise ValueError("model text has no alpha,label rows")
         widths = {len(r) for r in rows}
-        if len(widths) > 1 or min(widths, default=2) < 2:
+        if len(widths) > 1 or min(widths) < 2:
             raise ValueError("model rows mix forms or are malformed; expected every "
                              "row as alpha,label or every row as alpha,label,x1,x2")
-        pts = np.array([[float(v) for v in r[2:]] for r in rows]) \
-            if widths and min(widths) > 2 else None
-        return cls(np.array([float(r[0]) for r in rows]), float(header["bias"]),
-                   np.array([int(r[1]) for r in rows], dtype=int),
+        labels = np.array([int(r[1]) for r in rows], dtype=int)
+        for i, (r, y) in enumerate(zip(rows, labels), start=1):
+            if y not in (-1, 1):
+                raise ValueError(f"model row {i} {','.join(r)!r} has label {y}; "
+                                 "expected -1 or +1")
+        pts = np.array([[float(v) for v in r[2:]] for r in rows]) if min(widths) > 2 else None
+        return cls(np.array([float(r[0]) for r in rows]), float(header["bias"]), labels,
                    float(header["C"]), float(header["tolerance"]), pts)
 
 
@@ -154,7 +161,7 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         raise ValueError("labels must be -1 or +1")
     if np.all(y == y[0]):
         raise ValueError("both classes must be present for training")
-    if C <= 0 or tolerance <= 0:
+    if not (C > 0 and tolerance > 0):  # also rejects NaN
         raise ValueError("C and tolerance must be positive")
     if not np.all(np.isfinite(k)):
         raise ValueError("gram has non-finite entries")
@@ -250,26 +257,21 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
                     iterations, converged, gap)
 
 
-def decide(model: SvmModel, kernel_row) -> float:
-    """Signed decision value sum_i alpha_i y_i K(x_i, x) + b."""
-    row = np.asarray(kernel_row, dtype=float)
-    if row.shape != model.alphas.shape:
+def decide(model: SvmModel, kernel_rows) -> np.ndarray:
+    """(m,) decision values sum_i alpha_i y_i K(x_i, x) + b for (m, n) kernel rows.
+
+    Row r holds K(x_i, x_r) against the n training points; the predicted
+    label is the sign of its value, with exact zero resolving to +1.
+    """
+    rows = np.asarray(kernel_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(model.alphas):
         raise ValueError("kernel row length does not match training size")
-    return float((model.alphas * model.labels) @ row + model.bias)
-
-
-def classify(model: SvmModel, kernel_row) -> int:
-    """Sign of the decision value; exact zero resolves to +1."""
-    return 1 if decide(model, kernel_row) >= 0.0 else -1
+    return rows @ (model.alphas * model.labels) + model.bias
 
 
 def accuracy(model: SvmModel, kernel_rows: np.ndarray, labels) -> float:
     """Fraction of rows classified with the correct label (zero counts as +1)."""
-    rows = np.asarray(kernel_rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(model.alphas):
-        raise ValueError("kernel row length does not match training size")
-    decisions = rows @ (model.alphas * model.labels) + model.bias
-    preds = np.where(decisions >= 0.0, 1, -1)
+    preds = np.where(decide(model, kernel_rows) >= 0.0, 1, -1)
     return float(np.mean(preds == np.asarray(labels)))
 
 
@@ -314,22 +316,24 @@ class CvReport:
                 f"seed={self.seed}")
 
 
-def cross_validate(dataset: LabeledDataset, gram_builder, folds: int = 5,
+def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
                    C: float = 1.0, tolerance: float = 1e-3, seed: int = 0) -> CvReport:
     """Seeded k-fold cross validation over a full-dataset Gram matrix.
 
-    ``gram_builder`` maps the full point array to a GramMatrix; fold
-    sub-blocks are sliced out of it.  Folds are contiguous blocks of one
-    seeded shuffle.  If a fold misses a class the shuffle is retried once
-    with a derived seed, then an error is raised.
+    ``gram`` (a GramMatrix or a square array) holds the kernel between
+    every pair of the dataset's points, in dataset order; fold sub-blocks
+    are sliced out of it.  Folds are contiguous blocks of one seeded
+    shuffle.  If a fold misses a class the shuffle is retried once with a
+    derived seed, then an error is raised.
     """
     n = len(dataset)
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     if n % folds != 0:
         raise ValueError(f"dataset size {n} not divisible by {folds} folds")
-    full = gram_builder(dataset.points)
-    k = full.values if isinstance(full, GramMatrix) else np.asarray(full, dtype=float)
+    k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
+    if k.shape != (n, n):
+        raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
 
     def fold_splits(shuffle_seed):
         order = np.random.default_rng(shuffle_seed).permutation(n)

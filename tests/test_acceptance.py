@@ -28,6 +28,11 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
+def pair_kernel(spec, x, z, method="exact", **shot_args):
+    """One kernel value: the off-diagonal entry of the two-point Gram."""
+    return qk.gram(spec, [x, z], method=method, **shot_args).values[0, 1]
+
+
 def all_datasets():
     return {kind: qk.generate(kind, 100, seed=DATASET_SEED)
             for kind in ("circle", "exp", "moon", "xor")}
@@ -54,7 +59,7 @@ def test_criterion_1_closed_form_equivalence():
 
 
 def test_criterion_2_coefficient_inner_product_identity():
-    """kernel_pauli equals kernel_exact for every built-in."""
+    """The Pauli route's kernel equals the exact route's for every built-in."""
     rng = np.random.default_rng(102)
     t0 = time.perf_counter()
     worst = 0.0
@@ -62,7 +67,7 @@ def test_criterion_2_coefficient_inner_product_identity():
         spec = qk.builtin(eid)
         for _ in range(100):
             x, z = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            diff = abs(qk.kernel_pauli(spec, x, z) - qk.kernel_exact(spec, x, z))
+            diff = abs(pair_kernel(spec, x, z, "pauli") - pair_kernel(spec, x, z))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - t0
     report("criterion 2: kernel route equivalence",
@@ -78,11 +83,11 @@ def test_criterion_3_purity_and_normalization():
         eid = qk.BUILTIN_IDS[rng.integers(5)]
         spec = qk.builtin(eid)
         x = rng.uniform(-1, 1, 2)
-        vec = qk.decompose(qk.feature_state(spec, x))
+        vec = qk.decompose(qk.feature_states(spec, [x])[0])
         worst_ii = max(worst_ii, abs(vec[0] - 0.25))
         worst_purity = max(worst_purity, abs(np.sum(vec ** 2) - 0.25))
         if _ % 10 == 0:
-            worst_self = max(worst_self, abs(qk.kernel_exact(spec, x, x) - 1.0))
+            worst_self = max(worst_self, abs(pair_kernel(spec, x, x) - 1.0))
     report("criterion 3: purity and normalization",
            worst_ii <= 1e-9 and worst_purity <= 1e-9 and worst_self <= 1e-10,
            f"a_II {worst_ii:.2e}, purity {worst_purity:.2e}, self-K {worst_self:.2e}")
@@ -94,10 +99,10 @@ def test_criterion_4_shot_estimator_calibration():
     spec = qk.builtin("ef1")
     t0 = time.perf_counter()
     pairs = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)) for _ in range(100)]
-    exact = [qk.kernel_exact(spec, x, z) for x, z in pairs]
+    exact = [pair_kernel(spec, x, z) for x, z in pairs]
     within = 0
     for t, ((x, z), k) in enumerate(zip(pairs, exact)):
-        est = qk.kernel_shots(spec, x, z, 10_000, seed=t)
+        est = pair_kernel(spec, x, z, "shots", shots=10_000, seed=t)
         if abs(est - k) <= 0.02:
             within += 1
 
@@ -105,7 +110,7 @@ def test_criterion_4_shot_estimator_calibration():
     levels = [100, 400, 1600, 6400]
     rms = []
     for li, shots in enumerate(levels):
-        errs = [qk.kernel_shots(spec, x, z, shots, seed=10_000 + li * 100 + t) - k
+        errs = [pair_kernel(spec, x, z, "shots", shots=shots, seed=10_000 + li * 100 + t) - k
                 for t, ((x, z), k) in enumerate(zip(pairs, exact))]
         rms.append(float(np.sqrt(np.mean(np.square(errs)))))
     ratios = [rms[i + 1] / rms[i] for i in range(3)]
@@ -218,18 +223,15 @@ def test_criterion_7_published_table_bands():
     ef2_ok = True
     ef2_detail = {}
     for kind, data in ds.items():
-        rep = qk.cross_validate(data, lambda p: qk.gram(qk.builtin("ef2"), p),
+        rep = qk.cross_validate(data, qk.gram(qk.builtin("ef2"), data.points),
                                 C=TABLE_C, seed=0)
         ef2_detail[kind] = round(rep.mean_train, 3)
         ef2_ok &= rep.mean_train >= 0.90
 
     def cv_mean(enc_ids):
-        def builder(pts):
-            gs = [qk.gram(qk.builtin(e), pts) for e in enc_ids]
-            if len(gs) == 1:
-                return gs[0]
-            return qk.combine(gs, qk.KernelWeights((1.0,) * len(gs)))
-        return qk.cross_validate(ds["moon"], builder, C=TABLE_C, seed=0).mean_train
+        gs = [qk.gram(qk.builtin(e), ds["moon"].points) for e in enc_ids]
+        full = gs[0] if len(gs) == 1 else qk.combine(gs, qk.KernelWeights((1.0,) * len(gs)))
+        return qk.cross_validate(ds["moon"], full, C=TABLE_C, seed=0).mean_train
 
     combined = cv_mean(["ef3", "ef1"])
     alone3, alone1 = cv_mean(["ef3"]), cv_mean(["ef1"])

@@ -244,6 +244,16 @@ class TestTrain:
         code, weighted, _ = run(capsys, *argv, "--weights", "1")
         assert code == 0 and weighted == bare
 
+    @pytest.mark.parametrize("flag", ("--C", "--tolerance"))
+    def test_nan_solver_setting_rejected(self, capsys, flag):
+        argv = ("train", "--generate", "circle", "--n", "20", "--encodings", "ef1")
+        code, stdout, stderr = run(capsys, *argv, flag, "nan")
+        assert code == 1
+        assert stderr == "error: C and tolerance must be positive\n"
+        assert stdout == ""
+        code, stdout, _ = run(capsys, *argv, "--C", "inf")
+        assert code == 0 and "mean train=" in stdout
+
     def test_no_encoding_rejected(self, capsys):
         code, stdout, stderr = run(capsys, "train", "--generate", "circle", "--n", "30")
         assert code == 1

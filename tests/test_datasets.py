@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
-from qkmap.datasets import (
-    _MAX_DRAWS,
-    DEFAULT_CONFIG,
-    DatasetKind,
-    from_csv,
-    generate,
-    to_csv,
-)
+from qkmap import datasets as D
+from qkmap.datasets import _MAX_DRAWS, DatasetKind, from_csv, generate, to_csv
 from qkmap.svm import LabeledDataset
 
 ALL_KINDS = ("circle", "exp", "moon", "xor")
 
 
-def reference_moon(rng, n_points, cfg):
+def reference_moon(rng, n_points):
     """The moon generator with its own copy of the rejection loop, as first written."""
     per_class = n_points // 2
     kept = {1: [], -1: []}
@@ -23,13 +17,13 @@ def reference_moon(rng, n_points, cfg):
             break
         label = 1 if len(kept[1]) < per_class else -1
         theta = rng.uniform(0.0, np.pi)
-        radius = cfg.moon_radius + rng.uniform(-0.5, 0.5) * cfg.moon_width
+        radius = D.MOON_RADIUS + rng.uniform(-0.5, 0.5) * D.MOON_WIDTH
         if label == 1:
-            x = np.array([radius * np.cos(theta) - cfg.moon_x_offset,
-                          radius * np.sin(theta) - cfg.moon_y_offset])
+            x = np.array([radius * np.cos(theta) - D.MOON_X_OFFSET,
+                          radius * np.sin(theta) - D.MOON_Y_OFFSET])
         else:
-            x = np.array([radius * np.cos(theta) + cfg.moon_x_offset,
-                          -radius * np.sin(theta) + cfg.moon_y_offset])
+            x = np.array([radius * np.cos(theta) + D.MOON_X_OFFSET,
+                          -radius * np.sin(theta) + D.MOON_Y_OFFSET])
         if np.all(np.abs(x) <= 1.0):
             kept[label].append(x)
     else:
@@ -64,43 +58,41 @@ class TestGenerate:
     def test_circle_rule_and_margin(self):
         ds = generate("circle", 100, seed=3)
         radii = np.linalg.norm(ds.points, axis=1)
-        assert np.all(np.abs(radii - DEFAULT_CONFIG.circle_radius) > DEFAULT_CONFIG.margin)
-        inside = radii < DEFAULT_CONFIG.circle_radius
+        assert np.all(np.abs(radii - D.CIRCLE_RADIUS) > D.MARGIN)
+        inside = radii < D.CIRCLE_RADIUS
         assert np.array_equal(np.where(inside, 1, -1), ds.labels)
 
     def test_exp_rule_and_margin(self):
-        cfg = DEFAULT_CONFIG
         ds = generate("exp", 100, seed=3)
-        boundary = cfg.exp_scale * np.exp(cfg.exp_rate * ds.points[:, 0]) + cfg.exp_offset
+        boundary = D.EXP_SCALE * np.exp(D.EXP_RATE * ds.points[:, 0]) + D.EXP_OFFSET
         gap = ds.points[:, 1] - boundary
-        assert np.all(np.abs(gap) > cfg.margin)
+        assert np.all(np.abs(gap) > D.MARGIN)
         assert np.array_equal(np.where(gap > 0, 1, -1), ds.labels)
 
     def test_xor_rule_and_margin(self):
         ds = generate("xor", 100, seed=3)
         prod = ds.points[:, 0] * ds.points[:, 1]
-        assert np.all(np.abs(prod) > DEFAULT_CONFIG.margin)
+        assert np.all(np.abs(prod) > D.MARGIN)
         assert np.array_equal(np.sign(prod).astype(int), ds.labels)
 
     def test_moon_points_on_annuli(self):
-        cfg = DEFAULT_CONFIG
         ds = generate("moon", 100, seed=3)
         for (x1, x2), y in zip(ds.points, ds.labels):
             if y == 1:
-                center = (-cfg.moon_x_offset, -cfg.moon_y_offset)
+                center = (-D.MOON_X_OFFSET, -D.MOON_Y_OFFSET)
                 assert x2 >= center[1] - 1e-12
             else:
-                center = (cfg.moon_x_offset, cfg.moon_y_offset)
+                center = (D.MOON_X_OFFSET, D.MOON_Y_OFFSET)
                 assert x2 <= center[1] + 1e-12
             r = np.hypot(x1 - center[0], x2 - center[1])
-            assert cfg.moon_radius - cfg.moon_width / 2 - 1e-12 <= r
-            assert r <= cfg.moon_radius + cfg.moon_width / 2 + 1e-12
+            assert D.MOON_RADIUS - D.MOON_WIDTH / 2 - 1e-12 <= r
+            assert r <= D.MOON_RADIUS + D.MOON_WIDTH / 2 + 1e-12
 
     @pytest.mark.parametrize("n", (2, 100, 1600))
     def test_moon_matches_reference_loop(self, n):
         for seed in range(10):
             got = generate("moon", n, seed=seed)
-            want = reference_moon(np.random.default_rng(seed), n, DEFAULT_CONFIG)
+            want = reference_moon(np.random.default_rng(seed), n)
             assert got.points.tobytes() == want.points.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
 

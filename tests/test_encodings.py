@@ -13,12 +13,11 @@ from qkmap.encodings import (
     builtin,
     custom,
     eval_encoding,
-    feature_state,
     feature_states,
     parse_phase_expression,
     phase_states,
 )
-from qkmap.kernels import gram, kernel_shots
+from qkmap.kernels import gram
 from qkmap.pauli import coefficient_grids, coefficients
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,14 +86,14 @@ class TestCustom:
 class TestFeatureState:
     def test_zero_phases_give_ground_state(self):
         spec = custom(lambda x1, x2: 0.0, lambda x1, x2: 0.0, lambda x1, x2: 0.0)
-        st = feature_state(spec, (0.7, -0.2))
+        st = feature_states(spec, [(0.7, -0.2)])[0]
         assert abs(st[0] - 1.0) < 1e-12
         assert np.max(np.abs(st[1:])) < 1e-12
 
     def test_deterministic(self):
         spec = builtin("ef3")
-        a = feature_state(spec, (0.3, -0.8))
-        b = feature_state(spec, (0.3, -0.8))
+        a = feature_states(spec, [(0.3, -0.8)])
+        b = feature_states(spec, [(0.3, -0.8)])
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("eid", BUILTIN_IDS)
@@ -106,7 +105,7 @@ class TestFeatureState:
         for x, row in zip(points, got):
             want = dense_feature_unitary(*eval_encoding(spec, x))[:, 0]
             assert np.max(np.abs(row - want)) <= 1e-12
-            assert np.array_equal(feature_state(spec, x), row)
+            assert np.array_equal(feature_states(spec, [x])[0], row)
 
     def test_random_phases_and_inverse_match_dense_circuit(self):
         rng = np.random.default_rng(14)
@@ -121,7 +120,7 @@ class TestFeatureState:
         rng = np.random.default_rng(1)
         for eid in BUILTIN_IDS:
             x = rng.uniform(-1, 1, 2)
-            st = feature_state(builtin(eid), x)
+            st = feature_states(builtin(eid), [x])[0]
             assert abs(np.linalg.norm(st) - 1.0) < 1e-9
 
 
@@ -140,7 +139,7 @@ class TestFirstBadPoint:
         lambda spec, pts: gram(spec, pts, method="exact"),
         lambda spec, pts: gram(spec, pts, method="pauli"),
         lambda spec, pts: gram(spec, pts, method="shots", shots=10, seed=0),
-        lambda spec, pts: kernel_shots(spec, pts[0], pts[1], 10, seed=0),
+        lambda spec, pts: gram(spec, pts[:2], method="shots", shots=10, seed=0),
     ])
     def test_routes(self, route):
         with pytest.raises(EncodingError, match=r"phi12 is not finite at x=\(0\.6, 0\.3\)"):

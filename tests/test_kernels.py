@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 from qkmap.datasets import generate
-from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_state
-from qkmap.kernels import (
-    GramMatrix,
-    KernelWeights,
-    combine,
-    gram,
-    kernel_exact,
-    kernel_pauli,
-    kernel_shots,
-)
+from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states
+from qkmap.kernels import GramMatrix, KernelWeights, combine, gram
 
 HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
 Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # qubit 1 is the least-significant bit
@@ -42,26 +34,31 @@ def inversion_test_gram(spec, points, shots, seed):
     return k
 
 
+def pair_kernel(spec, x, z, method="exact", **shot_args):
+    """One kernel value: the off-diagonal entry of the two-point Gram."""
+    return gram(spec, [x, z], method=method, **shot_args).values[0, 1]
+
+
 class TestKernelExact:
     def test_self_kernel_is_one(self):
         rng = np.random.default_rng(0)
         for eid in BUILTIN_IDS:
             x = rng.uniform(-1, 1, 2)
-            assert abs(kernel_exact(builtin(eid), x, x) - 1.0) < 1e-10
+            assert abs(pair_kernel(builtin(eid), x, x) - 1.0) < 1e-10
 
     def test_origin_under_ef1_is_ground_state(self):
         spec = builtin("ef1")
         rng = np.random.default_rng(1)
         for _ in range(10):
             z = rng.uniform(-1, 1, 2)
-            amp00 = feature_state(spec, z)[0]
-            assert abs(kernel_exact(spec, (0.0, 0.0), z) - abs(amp00) ** 2) < 1e-12
+            amp00 = feature_states(spec, [z])[0, 0]
+            assert abs(pair_kernel(spec, (0.0, 0.0), z) - abs(amp00) ** 2) < 1e-12
 
     def test_range(self):
         rng = np.random.default_rng(2)
         spec = builtin("ef4")
         for _ in range(50):
-            v = kernel_exact(spec, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+            v = pair_kernel(spec, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
             assert 0.0 <= v <= 1.0 + 1e-9
 
 
@@ -69,10 +66,10 @@ class TestKernelPauli:
     def test_self_kernel_purity(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 2)
-        assert abs(kernel_pauli(builtin("ef2"), x, x) - 1.0) < 1e-10
+        assert abs(pair_kernel(builtin("ef2"), x, x, "pauli") - 1.0) < 1e-10
 
     def test_origin_pair_under_ef1(self):
-        assert abs(kernel_pauli(builtin("ef1"), (0.0, 0.0), (0.0, 0.0)) - 1.0) < 1e-12
+        assert abs(pair_kernel(builtin("ef1"), (0.0, 0.0), (0.0, 0.0), "pauli") - 1.0) < 1e-12
 
     @pytest.mark.parametrize("eid", BUILTIN_IDS)
     def test_matches_exact_route(self, eid):
@@ -80,13 +77,13 @@ class TestKernelPauli:
         spec = builtin(eid)
         for _ in range(30):
             x, z = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            assert abs(kernel_pauli(spec, x, z) - kernel_exact(spec, x, z)) < 1e-10
+            assert abs(pair_kernel(spec, x, z, "pauli") - pair_kernel(spec, x, z)) < 1e-10
 
 
 class TestKernelShots:
     def test_identical_points_give_exactly_one(self):
         spec = builtin("ef3")
-        assert kernel_shots(spec, (0.4, -0.1), (0.4, -0.1), 500, seed=9) == 1.0
+        assert pair_kernel(spec, (0.4, -0.1), (0.4, -0.1), "shots", shots=500, seed=9) == 1.0
 
     def test_within_four_sigma_of_exact(self):
         rng = np.random.default_rng(5)
@@ -95,8 +92,8 @@ class TestKernelShots:
         misses = 0
         for trial in range(50):
             x, z = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            exact = kernel_exact(spec, x, z)
-            est = kernel_shots(spec, x, z, shots, seed=trial)
+            exact = pair_kernel(spec, x, z)
+            est = pair_kernel(spec, x, z, "shots", shots=shots, seed=trial)
             sigma = np.sqrt(max(exact * (1 - exact), 1e-12) / shots)
             if abs(est - exact) > 4 * sigma:
                 misses += 1
@@ -105,10 +102,10 @@ class TestKernelShots:
     def test_error_shrinks_with_shots(self):
         spec = builtin("ef2")
         x, z = (0.3, -0.5), (-0.7, 0.2)
-        exact = kernel_exact(spec, x, z)
+        exact = pair_kernel(spec, x, z)
 
         def rms(shots, base):
-            errs = [kernel_shots(spec, x, z, shots, seed=base + t) - exact
+            errs = [pair_kernel(spec, x, z, "shots", shots=shots, seed=base + t) - exact
                     for t in range(100)]
             return np.sqrt(np.mean(np.square(errs)))
 
@@ -116,13 +113,13 @@ class TestKernelShots:
 
     def test_deterministic_per_seed(self):
         spec = builtin("ef5")
-        a = kernel_shots(spec, (0.1, 0.2), (0.9, -0.3), 2000, seed=7)
-        b = kernel_shots(spec, (0.1, 0.2), (0.9, -0.3), 2000, seed=7)
+        a = pair_kernel(spec, (0.1, 0.2), (0.9, -0.3), "shots", shots=2000, seed=7)
+        b = pair_kernel(spec, (0.1, 0.2), (0.9, -0.3), "shots", shots=2000, seed=7)
         assert a == b
 
     def test_shots_zero_rejected(self):
         with pytest.raises(ValueError):
-            kernel_shots(builtin("ef1"), (0, 0), (1, 1), 0, seed=0)
+            pair_kernel(builtin("ef1"), (0, 0), (1, 1), "shots", shots=0, seed=0)
 
 
 class TestGram:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qkmap.encodings import builtin, eval_encoding, feature_state
+from qkmap.encodings import builtin, eval_encoding, feature_states
 from qkmap.pauli import (
     TWO_QUBIT_LABELS,
     closed_form_table,
@@ -127,7 +127,7 @@ class TestClosedForms:
         spec = builtin(eid)
         for _ in range(50):
             x = rng.uniform(-1, 1, 2)
-            got = decompose(feature_state(spec, x))
+            got = decompose(feature_states(spec, [x])[0])
             want = coefficients(spec, [x])[0]
             assert np.max(np.abs(got - want)) < 1e-10
 

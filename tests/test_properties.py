@@ -9,13 +9,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkmap.datasets import from_csv, to_csv
-from qkmap.encodings import BUILTIN_IDS, builtin, feature_state, feature_states
-from qkmap.kernels import gram, kernel_exact, kernel_pauli
+from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states
+from qkmap.kernels import gram
 from qkmap.pauli import coefficients, decompose
 from qkmap.svm import LabeledDataset, SvmModel, train
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 specs = st.sampled_from(BUILTIN_IDS).map(builtin)
+
+HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
+Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # qubit 1 is the least-significant bit
+Z2 = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def dense_feature_unitary(p1, p2, p12):
+    d = np.diag(np.exp(-0.5j * (p1 * Z1 + p2 * Z2 + p12 * Z1 * Z2)))
+    return d @ HH @ d @ HH
 
 
 @st.composite
@@ -53,16 +62,18 @@ class TestBatchedEqualsScalar:
     def test_states_and_coefficients(self, spec, pts):
         states, coeffs = feature_states(spec, pts), coefficients(spec, pts)
         for x, state, coeff in zip(pts, states, coeffs):
-            assert feature_state(spec, x).tobytes() == state.tobytes()
+            assert feature_states(spec, [x])[0].tobytes() == state.tobytes()
             assert coefficients(spec, [x])[0].tobytes() == coeff.tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(specs, point_sets(max_size=8))
     def test_exact_gram_matches_kernel_exact(self, spec, pts):
+        # the per-pair oracle: |<00| U(x)^dagger U(z) |00>|^2 from dense 4x4 circuits
         k = gram(spec, pts).values
-        for i, x in enumerate(pts):
-            for j, z in enumerate(pts):
-                assert abs(k[i, j] - kernel_exact(spec, x, z)) <= 1e-12
+        states = [dense_feature_unitary(*eval_encoding(spec, x))[:, 0] for x in pts]
+        for i, a in enumerate(states):
+            for j, b in enumerate(states):
+                assert abs(k[i, j] - abs(np.vdot(a, b)) ** 2) <= 1e-12
 
 
 class TestPurity:
@@ -88,8 +99,6 @@ class TestKernelRoutes:
     def test_pauli_equals_exact(self, spec, pts):
         diff = gram(spec, pts, method="pauli").values - gram(spec, pts).values
         assert np.max(np.abs(diff)) <= 1e-10
-        x, z = pts[0], pts[-1]
-        assert abs(kernel_pauli(spec, x, z) - kernel_exact(spec, x, z)) <= 1e-10
 
 
 class TestRoundTrips:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qkmap.encodings import custom, feature_states, phase_states
-from qkmap.kernels import gram, kernel_exact, kernel_shots
+from qkmap.kernels import gram
 from qkmap.pauli import decompose, pauli_index
 from qkmap.states import hadamard_layer, phase_layer
 
@@ -17,6 +17,11 @@ GROUND = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 # to |11> and (pi/2, pi/2) to a state with |<00|Phi>|^2 = 1/4
 SEPARABLE = custom(lambda x1, x2: 0.0)
 ORIGIN, FAR, QUARTER = (0.0, 0.0), (np.pi, np.pi), (np.pi / 2, np.pi / 2)
+
+
+def pair_kernel(x, z, method="exact", **shot_args):
+    """One kernel value under SEPARABLE: the off-diagonal entry of the two-point Gram."""
+    return gram(SEPARABLE, [x, z], method=method, **shot_args).values[0, 1]
 
 
 def u1(phi):
@@ -139,10 +144,10 @@ class TestInnerProduct:
     def test_self_overlap(self):
         rng = np.random.default_rng(10)
         for x in rng.uniform(-1, 1, (20, 2)):
-            assert abs(kernel_exact(SEPARABLE, x, x) - 1.0) < 1e-10
+            assert abs(pair_kernel(x, x) - 1.0) < 1e-10
 
     def test_orthogonal_basis_states(self):
-        assert kernel_exact(SEPARABLE, ORIGIN, FAR) == 0.0
+        assert pair_kernel(ORIGIN, FAR) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="phi_single must have 1 entries"):
@@ -155,7 +160,7 @@ class TestInnerProduct:
         for x, z, a, b in zip(points[::2], points[1::2], states[::2], states[1::2]):
             terms = np.conj(a).astype(np.clongdouble) * b
             expected = abs(complex(np.sum(terms))) ** 2
-            assert abs(kernel_exact(SEPARABLE, x, z) - expected) < 1e-12
+            assert abs(pair_kernel(x, z) - expected) < 1e-12
 
 
 class TestSampling:
@@ -163,17 +168,17 @@ class TestSampling:
 
     def test_deterministic_basis_state(self):
         # the inversion test of a point against itself returns |00>
-        assert kernel_shots(SEPARABLE, QUARTER, QUARTER, 100, seed=1) == 1.0
-        assert kernel_shots(SEPARABLE, ORIGIN, FAR, 100, seed=1) == 0.0
+        assert pair_kernel(QUARTER, QUARTER, "shots", shots=100, seed=1) == 1.0
+        assert pair_kernel(ORIGIN, FAR, "shots", shots=100, seed=1) == 0.0
 
     def test_uniform_state_binomial_bound(self):
         # K = 1/4: 10k shots keep the count within 5 sigma (sigma = 43.3)
-        count = kernel_shots(SEPARABLE, ORIGIN, QUARTER, 10_000, seed=2) * 10_000
+        count = pair_kernel(ORIGIN, QUARTER, "shots", shots=10_000, seed=2) * 10_000
         assert 2250 <= count <= 2750
 
     def test_same_seed_identical(self):
-        a = kernel_shots(SEPARABLE, ORIGIN, QUARTER, 1000, seed=3)
-        b = kernel_shots(SEPARABLE, ORIGIN, QUARTER, 1000, seed=3)
+        a = pair_kernel(ORIGIN, QUARTER, "shots", shots=1000, seed=3)
+        b = pair_kernel(ORIGIN, QUARTER, "shots", shots=1000, seed=3)
         assert a == b
         pts = np.random.default_rng(3).uniform(-1, 1, (8, 2))
         g1 = gram(SEPARABLE, pts, method="shots", shots=1000, seed=3)
@@ -182,8 +187,6 @@ class TestSampling:
 
     def test_shots_zero_rejected(self):
         for shots in (0, -1):
-            with pytest.raises(ValueError, match="shots"):
-                kernel_shots(SEPARABLE, ORIGIN, QUARTER, shots, seed=0)
             with pytest.raises(ValueError, match="shots"):
                 gram(SEPARABLE, [ORIGIN, QUARTER], method="shots", shots=shots)
             with pytest.raises(ValueError, match="shots"):
@@ -195,8 +198,8 @@ class TestSampling:
         shots = 100_000
         for t in range(10):
             x, z = rng.uniform(-1, 1, (2, 2))
-            p = kernel_exact(SEPARABLE, x, z)
-            freq = kernel_shots(SEPARABLE, x, z, shots, seed=4 + t)
+            p = pair_kernel(x, z)
+            freq = pair_kernel(x, z, "shots", shots=shots, seed=4 + t)
             sigma = np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) <= 4 * sigma + 1e-12
 

@@ -14,7 +14,6 @@ from qkmap.svm import (
     LabeledDataset,
     SvmModel,
     accuracy,
-    classify,
     cross_validate,
     decide,
     _clamp_psd,
@@ -217,6 +216,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-finite"):
             train(k, [1, -1, 1, -1])
 
+    @pytest.mark.parametrize("c, tolerance", [(np.nan, 1e-3), (1.0, np.nan),
+                                              (0.0, 1e-3), (1.0, -1e-3)])
+    def test_nan_or_nonpositive_settings_rejected(self, c, tolerance):
+        g = gram(builtin("ef1"), [(0.1, 0.1), (0.8, -0.6)])
+        with pytest.raises(ValueError, match="C and tolerance must be positive"):
+            train(g, [1, -1], C=c, tolerance=tolerance)
+
+    def test_infinite_C_is_hard_margin(self):
+        pts = [(0.1, 0.1), (0.8, -0.6)]
+        g = gram(builtin("ef1"), pts)
+        model = train(g, [1, -1], C=np.inf)
+        assert model.converged and accuracy(model, g.values, [1, -1]) == 1.0
+
 
 class TestSolverStats:
     def problem(self):
@@ -307,31 +319,34 @@ class TestSolverProperties:
 class TestDecide:
     def test_bias_only_model(self):
         model = SvmModel(np.zeros(4), 0.3, np.array([1, -1, 1, -1]), 1.0, 1e-3)
-        assert decide(model, np.ones(4)) == 0.3
+        assert decide(model, np.ones((2, 4))).tolist() == [0.3, 0.3]
 
     def test_two_point_model_consistent(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
         g = gram(builtin("ef1"), pts)
         labels = np.array([1, -1])
         model = train(g, labels, C=10.0)
-        for row, y in zip(g.values, labels):
-            assert classify(model, row) == y
+        assert np.array_equal(np.where(decide(model, g.values) >= 0.0, 1, -1), labels)
 
     def test_manual_dot_product(self):
         model = SvmModel(np.array([0.5, 1.5, 0.0]), -0.2,
                          np.array([1, -1, 1]), 2.0, 1e-3)
-        row = np.array([0.9, 0.1, 0.7])
-        want = 0.5 * 1 * 0.9 + 1.5 * (-1) * 0.1 + 0.0 - 0.2
-        assert abs(decide(model, row) - want) < 1e-12
+        rows = np.array([[0.9, 0.1, 0.7], [0.0, 1.0, 5.0]])
+        want = [0.5 * 1 * 0.9 + 1.5 * (-1) * 0.1 + 0.0 - 0.2, -1.5 - 0.2]
+        got = decide(model, rows)
+        assert got.shape == (2,)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_length_mismatch(self):
         model = SvmModel(np.zeros(3), 0.0, np.array([1, -1, 1]), 1.0, 1e-3)
         with pytest.raises(ValueError):
-            decide(model, np.ones(4))
+            decide(model, np.ones((1, 4)))
+        with pytest.raises(ValueError):
+            decide(model, np.ones(3))  # one row is a (1, n) block, not an (n,) vector
 
     def test_tie_resolves_positive(self):
         model = SvmModel(np.zeros(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
-        assert classify(model, np.zeros(2)) == 1
+        assert decide(model, np.zeros((1, 2))).tolist() == [0.0]
         assert accuracy(model, np.zeros((3, 2)), [1, 1, 1]) == 1.0
 
     def test_accuracy_matches_per_row_classify(self):
@@ -339,7 +354,11 @@ class TestDecide:
         model = SvmModel(rng.uniform(0, 2, 30), 0.1, rng.choice([-1, 1], 30), 2.0, 1e-3)
         rows = rng.uniform(-1, 1, (50, 30))
         labels = rng.choice([-1, 1], 50)
-        preds = np.array([classify(model, row) for row in rows])
+        # per-row oracle: sum_i alpha_i y_i K_i + b in plain Python, sign with 0 -> +1
+        ay = [float(a) * int(y) for a, y in zip(model.alphas, model.labels)]
+        values = [sum(w * float(k) for w, k in zip(ay, row)) + model.bias for row in rows]
+        preds = np.array([1 if v >= 0.0 else -1 for v in values])
+        assert np.max(np.abs(decide(model, rows) - values)) < 1e-12
         assert accuracy(model, rows, labels) == float(np.mean(preds == labels))
         with pytest.raises(ValueError):
             accuracy(model, rows[:, :29], labels)
@@ -371,6 +390,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="mix"):
             SvmModel.from_text(text)
 
+    def test_label_outside_plus_minus_one_names_row(self):
+        text = "C=1\ntolerance=0.001\nbias=0\n0.5,1\n0.5,2\n-3,7\n"
+        with pytest.raises(ValueError, match=r"model row 2 '0\.5,2' has label 2"):
+            SvmModel.from_text(text)
+
+    def test_header_only_rejected(self):
+        with pytest.raises(ValueError, match="no alpha,label rows"):
+            SvmModel.from_text("C=1.0\ntolerance=0.001\nbias=0.5\n")
+
 
 class TestCrossValidate:
     def make_separable(self, n=40):
@@ -383,22 +411,20 @@ class TestCrossValidate:
     def test_separable_mean_train_one(self):
         ds = self.make_separable()
         # linear kernel separates on x1 directly
-        report = cross_validate(
-            ds, lambda p: GramMatrix(p @ p.T + 1.0, "linear"),
-            folds=5, C=1000.0,
-        )
+        p = ds.points
+        report = cross_validate(ds, GramMatrix(p @ p.T + 1.0, "linear"), folds=5, C=1000.0)
         assert report.mean_train == 1.0
 
     def test_circle_ef1_band(self):
         ds = generate("circle", 100, seed=7)
-        report = cross_validate(ds, lambda p: gram(builtin("ef1"), p), C=100.0)
+        report = cross_validate(ds, gram(builtin("ef1"), ds.points), C=100.0)
         assert report.mean_train >= 0.95
 
     def test_same_seed_identical(self):
         ds = generate("xor", 40, seed=1)
-        builder = lambda p: gram(builtin("ef1"), p)
-        a = cross_validate(ds, builder, C=1.0, seed=3)
-        b = cross_validate(ds, builder, C=1.0, seed=3)
+        full = gram(builtin("ef1"), ds.points)
+        a = cross_validate(ds, full, C=1.0, seed=3)
+        b = cross_validate(ds, full.values, C=1.0, seed=3)
         assert a == b
 
     def test_report_means(self):
@@ -410,20 +436,28 @@ class TestCrossValidate:
     def test_fewer_than_two_folds_rejected(self, folds):
         ds = generate("circle", 40, seed=0)
         with pytest.raises(ValueError, match="at least 2"):
-            cross_validate(ds, lambda p: gram(builtin("ef1"), p), folds=folds)
+            cross_validate(ds, gram(builtin("ef1"), ds.points), folds=folds)
 
     def test_indivisible_size_rejected(self):
         ds = generate("circle", 42, seed=0)
         with pytest.raises(ValueError, match="divisible"):
-            cross_validate(ds, lambda p: gram(builtin("ef1"), p), folds=5)
+            cross_validate(ds, gram(builtin("ef1"), ds.points), folds=5)
 
     def test_reshuffle_when_a_fold_misses_a_class(self):
         # two positives among six points in three folds: shuffle seeds 0 and
         # 36 put both positives in one test fold; seed 1 does not, 37 does
         ds = LabeledDataset(np.random.default_rng(0).uniform(-1, 1, (6, 2)),
                             np.array([1, 1, -1, -1, -1, -1]))
-        builder = lambda p: gram(builtin("ef1"), p)
-        report = cross_validate(ds, builder, folds=3, seed=0)
+        full = gram(builtin("ef1"), ds.points)
+        report = cross_validate(ds, full, folds=3, seed=0)
         assert report.seed == 0 and len(report.fold_test_accuracies) == 3
         with pytest.raises(ValueError, match="missing a class even after re-shuffle"):
-            cross_validate(ds, builder, folds=3, seed=36)
+            cross_validate(ds, full, folds=3, seed=36)
+
+    @pytest.mark.parametrize("full", [GramMatrix(np.eye(10)), np.eye(40), np.ones((20, 40))],
+                             ids=["smaller", "larger", "non-square"])
+    def test_gram_size_must_match_dataset(self, full):
+        # a larger Gram used to be sliced silently, a smaller one raised IndexError
+        ds = generate("circle", 20, seed=0)
+        with pytest.raises(ValueError, match="but the dataset has 20 points"):
+            cross_validate(ds, full, folds=5)
