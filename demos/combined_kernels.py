@@ -19,8 +19,7 @@ import qkmap as qk
 
 def cv_train_accuracy(dataset, encoding_ids, C):
     grams = [qk.gram(qk.builtin(eid), dataset.points) for eid in encoding_ids]
-    full = grams[0] if len(grams) == 1 else qk.combine(
-        grams, qk.KernelWeights((1.0,) * len(grams)))
+    full = grams[0] if len(grams) == 1 else qk.combine(grams, (1.0,) * len(grams))
     return qk.cross_validate(dataset, full, folds=5, C=C, seed=0).mean_train
 
 
@@ -35,7 +34,7 @@ def main():
     print()
 
     grams = [qk.gram(qk.builtin(eid), dataset.points) for eid in ("ef3", "ef1")]
-    combined = qk.combine(grams, qk.KernelWeights((1.0, 1.0)))
+    combined = qk.combine(grams, (1.0, 1.0))  # m weights in [0, m], summing to m
     model = qk.train(combined, dataset.labels, C=C, points=dataset.points)
     acc = qk.accuracy(model, combined.values, dataset.labels)
     print(f"single model on the full combined Gram: training accuracy {acc:.3f}")

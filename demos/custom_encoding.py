@@ -1,10 +1,10 @@
 """Define a custom feature map with the phase expression mini-language.
 
-Encodings are three phase functions phi1(x), phi2(x), phi12(x).  The
-built-ins fix phi1 = x1 and phi2 = x2 and vary the entangling phase, but
-custom() accepts any callables, and parse_phase_expression() compiles a
-small arithmetic language (x1, x2, pi, sin, cos, exp, ln, abs, ^) into
-one.  This script builds an encoding from expression strings, screens it,
+Every encoding fixes phi1 = x1 and phi2 = x2 and varies the entangling
+phase phi12(x1, x2), so an encoding is its phi12.  custom() accepts any
+callable for it, and parse_phase_expression() compiles a small
+arithmetic language (x1, x2, pi, sin, cos, exp, ln, abs, ^) into one.
+This script builds an encoding from an expression string, screens it,
 and cross-validates it on the XOR dataset, where a tailored entangling
 phase does well.
 
@@ -15,7 +15,6 @@ import qkmap as qk
 
 
 def main():
-    # phi1 and phi2 default to the raw coordinates
     spec = qk.custom(qk.parse_phase_expression("pi * x1 * x2"))
 
     x = (0.3, -0.7)

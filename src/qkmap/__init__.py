@@ -20,7 +20,7 @@ from .pauli import (
     pauli_index,
     pauli_label,
 )
-from .kernels import GramMatrix, KernelWeights, combine, gram
+from .kernels import GramMatrix, combine, gram
 from .svm import (
     CvReport,
     LabeledDataset,
@@ -32,6 +32,6 @@ from .svm import (
     train,
 )
 from .screening import AxisAccuracyReport, axis_accuracy, minimum_accuracy, vc_dimension
-from .datasets import DatasetKind, from_csv, generate, to_csv
+from .datasets import from_csv, generate, to_csv
 
 __version__ = "0.1.0"

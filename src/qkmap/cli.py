@@ -62,7 +62,7 @@ def _load_dataset(args) -> svm.LabeledDataset:
 def _add_dataset_flags(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--dataset", help="dataset CSV (x1,x2,label)")
-    group.add_argument("--generate", choices=[k.value for k in datasets.DatasetKind],
+    group.add_argument("--generate", choices=datasets.KINDS,
                        help="generate a benchmark dataset instead of reading one")
     p.add_argument("--n", type=int, default=100, help="points to generate (default 100)")
 
@@ -113,10 +113,9 @@ def cmd_screen(args) -> int:
 
 
 def _train_gram(args, specs, points):
-    values = args.weights or [1.0] * len(specs)
-    if len(values) != len(specs):
-        raise ValueError(f"--weights has {len(values)} values for {len(specs)} encoding(s)")
-    weights = kernels.KernelWeights(tuple(values))
+    weights = args.weights or [1.0] * len(specs)
+    if len(weights) != len(specs):
+        raise ValueError(f"--weights has {len(weights)} values for {len(specs)} encoding(s)")
     gs = [kernels.gram(spec, points, method=args.method,
                        shots=args.shots, seed=args.seed)
           for spec in specs]
@@ -169,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a benchmark dataset CSV")
-    p.add_argument("kind", choices=[k.value for k in datasets.DatasetKind])
+    p.add_argument("kind", choices=datasets.KINDS)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

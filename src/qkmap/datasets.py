@@ -1,4 +1,4 @@
-"""Seeded generators for the four benchmark datasets on [-1, 1]^2.
+"""Seeded generators for the four benchmark datasets on [-1, 1]^2, named in ``KINDS``.
 
 The published benchmarks exist only as scatter plots, so these are
 documented reconstructions: each boundary carries a small margin band so
@@ -6,8 +6,6 @@ the classes are cleanly separable.  The shape constants are below.
 """
 
 from __future__ import annotations
-
-import enum
 
 import numpy as np
 
@@ -24,13 +22,6 @@ MOON_RADIUS = 0.7
 MOON_WIDTH = 0.25
 MOON_X_OFFSET = 0.35
 MOON_Y_OFFSET = 0.35
-
-
-class DatasetKind(enum.Enum):
-    CIRCLE = "circle"
-    EXP = "exp"
-    MOON = "moon"
-    XOR = "xor"
 
 
 def _balanced_rejection(rng, n_points, draw):
@@ -110,22 +101,20 @@ def _gen_moon(rng, n_points):
     return _balanced_rejection(rng, n_points, draw)
 
 
-_GENERATORS = {
-    DatasetKind.CIRCLE: _gen_circle,
-    DatasetKind.EXP: _gen_exp,
-    DatasetKind.MOON: _gen_moon,
-    DatasetKind.XOR: _gen_xor,
-}
+_GENERATORS = {"circle": _gen_circle, "exp": _gen_exp, "moon": _gen_moon, "xor": _gen_xor}
+
+KINDS = tuple(_GENERATORS)
 
 
-def generate(kind: DatasetKind, n_points: int = 100, seed: int = 0) -> LabeledDataset:
-    """Deterministic balanced dataset of the given kind."""
-    if isinstance(kind, str):
-        kind = DatasetKind(kind.lower())
+def generate(kind: str, n_points: int = 100, seed: int = 0) -> LabeledDataset:
+    """Deterministic balanced dataset of the given kind (one of ``KINDS``)."""
+    key = kind.lower()
+    if key not in _GENERATORS:
+        raise ValueError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
     if n_points < 2 or n_points % 2 != 0:
         raise ValueError("n_points must be an even number >= 2")
     rng = np.random.default_rng(seed)
-    return _GENERATORS[kind](rng, n_points)
+    return _GENERATORS[key](rng, n_points)
 
 
 def to_csv(dataset: LabeledDataset, path) -> None:

@@ -1,10 +1,10 @@
 """Phase-encoding functions and the two-layer feature-map circuit.
 
-A 2-d input x is encoded through three phase functions (phi1, phi2,
-phi12) into the circuit U_phi H H U_phi H H acting on |00>, where U_phi
-is the diagonal two-qubit phase gate.  Five built-in choices of phi12
-are provided (ids ``ef1`` .. ``ef5``); phi1 and phi2 are fixed to the
-raw coordinates for all of them.
+A 2-d input x is encoded through three phases (phi1, phi2, phi12) into
+the circuit U_phi H H U_phi H H acting on |00>, where U_phi is the
+diagonal two-qubit phase gate.  phi1 = x1 and phi2 = x2 for every
+encoding, so an encoding is its entangling phase phi12: five built-ins
+(ids ``ef1`` .. ``ef5``) or a user function via :func:`custom`.
 """
 
 from __future__ import annotations
@@ -27,20 +27,10 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True)
 class EncodingSpec:
-    """The triple of phase functions selecting one feature map."""
+    """One feature map: its id and its entangling phase phi12(x1, x2)."""
 
     id: str
-    phi1: PhaseFunction
-    phi2: PhaseFunction
     phi12: PhaseFunction
-
-
-def _coord1(x1, x2):
-    return x1
-
-
-def _coord2(x1, x2):
-    return x2
 
 
 _BUILTIN_PHI12 = {
@@ -59,33 +49,29 @@ def builtin(encoding_id: str) -> EncodingSpec:
     key = encoding_id.lower()
     if key not in _BUILTIN_PHI12:
         raise ValueError(f"unknown encoding id {encoding_id!r}; expected one of {BUILTIN_IDS}")
-    return EncodingSpec(key, _coord1, _coord2, _BUILTIN_PHI12[key])
+    return EncodingSpec(key, _BUILTIN_PHI12[key])
 
 
-def custom(phi12: PhaseFunction, phi1: PhaseFunction = _coord1,
-           phi2: PhaseFunction = _coord2) -> EncodingSpec:
-    """A user-supplied spec; defaults keep phi1, phi2 as the raw coordinates."""
-    return EncodingSpec("custom", phi1, phi2, phi12)
+def custom(phi12: PhaseFunction) -> EncodingSpec:
+    """A user-supplied entangling phase phi12(x1, x2)."""
+    return EncodingSpec("custom", phi12)
 
 
 def eval_encoding(spec: EncodingSpec, x) -> tuple[float, float, float]:
-    """Evaluate the three phases at x, checking finiteness."""
+    """The phases (phi1, phi2, phi12) = (x1, x2, phi12(x1, x2)), checking finiteness."""
     x1, x2 = float(x[0]), float(x[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise EncodingError("input point is not finite")
-    out = []
-    for name, fn in (("phi1", spec.phi1), ("phi2", spec.phi2), ("phi12", spec.phi12)):
-        try:
-            v = fn(x1, x2)
-            if isinstance(v, complex):
-                raise ValueError(f"complex value {v}")
-            v = float(v)
-        except (ArithmeticError, ValueError) as exc:
-            raise EncodingError(f"{name} failed at x=({x1}, {x2}): {exc}") from exc
-        if not math.isfinite(v):
-            raise EncodingError(f"{name} is not finite at x=({x1}, {x2}): {v}")
-        out.append(v)
-    return tuple(out)
+    try:
+        v = spec.phi12(x1, x2)
+        if isinstance(v, complex):
+            raise ValueError(f"complex value {v}")
+        v = float(v)
+    except (ArithmeticError, ValueError) as exc:
+        raise EncodingError(f"phi12 failed at x=({x1}, {x2}): {exc}") from exc
+    if not math.isfinite(v):
+        raise EncodingError(f"phi12 is not finite at x=({x1}, {x2}): {v}")
+    return x1, x2, v
 
 
 def encoding_phases(spec: EncodingSpec, points) -> np.ndarray:

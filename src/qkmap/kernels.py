@@ -26,30 +26,6 @@ COMBINED = "combined"
 
 
 @dataclass(frozen=True)
-class KernelWeights:
-    """Nonnegative combination weights summing to their count."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        m = len(w)
-        if m == 0:
-            raise ValueError("at least one weight required")
-        if any(v < 0.0 or v > m for v in w):
-            raise ValueError(f"each weight must lie in [0, {m}]")
-        if abs(sum(w) - m) > 1e-9:
-            raise ValueError(f"weights must sum to {m}, got {sum(w)}")
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-
-@dataclass(frozen=True)
 class GramMatrix:
     """N x N kernel matrix with its construction method recorded."""
 
@@ -57,7 +33,7 @@ class GramMatrix:
     method: str = EXACT
     shots: int | None = None
     seed: int | None = None
-    weights: KernelWeights | None = None
+    weights: tuple | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -130,16 +106,24 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
     return GramMatrix(k, SHOTS, shots=shots, seed=seed)
 
 
-def combine(grams, weights: KernelWeights) -> GramMatrix:
-    """Entrywise weighted sum of Gram matrices (PSD-preserving)."""
+def combine(grams, weights) -> GramMatrix:
+    """PSD-preserving weighted sum of m Gram matrices: m weights in [0, m] summing to m."""
     grams = list(grams)
-    if len(grams) != len(weights):
-        raise ValueError(f"{len(grams)} matrices but {len(weights)} weights")
+    w = tuple(float(v) for v in weights)
+    m = len(grams)
+    if m == 0:
+        raise ValueError("at least one Gram matrix required")
+    if len(w) != m:
+        raise ValueError(f"{m} matrices but {len(w)} weights")
+    if any(not (0.0 <= v <= m) for v in w):  # also rejects NaN
+        raise ValueError(f"each weight must lie in [0, {m}]")
+    if abs(sum(w) - m) > 1e-9:
+        raise ValueError(f"weights must sum to {m}, got {sum(w)}")
     size = grams[0].size
     for g in grams:
         if g.size != size:
             raise ValueError("Gram matrices have mismatched sizes")
     total = np.zeros((size, size))
-    for g, w in zip(grams, weights):
-        total += w * g.values
-    return GramMatrix(total, COMBINED, weights=weights)
+    for g, v in zip(grams, w):
+        total += v * g.values
+    return GramMatrix(total, COMBINED, weights=w)

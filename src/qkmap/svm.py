@@ -13,9 +13,9 @@ first a Cholesky factorisation of K + 1e-6 I (exact and Pauli Grams pass
 here), and only if that fails an eigendecomposition, which clamps
 eigenvalues below -1e-6 to zero with a RuntimeWarning naming the minimum
 eigenvalue (shot Grams).  Each model records ``iterations``,
-``converged`` and ``final_gap``; stopping at ``max_passes`` or on a
-stalled step with the gap still above 2 * tolerance raises a
-RuntimeWarning naming the gap and the tolerance.
+``converged`` and ``final_gap``; stopping after ``MAX_PASSES`` pair
+updates or on a stalled step with the gap still above 2 * tolerance
+raises a RuntimeWarning naming the gap and the tolerance.
 
 Everything after training is batched: :func:`decide` maps an (m, n)
 block of kernel rows against the n training points to m decision
@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import GramMatrix
+
+MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,20 @@ class SvmModel:
         if len(widths) > 1 or min(widths) < 2:
             raise ValueError("model rows mix forms or are malformed; expected every "
                              "row as alpha,label or every row as alpha,label,x1,x2")
-        labels = np.array([int(r[1]) for r in rows], dtype=int)
-        for i, (r, y) in enumerate(zip(rows, labels), start=1):
-            if y not in (-1, 1):
-                raise ValueError(f"model row {i} {','.join(r)!r} has label {y}; "
+        labels, values = [], []
+        for i, r in enumerate(rows, start=1):
+            try:
+                labels.append(int(r[1]))
+                values.append([float(v) for v in r[:1] + r[2:]])
+            except ValueError:
+                raise ValueError(f"model row {i} {','.join(r)!r} is malformed; expected a "
+                                 "numeric alpha and coordinates and an integer label") from None
+            if labels[-1] not in (-1, 1):
+                raise ValueError(f"model row {i} {','.join(r)!r} has label {labels[-1]}; "
                                  "expected -1 or +1")
-        pts = np.array([[float(v) for v in r[2:]] for r in rows]) if min(widths) > 2 else None
-        return cls(np.array([float(r[0]) for r in rows]), float(header["bias"]), labels,
+        values = np.array(values)
+        pts = values[:, 1:] if min(widths) > 2 else None
+        return cls(values[:, 0], float(header["bias"]), np.array(labels, dtype=int),
                    float(header["C"]), float(header["tolerance"]), pts)
 
 
@@ -144,12 +153,12 @@ def _clamp_psd(values: np.ndarray) -> np.ndarray:
 
 
 def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
-          max_passes: int = 10_000, points=None) -> SvmModel:
+          points=None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
     Deterministic: pair selection is the maximal violating pair with
     lowest-index tie-breaks.  Warns (RuntimeWarning) when it stops at
-    ``max_passes`` or on a stalled step before the gap closes; the
+    ``MAX_PASSES`` or on a stalled step before the gap closes; the
     model's ``converged``, ``iterations`` and ``final_gap`` say the same.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
@@ -210,7 +219,7 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         return top - bottom, i_low, i_up, (top + bottom) / 2.0
 
     iterations = 0
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         gap, i, j, b = feasibility()
         if gap <= 2.0 * tolerance:
             break
@@ -245,7 +254,7 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
 
     converged = gap <= 2.0 * tolerance
     if not converged:
-        why = (f"max_passes={max_passes} reached" if iterations == max_passes
+        why = (f"max_passes={MAX_PASSES} reached" if iterations == MAX_PASSES
                else "step stalled below 1e-14")
         warnings.warn(
             f"SMO stopped unconverged after {iterations} iterations ({why}): "
@@ -271,8 +280,11 @@ def decide(model: SvmModel, kernel_rows) -> np.ndarray:
 
 def accuracy(model: SvmModel, kernel_rows: np.ndarray, labels) -> float:
     """Fraction of rows classified with the correct label (zero counts as +1)."""
-    preds = np.where(decide(model, kernel_rows) >= 0.0, 1, -1)
-    return float(np.mean(preds == np.asarray(labels)))
+    values, labels = decide(model, kernel_rows), np.asarray(labels)
+    if labels.shape != values.shape or not len(values):
+        raise ValueError(f"{len(values)} kernel rows and {labels.size} labels; accuracy "
+                         "needs one label per row and at least one row")
+    return float(np.mean(np.where(values >= 0.0, 1, -1) == labels))
 
 
 def kkt_residuals(model: SvmModel, gram_values: np.ndarray) -> np.ndarray:

@@ -230,7 +230,7 @@ def test_criterion_7_published_table_bands():
 
     def cv_mean(enc_ids):
         gs = [qk.gram(qk.builtin(e), ds["moon"].points) for e in enc_ids]
-        full = gs[0] if len(gs) == 1 else qk.combine(gs, qk.KernelWeights((1.0,) * len(gs)))
+        full = gs[0] if len(gs) == 1 else qk.combine(gs, (1.0,) * len(gs))
         return qk.cross_validate(ds["moon"], full, C=TABLE_C, seed=0).mean_train
 
     combined = cv_mean(["ef3", "ef1"])

@@ -244,6 +244,13 @@ class TestTrain:
         code, weighted, _ = run(capsys, *argv, "--weights", "1")
         assert code == 0 and weighted == bare
 
+    def test_nan_weight_rejected(self, capsys):
+        code, stdout, stderr = run(capsys, "train", "--generate", "circle", "--n", "20",
+                                   "--encodings", "ef1", "ef3", "--weights", "nan", "1")
+        assert code == 1
+        assert stderr == "error: each weight must lie in [0, 2]\n"
+        assert stdout == ""
+
     @pytest.mark.parametrize("flag", ("--C", "--tolerance"))
     def test_nan_solver_setting_rejected(self, capsys, flag):
         argv = ("train", "--generate", "circle", "--n", "20", "--encodings", "ef1")

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from qkmap import datasets as D
-from qkmap.datasets import _MAX_DRAWS, DatasetKind, from_csv, generate, to_csv
+from qkmap.datasets import _MAX_DRAWS, KINDS, from_csv, generate, to_csv
 from qkmap.svm import LabeledDataset
 
 ALL_KINDS = ("circle", "exp", "moon", "xor")
@@ -101,13 +103,14 @@ class TestGenerate:
             generate("xor", 3, seed=0)
 
     def test_enum_and_string_agree(self):
-        a = generate(DatasetKind.CIRCLE, 20, seed=5)
+        a = generate("CIRCLE", 20, seed=5)
         b = generate("circle", 20, seed=5)
         assert np.array_equal(a.points, b.points)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"'spiral'.*" + re.escape(repr(KINDS))):
             generate("spiral", 20, seed=0)
+        assert KINDS == ("circle", "exp", "moon", "xor")
 
 
 class TestCsv:

@@ -85,8 +85,8 @@ class TestCustom:
 
 class TestFeatureState:
     def test_zero_phases_give_ground_state(self):
-        spec = custom(lambda x1, x2: 0.0, lambda x1, x2: 0.0, lambda x1, x2: 0.0)
-        st = feature_states(spec, [(0.7, -0.2)])[0]
+        spec = custom(lambda x1, x2: 0.0)
+        st = feature_states(spec, [(0.0, 0.0)])[0]
         assert abs(st[0] - 1.0) < 1e-12
         assert np.max(np.abs(st[1:])) < 1e-12
 

@@ -3,7 +3,7 @@ import pytest
 
 from qkmap.datasets import generate
 from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states
-from qkmap.kernels import GramMatrix, KernelWeights, combine, gram
+from qkmap.kernels import GramMatrix, combine, gram
 
 HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
 Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # qubit 1 is the least-significant bit
@@ -198,31 +198,41 @@ class TestCombine:
         self.g3 = gram(builtin("ef3"), self.pts)
 
     def test_degenerate_weight(self):
-        c = combine([self.g1, self.g3], KernelWeights((2.0, 0.0)))
+        c = combine([self.g1, self.g3], (2.0, 0.0))
         assert np.max(np.abs(c.values - 2.0 * self.g1.values)) < 1e-12
 
     def test_equal_weights_diagonal(self):
-        c = combine([self.g1, self.g3], KernelWeights((1.0, 1.0)))
+        c = combine([self.g1, self.g3], [1, 1])
+        assert c.weights == (1.0, 1.0)
         assert np.max(np.abs(np.diag(c.values) - 2.0)) < 1e-9
 
     def test_psd_closure(self):
-        c = combine([self.g1, self.g3], KernelWeights((1.5, 0.5)))
+        c = combine([self.g1, self.g3], (1.5, 0.5))
         assert c.min_eigenvalue() >= -1e-8
 
     def test_size_mismatch(self):
         small = gram(builtin("ef1"), self.pts[:4])
         with pytest.raises(ValueError):
-            combine([self.g1, small], KernelWeights((1.0, 1.0)))
+            combine([self.g1, small], (1.0, 1.0))
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            KernelWeights((1.0, 0.5))  # sums to 1.5, not 2
-        with pytest.raises(ValueError):
-            KernelWeights((-0.5, 2.5))
-        with pytest.raises(ValueError):
-            KernelWeights(())
+        grams = [self.g1, self.g3]
+        with pytest.raises(ValueError, match="must sum to 2"):
+            combine(grams, (1.0, 0.5))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\]"):
+            combine(grams, (-0.5, 2.5))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\]"):
+            combine(grams, (float("nan"), 1.0))
+        with pytest.raises(ValueError, match="2 matrices but 0 weights"):
+            combine(grams, ())
+        with pytest.raises(ValueError, match="at least one Gram matrix"):
+            combine([], [])
+
+    def test_weight_count_checked_against_matrices(self):
+        with pytest.raises(ValueError, match="1 matrices but 2 weights"):
+            combine([self.g1], (5.0, 7.0))
 
     def test_combined_range(self):
-        c = combine([self.g1, self.g3], KernelWeights((1.0, 1.0)))
+        c = combine([self.g1, self.g3], (1.0, 1.0))
         assert c.values.min() >= -1e-9
         assert c.values.max() <= 2.0 + 1e-9

@@ -1,11 +1,14 @@
 import itertools
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkmap import svm
 from qkmap.datasets import generate
 from qkmap.encodings import builtin
 from qkmap.kernels import GramMatrix, gram
@@ -244,8 +247,9 @@ class TestSolverStats:
 
     def test_iteration_cap_warns_with_gap(self):
         g, labels = self.problem()
-        with pytest.warns(RuntimeWarning, match="max_passes=3") as caught:
-            model = train(g, labels, C=100.0, max_passes=3)
+        with mock.patch.object(svm, "MAX_PASSES", 3), \
+                pytest.warns(RuntimeWarning, match="max_passes=3") as caught:
+            model = train(g, labels, C=100.0)
         message = str(caught[0].message)
         assert "gap" in message and "tolerance" in message
         assert "clamp" not in message
@@ -294,7 +298,8 @@ class TestSolverProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want_alphas, want_bias = mvp_train(k, labels, C=c, max_passes=max_passes)
-            model = train(k, labels, C=c, max_passes=max_passes)
+            with mock.patch.object(svm, "MAX_PASSES", max_passes):
+                model = train(k, labels, C=c)
             psd = _clamp_psd(k)
         assert model.alphas.tobytes() == want_alphas.tobytes()
         assert repr(model.bias) == repr(want_bias)
@@ -363,6 +368,14 @@ class TestDecide:
         with pytest.raises(ValueError):
             accuracy(model, rows[:, :29], labels)
 
+    def test_accuracy_label_count_checked(self):
+        model = SvmModel(np.ones(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
+        rows = np.zeros((20, 2))
+        with pytest.raises(ValueError, match="20 kernel rows and 1 labels"):
+            accuracy(model, rows, [1])
+        with pytest.raises(ValueError, match="0 kernel rows and 0 labels"):
+            accuracy(model, np.empty((0, 2)), [])
+
 
 class TestSerialization:
     def test_roundtrip(self):
@@ -393,6 +406,13 @@ class TestSerialization:
     def test_label_outside_plus_minus_one_names_row(self):
         text = "C=1\ntolerance=0.001\nbias=0\n0.5,1\n0.5,2\n-3,7\n"
         with pytest.raises(ValueError, match=r"model row 2 '0\.5,2' has label 2"):
+            SvmModel.from_text(text)
+
+    @pytest.mark.parametrize("row", ["0.5,1.0", "abc,1", "0.5,1,0.1,x"])
+    def test_malformed_row_values_name_row(self, row):
+        first = "0.5,-1" if row.count(",") == 1 else "0.5,-1,0.0,0.0"
+        text = f"C=1\ntolerance=0.001\nbias=0\n{first}\n{row}\n"
+        with pytest.raises(ValueError, match=re.escape(f"model row 2 {row!r} is malformed")):
             SvmModel.from_text(text)
 
     def test_header_only_rejected(self):
