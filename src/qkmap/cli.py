@@ -233,6 +233,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # heatmap has no --seed
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except (ValueError, EncodingError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

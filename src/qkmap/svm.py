@@ -1,21 +1,35 @@
-"""Soft-margin kernel SVM trained by sequential minimal optimization.
+"""Soft-margin kernel SVM: a low-rank interior-point start, finished by SMO.
 
-The solver works on a precomputed Gram matrix.  The working pair is the
-maximal violating pair in Keerthi's sense: with g_i = sum_j alpha_j y_j
-K_ij and c_i = y_i - g_i, feasibility of the bias requires
-max(c over the lower set) <= min(c over the upper set) + 2 * tolerance;
-the pair attaining that gap is updated analytically each step.  At
-convergence the bias is the midpoint of the feasible interval, which
-makes every KKT residual at most the tolerance by construction.
+The solver works on a precomputed Gram matrix.  Every exact or Pauli Gram
+is Phi Phi^T with Phi of width 16 (a combination of m encodings: at most
+16m), so ``train`` first takes a pivoted Cholesky factor K ~ G G^T of at
+most n // 4 columns.  When every row of R = K - G G^T sums to at most
+1e-6 in absolute value, Gershgorin gives lambda_min(K) >= -1e-6, which
+is what the PSD check below tests, at O(n^2 r) instead of O(n^3).  A
+Mehrotra predictor-corrector interior-point method then solves the dual
+in that r-dimensional feature space at O(n r^2) per step (Fine &
+Scheinberg, JMLR 2, 243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783
+(2002)); its point, put on the box and on y^T alpha = 0, starts SMO.
+The cold path runs when that certificate fails (shot Grams, full-rank or
+non-PSD matrices, rank above n // 4), when C is infinite, and when the
+interior-point method fails numerically.
 
-Before solving, the Gram matrix is checked for positive semidefiniteness:
-first a Cholesky factorisation of K + 1e-6 I (exact and Pauli Grams pass
-here), and only if that fails an eigendecomposition, which clamps
-eigenvalues below -1e-6 to zero with a RuntimeWarning naming the minimum
-eigenvalue (shot Grams).  Each model records ``iterations``,
-``converged`` and ``final_gap``; stopping after ``MAX_PASSES`` pair
-updates or on a stalled step with the gap still above 2 * tolerance
-raises a RuntimeWarning naming the gap and the tolerance.
+SMO's working pair is the maximal violating pair in Keerthi's sense:
+with g_i = sum_j alpha_j y_j K_ij and c_i = y_i - g_i, feasibility of the
+bias requires max(c over the lower set) <= min(c over the upper set) + 2
+* tolerance; the pair attaining that gap is updated analytically each
+step.  At convergence the bias is the midpoint of the feasible interval,
+which makes every KKT residual at most the tolerance by construction.
+
+On the cold path the Gram matrix is checked for positive
+semidefiniteness: first a Cholesky factorisation of K + 1e-6 I, and only
+if that fails an eigendecomposition, which clamps eigenvalues below -1e-6
+to zero with a RuntimeWarning naming the minimum eigenvalue (shot
+Grams); SMO then starts from alpha = 0.  Each model records
+``iterations`` (SMO pair updates), ``converged`` and ``final_gap``;
+stopping after ``MAX_PASSES`` pair updates or on a stalled step with the
+gap still above 2 * tolerance raises a RuntimeWarning naming the gap and
+the tolerance.
 
 Everything after training is batched: :func:`decide` maps an (m, n)
 block of kernel rows against the n training points to m decision
@@ -33,6 +47,7 @@ import numpy as np
 from .kernels import GramMatrix
 
 MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
+IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
 
 
 @dataclass(frozen=True)
@@ -152,14 +167,161 @@ def _clamp_psd(values: np.ndarray) -> np.ndarray:
     return (v * w) @ v.T
 
 
+def _certified_factor(k: np.ndarray) -> np.ndarray | None:
+    """G with K = G G^T + R and every row of |R| summing to at most 1e-6, or None.
+
+    The pivot is the largest residual diagonal.  The factor is complete
+    once that falls to 1e-12 * max diag(K); it fails at n // 4 columns or
+    once a residual diagonal is below -1e-6, since residual diagonals
+    only fall and each is the diagonal entry of its row of R.
+    """
+    n = len(k)
+    d = k.diagonal().copy()
+    stop = 1e-12 * d.max()
+    rows = np.empty((n // 4, n))  # the columns of G, one per row
+    r = 0
+    while True:
+        p = int(np.argmax(d))
+        if d[p] <= stop:
+            break
+        if r == len(rows) or d.min() < -1e-6:
+            return None
+        rows[r] = (k[p] - rows[:r, p] @ rows[:r]) / np.sqrt(d[p])
+        d -= rows[r] ** 2
+        d[p] = 0.0
+        r += 1
+    g = rows[:r].T
+    for i in range(0, n, 128):  # row blocks keep R out of main memory
+        block = k[i:i + 128] - g[i:i + 128] @ g.T
+        if not np.abs(block, out=block).sum(axis=1).max() <= 1e-6:  # NaN fails too
+            return None
+    return g
+
+
+def _interior_point(v: np.ndarray, y: np.ndarray, C: float):
+    """(a, s): Mehrotra predictor-corrector on the dual with Q = V V^T.
+
+    Minimises 1/2 a^T Q a - sum(a) subject to y^T a = 0 and a + s = C,
+    a, s >= 0, with the slack s its own variable so that a multiplier
+    near C keeps its distance to C to full precision.  Each Newton system
+    (D + V V^T) is solved by Sherman-Morrison-Woodbury with one r x r
+    Cholesky, so a step costs O(n r^2).  Stops when the duality measure
+    is at most 1e-9 * C or after IPM_STEPS steps.  Returns None once the
+    duality measure is not finite; a failed Cholesky raises LinAlgError.
+    """
+    n = len(y)
+    a = np.full(n, C / 2.0)
+    s = np.full(n, C / 2.0)
+    z = np.ones(n)
+    w = np.ones(n)
+    beta = 0.0
+    eye = np.eye(v.shape[1])
+    for _ in range(IPM_STEPS):
+        mu = (a @ z + s @ w) / (2.0 * n)
+        if not np.isfinite(mu):
+            return None
+        if mu <= 1e-9 * C:
+            break
+        r_d = v @ (v.T @ a) - 1.0 + beta * y - z + w
+        r_e = y @ a
+        r_u = a + s - C
+        d = z / a + w / s
+        vd = v / d[:, None]
+        low = np.linalg.cholesky(eye + v.T @ vd)
+
+        def solve(rhs):
+            """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury."""
+            t = rhs / d
+            u = np.linalg.solve(low.T, np.linalg.solve(low, v.T @ t))
+            return t - vd @ u
+
+        m_y = solve(y)
+
+        def newton(r_az, r_sw):
+            rho = -r_d - r_az / a + r_sw / s - (w / s) * r_u
+            m_rho = solve(rho)
+            d_beta = (y @ m_rho + r_e) / (y @ m_y)
+            d_a = m_rho - d_beta * m_y
+            d_s = -r_u - d_a
+            return d_a, d_s, -(r_az + z * d_a) / a, -(r_sw + w * d_s) / s, d_beta
+
+        def longest(d_a, d_s, d_z, d_w):
+            """Largest step in (0, 1] keeping a, s, z, w nonnegative."""
+            step = 1.0
+            for x, dx in ((a, d_a), (s, d_s), (z, d_z), (w, d_w)):
+                neg = dx < 0.0
+                if neg.any():
+                    step = min(step, float(np.min(-x[neg] / dx[neg])))
+            return step
+
+        # predictor: the affine-scaling step, which sets the centering sigma
+        a_a, a_s, a_z, a_w, _ = newton(a * z, s * w)
+        t = longest(a_a, a_s, a_z, a_w)
+        mu_aff = ((a + t * a_a) @ (z + t * a_z) + (s + t * a_s) @ (w + t * a_w)) / (2.0 * n)
+        sigma = (mu_aff / mu) ** 3
+        # corrector: centred, with the predictor's second-order term
+        d_a, d_s, d_z, d_w, d_beta = newton(a * z + a_a * a_z - sigma * mu,
+                                            s * w + a_s * a_w - sigma * mu)
+        t = 0.995 * longest(d_a, d_s, d_z, d_w)
+        a = a + t * d_a
+        s = s + t * d_s
+        z = z + t * d_z
+        w = w + t * d_w
+        beta += t * d_beta
+    return a, s
+
+
+def _project(a: np.ndarray, s: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
+    """Put the IPM point on the box [0, C] and on y^T a = 0, or None.
+
+    A multiplier within 1e-6 * C of a bound, read from a or from the
+    carried slack s, is set to the bound, so that SMO does not spend a
+    pair update on each one.  The others take their Euclidean projection
+    onto y^T a = 0, clipped to the box; None when the clipping leaves
+    |y^T a| above 1e-9 * C.
+    """
+    at_zero = a <= 1e-6 * C
+    at_c = ~at_zero & (s <= 1e-6 * C)
+    free = ~(at_zero | at_c)
+    a = np.where(at_zero, 0.0, np.where(at_c, C, a))
+    if free.any():
+        shifted = a[free] - (y @ a) / np.count_nonzero(free) * y[free]
+        a[free] = np.clip(shifted, 0.0, C)
+    return a if abs(y @ a) <= 1e-9 * C else None
+
+
+def _warm_start(k: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
+    """SMO starting multipliers from the low-rank IPM, or None for a cold start.
+
+    None when C is infinite, when K has no certified low-rank factor, when
+    the IPM fails numerically, or when its projected point is not balanced;
+    the caller then runs the PSD check and starts SMO from zero.
+    """
+    if not np.isfinite(C):
+        return None
+    with np.errstate(all="ignore"):  # a non-finite value means the cold path
+        g = _certified_factor(k)
+        if g is None:
+            return None
+        try:
+            point = _interior_point(y[:, None] * g, y, C)
+        except np.linalg.LinAlgError:
+            return None
+        if point is None or not np.all(np.isfinite(point)):
+            return None
+        return _project(*point, y, C)
+
+
 def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
           points=None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
-    Deterministic: pair selection is the maximal violating pair with
-    lowest-index tie-breaks.  Warns (RuntimeWarning) when it stops at
-    ``MAX_PASSES`` or on a stalled step before the gap closes; the
-    model's ``converged``, ``iterations`` and ``final_gap`` say the same.
+    Deterministic: a certified low-rank Gram is warm-started by the IPM,
+    any other starts from zero after the PSD check, and SMO finishes
+    either one, choosing the maximal violating pair with lowest-index
+    tie-breaks.  Warns (RuntimeWarning) when SMO stops at ``MAX_PASSES``
+    or on a stalled step before the gap closes; the model's
+    ``converged``, ``iterations`` and ``final_gap`` say the same.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -174,14 +336,24 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         raise ValueError("C and tolerance must be positive")
     if not np.all(np.isfinite(k)):
         raise ValueError("gram has non-finite entries")
-    k = _clamp_psd(k)
+    start = _warm_start(k, y, C)
+    if start is None:
+        k = _clamp_psd(k)
+    return _smo(k, labels, C, tolerance, points, start)
 
+
+def _smo(k: np.ndarray, labels, C: float, tolerance: float, points=None,
+         start: np.ndarray | None = None) -> SvmModel:
+    """The SMO loop over a PSD Gram k, from ``start`` or from alpha = 0."""
+    y = np.asarray(labels, dtype=float)
+    n = len(y)
     # Python floats for the pair arithmetic; numpy only for n-vectors.
     ys = y.tolist()
     diag = k.diagonal().tolist()
-    alphas = [0.0] * n
+    alphas = [0.0] * n if start is None else start.tolist()
     cap = C - 1e-12
-    g = np.zeros(n)  # sum_j alpha_j y_j K_ij, bias-free margin
+    # sum_j alpha_j y_j K_ij, bias-free margin
+    g = np.zeros(n) if start is None else k @ (start * y)
     step = np.empty(n)
     step_j = np.empty(n)
     # c = y - g on the lower (upper) set and -inf (+inf) off it is

@@ -12,6 +12,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "circle", "--out", "OUT"], ["screen", "--generate", "circle"],
+    ["train", "--generate", "circle", "--encodings", "ef1"],
+    ["kernel", "--generate", "circle", "--out", "OUT"],
+], ids=["gen", "screen", "train", "kernel"])
+def test_negative_seed_names_flag(tmp_path, capsys, argv):
+    argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv]
+    code, _, stderr = run(capsys, *argv, "--n", "20", "--seed", "-1")
+    assert code == 1
+    assert "--seed must be a non-negative integer, got -1" in stderr
+
+
 class TestGen:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qkmap import svm
 from qkmap.datasets import generate
 from qkmap.encodings import builtin
-from qkmap.kernels import GramMatrix, gram
+from qkmap.kernels import GramMatrix, combine, gram
 from qkmap.svm import (
     CvReport,
     LabeledDataset,
@@ -319,6 +319,119 @@ class TestSolverProperties:
         assert (out is k) == (ref is k)
         assert out.tobytes() == ref.tobytes()
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
+@st.composite
+def low_rank_problems(draw):
+    """Exact, Pauli or two-encoding combined Grams with rank below n // 4."""
+    route = draw(st.sampled_from(["exact", "pauli", "combined"]))
+    # a combined Gram has rank up to 31, which the factor reaches at n >= 124
+    n = draw(st.integers(128, 200) if route == "combined" else st.integers(64, 160))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 2))
+    labels = rng.choice([-1, 1], size=n)
+    ids = draw(st.lists(st.sampled_from(["ef1", "ef2", "ef3", "ef4", "ef5"]),
+                        min_size=2, max_size=2, unique=True))
+    if route == "combined":
+        w = draw(st.floats(0.1, 1.9))
+        g = combine([gram(builtin(e), pts) for e in ids], [w, 2.0 - w])
+    else:
+        g = gram(builtin(ids[0]), pts, method=route)
+    return g, labels, draw(st.sampled_from([1.0, 100.0, 1000.0]))
+
+
+class TestWarmStart:
+    def test_moon_800_hard_C_converges(self):
+        ds = generate("moon", 800, seed=7)
+        g = gram(builtin("ef1"), ds.points)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="SMO stopped")
+            model = train(g, ds.labels, C=1000.0)
+        assert model.converged and model.iterations < svm.MAX_PASSES
+
+    def test_every_scale_solve_converges(self):
+        # moon n=1600, ef1, C=100: the five folds of fold seed 7, then the full set
+        ds = generate("moon", 1600, seed=7)
+        g = gram(builtin("ef1"), ds.points)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="SMO stopped")
+            cross_validate(ds, g, C=100.0, seed=7)
+            model = train(g, ds.labels, C=100.0)
+        assert model.converged
+        assert np.max(kkt_residuals(model, g.values)) <= model.tolerance + 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(low_rank_problems())
+    def test_warm_solve_properties(self, problem):
+        g, labels, c = problem
+        k = g.values
+        assert svm._warm_start(k, labels.astype(float), c) is not None
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="SMO stopped")
+            model = train(g, labels, C=c)
+        assert model.converged
+        assert np.max(kkt_residuals(model, k)) <= model.tolerance + 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cold = svm._smo(_clamp_psd(k), labels, c, model.tolerance)
+        want = cold.dual_objective(k)
+        assert model.dual_objective(k) >= want - 1e-9 * abs(want)
+        again = train(k, labels, C=c)
+        assert again.alphas.tobytes() == model.alphas.tobytes()
+        assert repr(again.bias) == repr(model.bias)
+
+    def problem(self, method="exact"):
+        ds = generate("moon", 80, seed=7)
+        return gram(builtin("ef1"), ds.points, method=method, shots=1000, seed=3).values, \
+            ds.labels
+
+    def test_negative_eigenvalue_still_clamped(self):
+        k, labels = self.problem()
+        w, v = np.linalg.eigh(k)
+        bent = k - 1e-3 * np.outer(v[:, 0], v[:, 0])  # v[:, 0] spans K's null space
+        assert np.linalg.eigvalsh(bent)[0] < -0.9e-3
+        with pytest.warns(RuntimeWarning, match="clamping to PSD"):
+            model = train(bent, labels, C=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = svm._smo(mvp_clamp_psd(bent), labels, 10.0, 1e-3)
+        assert model.alphas.tobytes() == want.alphas.tobytes()
+        assert repr(model.bias) == repr(want.bias)
+
+    @pytest.mark.parametrize("method, c", [("shots", 10.0), ("exact", np.inf)])
+    def test_cold_path_byte_equal_to_reference_loop(self, method, c):
+        # a shot Gram has no certified factor, and C = inf skips the warm start
+        k, labels = self.problem(method)
+        assert svm._warm_start(k, labels.astype(float), c) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = train(k, labels, C=c)
+            want_alphas, want_bias = mvp_train(k, labels, C=c)
+        assert model.alphas.tobytes() == want_alphas.tobytes()
+        assert repr(model.bias) == repr(want_bias)
+
+    @pytest.mark.parametrize("inner", ["raise", "nan"])
+    def test_ipm_failure_falls_back_to_cold(self, inner):
+        k, labels = self.problem()
+        cholesky = np.linalg.cholesky
+
+        def failing(m):
+            """The IPM's r x r Cholesky fails; the n x n PSD check does not."""
+            if len(m) == len(k):
+                return cholesky(m)
+            if inner == "raise":
+                raise np.linalg.LinAlgError("forced")
+            return np.full_like(m, np.nan)
+
+        assert svm._warm_start(k, labels.astype(float), 10.0) is not None
+        want = svm._smo(_clamp_psd(k), labels, 10.0, 1e-3)
+        with warnings.catch_warnings(), mock.patch.object(np.linalg, "cholesky", failing):
+            warnings.simplefilter("error")
+            assert svm._warm_start(k, labels.astype(float), 10.0) is None
+            model = train(k, labels, C=10.0)
+        assert model.alphas.tobytes() == want.alphas.tobytes()
+        assert repr(model.bias) == repr(want.bias)
 
 
 class TestDecide:
