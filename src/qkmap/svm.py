@@ -1,18 +1,21 @@
-"""Soft-margin kernel SVM: a low-rank interior-point start, finished by SMO.
+"""Soft-margin kernel SVM: an interior-point start on a Gram factor, finished by SMO.
 
-The solver works on a precomputed Gram matrix.  Every exact or Pauli Gram
-is Phi Phi^T with Phi of width 16 (a combination of m encodings: at most
+The solver works on a precomputed Gram matrix, by one path for every
+finite C: factor, interior point, SMO.  Every exact or Pauli Gram is
+Phi Phi^T with Phi of width 16 (a combination of m encodings: at most
 16m), so ``train`` first takes a pivoted Cholesky factor K ~ G G^T of at
 most n // 4 columns.  When every row of R = K - G G^T sums to at most
 1e-6 in absolute value, Gershgorin gives lambda_min(K) >= -1e-6, which
-is what the PSD check below tests, at O(n^2 r) instead of O(n^3).  A
-Mehrotra predictor-corrector interior-point method then solves the dual
-in that r-dimensional feature space at O(n r^2) per step (Fine &
-Scheinberg, JMLR 2, 243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783
-(2002)); its point, put on the box and on y^T alpha = 0, starts SMO.
-The cold path runs when that certificate fails (shot Grams, full-rank or
-non-PSD matrices, rank above n // 4), when C is infinite, and when the
-interior-point method fails numerically.
+certifies K as PSD at O(n^2 r).  Any other Gram (shot Grams, full-rank or
+non-PSD matrices, rank above n // 4) goes through the PSD check, one
+eigendecomposition that clamps eigenvalues below -1e-6 to zero with a
+RuntimeWarning naming the minimum eigenvalue, and whose eigenvectors
+factor the clamped matrix.  A Mehrotra predictor-corrector
+interior-point method then solves the dual in the factor's
+r-dimensional space at O(n r^2) per step (Fine & Scheinberg, JMLR 2,
+243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783 (2002)); its point,
+put on the box and on y^T alpha = 0, starts SMO.  SMO starts from
+alpha = 0 only when C is infinite or the interior-point method fails.
 
 SMO's working pair is the maximal violating pair in Keerthi's sense:
 with g_i = sum_j alpha_j y_j K_ij and c_i = y_i - g_i, feasibility of the
@@ -21,15 +24,10 @@ bias requires max(c over the lower set) <= min(c over the upper set) + 2
 step.  At convergence the bias is the midpoint of the feasible interval,
 which makes every KKT residual at most the tolerance by construction.
 
-On the cold path the Gram matrix is checked for positive
-semidefiniteness: first a Cholesky factorisation of K + 1e-6 I, and only
-if that fails an eigendecomposition, which clamps eigenvalues below -1e-6
-to zero with a RuntimeWarning naming the minimum eigenvalue (shot
-Grams); SMO then starts from alpha = 0.  Each model records
-``iterations`` (SMO pair updates), ``converged`` and ``final_gap``;
-stopping after ``MAX_PASSES`` pair updates or on a stalled step with the
-gap still above 2 * tolerance raises a RuntimeWarning naming the gap and
-the tolerance.
+Each model records ``iterations`` (SMO pair updates), ``converged`` and
+``final_gap``; stopping after ``MAX_PASSES`` pair updates or on a stalled
+step with the gap still above 2 * tolerance raises a RuntimeWarning
+naming the gap and the tolerance.
 
 Everything after training is batched: :func:`decide` maps an (m, n)
 block of kernel rows against the n training points to m decision
@@ -141,30 +139,24 @@ class SvmModel:
                    float(header["C"]), float(header["tolerance"]), pts)
 
 
-def _clamp_psd(values: np.ndarray) -> np.ndarray:
-    """Clamp negative eigenvalues to zero (shot noise can break PSD-ness).
+def _clamp_psd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, G): the Gram, clamped to PSD if it must be, and G G^T ~ matrix.
 
-    A Cholesky factorisation of ``values + 1e-6 I`` succeeds exactly when
-    no eigenvalue lies below the -1e-6 acceptance threshold (up to
-    round-off), so PSD Grams return after one O(n^3/3) factorisation and
-    only the others pay for the eigendecomposition.
+    One eigendecomposition: eigenvalues below -1e-6 (shot noise) are set to
+    zero with a RuntimeWarning naming the minimum, giving the nearest PSD
+    matrix in the Frobenius norm (Higham, Linear Algebra Appl. 103, 103
+    (1988)).  G holds the eigenvectors scaled by sqrt(w) for every
+    eigenvalue w above 1e-12 * the largest.
     """
-    jittered = values.copy()
-    jittered.flat[::len(values) + 1] += 1e-6
-    try:
-        np.linalg.cholesky(jittered)
-        return values
-    except np.linalg.LinAlgError:
-        pass
     w, v = np.linalg.eigh(values)
-    if w[0] >= -1e-6:
-        return values
-    warnings.warn(
-        f"Gram matrix has minimum eigenvalue {w[0]:.3e}; clamping to PSD",
-        RuntimeWarning,
-    )
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.T
+    if w[0] < -1e-6:
+        warnings.warn(
+            f"Gram matrix has minimum eigenvalue {w[0]:.3e}; clamping to PSD",
+            RuntimeWarning,
+        )
+        values = (v * np.clip(w, 0.0, None)) @ v.T
+    keep = w > 1e-12 * w[-1]
+    return values, v[:, keep] * np.sqrt(w[keep])
 
 
 def _certified_factor(k: np.ndarray) -> np.ndarray | None:
@@ -290,19 +282,14 @@ def _project(a: np.ndarray, s: np.ndarray, y: np.ndarray, C: float) -> np.ndarra
     return a if abs(y @ a) <= 1e-9 * C else None
 
 
-def _warm_start(k: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
-    """SMO starting multipliers from the low-rank IPM, or None for a cold start.
+def _warm_start(g: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
+    """SMO starting multipliers from the IPM on K ~ G G^T, or None for a cold start.
 
-    None when C is infinite, when K has no certified low-rank factor, when
-    the IPM fails numerically, or when its projected point is not balanced;
-    the caller then runs the PSD check and starts SMO from zero.
+    None when the IPM fails numerically, as it does at C = inf, whose
+    duality measure is infinite from the first step, or when its
+    projected point is not balanced; SMO then starts from zero.
     """
-    if not np.isfinite(C):
-        return None
-    with np.errstate(all="ignore"):  # a non-finite value means the cold path
-        g = _certified_factor(k)
-        if g is None:
-            return None
+    with np.errstate(all="ignore"):  # a non-finite value means the cold start
         try:
             point = _interior_point(y[:, None] * g, y, C)
         except np.linalg.LinAlgError:
@@ -316,12 +303,13 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
           points=None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
-    Deterministic: a certified low-rank Gram is warm-started by the IPM,
-    any other starts from zero after the PSD check, and SMO finishes
-    either one, choosing the maximal violating pair with lowest-index
-    tie-breaks.  Warns (RuntimeWarning) when SMO stops at ``MAX_PASSES``
-    or on a stalled step before the gap closes; the model's
-    ``converged``, ``iterations`` and ``final_gap`` say the same.
+    Deterministic: the Gram is factored (certified pivoted Cholesky, or
+    the PSD check's eigendecomposition), the IPM on that factor starts
+    SMO, and SMO finishes, choosing the maximal violating pair with
+    lowest-index tie-breaks.  Warns (RuntimeWarning) when the PSD check
+    clamps, and when SMO stops at ``MAX_PASSES`` or on a stalled step
+    before the gap closes; the model's ``converged``, ``iterations`` and
+    ``final_gap`` say the same.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -336,10 +324,19 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         raise ValueError("C and tolerance must be positive")
     if not np.all(np.isfinite(k)):
         raise ValueError("gram has non-finite entries")
-    start = _warm_start(k, y, C)
-    if start is None:
-        k = _clamp_psd(k)
-    return _smo(k, labels, C, tolerance, points, start)
+    with np.errstate(all="ignore"):  # a non-finite residual fails the certificate
+        g = _certified_factor(k)
+    if g is None:
+        k, g = _clamp_psd(k)
+    return _smo(k, labels, C, tolerance, points, _warm_start(g, y, C))
+
+
+def _bound_eps(C: float) -> float:
+    """How near 0 or C a multiplier is at that bound: 1e-12, or 8 ulps of C >= 1024.
+
+    A pair update next to a multiplier near C resolves no finer than C's ulp.
+    """
+    return float(np.fmax(1e-12, 8.0 * np.spacing(C)))  # fmax drops inf's NaN spacing
 
 
 def _smo(k: np.ndarray, labels, C: float, tolerance: float, points=None,
@@ -351,7 +348,8 @@ def _smo(k: np.ndarray, labels, C: float, tolerance: float, points=None,
     ys = y.tolist()
     diag = k.diagonal().tolist()
     alphas = [0.0] * n if start is None else start.tolist()
-    cap = C - 1e-12
+    eps = _bound_eps(C)
+    cap = C - eps
     # sum_j alpha_j y_j K_ij, bias-free margin
     g = np.zeros(n) if start is None else k @ (start * y)
     step = np.empty(n)
@@ -368,7 +366,7 @@ def _smo(k: np.ndarray, labels, C: float, tolerance: float, points=None,
     def place(m):
         """Put index m in or out of the lower and upper sets by its alpha."""
         a, y_m = alphas[m], ys[m]
-        at_zero = a <= 1e-12
+        at_zero = a <= eps
         at_c = a >= cap
         free = not (at_zero or at_c)
         # lower: alpha=0 & y=+1, alpha=C & y=-1, free (force b >= c_m - tol)
@@ -465,8 +463,9 @@ def kkt_residuals(model: SvmModel, gram_values: np.ndarray) -> np.ndarray:
     u = (model.alphas * y) @ gram_values + model.bias
     margin = y * u
     res = np.zeros(len(y))
-    at_zero = model.alphas <= 1e-12
-    at_c = model.alphas >= model.C - 1e-12
+    eps = _bound_eps(model.C)
+    at_zero = model.alphas <= eps
+    at_c = model.alphas >= model.C - eps
     free = ~at_zero & ~at_c
     res[at_zero] = np.maximum(0.0, 1.0 - margin[at_zero])
     res[at_c] = np.maximum(0.0, margin[at_c] - 1.0)

@@ -67,7 +67,7 @@ def brute_force_dual(k, y, C):
 
 
 def mvp_clamp_psd(values):
-    """The eigh-only PSD check the solver used before the Cholesky path."""
+    """The eigh PSD check of the first solver version, kept verbatim."""
     w, v = np.linalg.eigh(values)
     if w[0] >= -1e-6:
         return values
@@ -141,6 +141,28 @@ def mvp_train(k, labels, C=1.0, tolerance=1e-3, max_passes=10_000):
         _, _, _, b = feasibility()
 
     return alphas, float(b)
+
+
+def train_and_start(gram, labels, C):
+    """train's model and the IPM start it handed to SMO (None: SMO from zero)."""
+    starts = []
+    warm_start = svm._warm_start
+
+    def recording(*args):
+        starts.append(warm_start(*args))
+        return starts[-1]
+
+    with mock.patch.object(svm, "_warm_start", recording):
+        model = train(gram, labels, C=C)
+    return model, starts[0]
+
+
+def assert_beats_cold(model, psd, cold):
+    """Converged, KKT within tolerance on psd, and a dual objective no lower than cold's."""
+    assert model.converged
+    assert np.max(kkt_residuals(model, psd)) <= model.tolerance + 1e-9
+    want = cold.dual_objective(psd)
+    assert model.dual_objective(psd) >= want - 1e-9 * abs(want)
 
 
 class TestTrain:
@@ -238,9 +260,10 @@ class TestSolverStats:
         ds = generate("moon", 60, seed=7)
         return gram(builtin("ef1"), ds.points), ds.labels
 
+    # SMO from alpha = 0, which still takes pair updates on these inputs
     def test_converged_stats(self):
         g, labels = self.problem()
-        model = train(g, labels, C=1.0)
+        model = svm._smo(_clamp_psd(g.values)[0], labels, 1.0, 1e-3)
         assert model.converged is True
         assert model.iterations > 0
         assert model.final_gap <= 2.0 * model.tolerance
@@ -249,7 +272,7 @@ class TestSolverStats:
         g, labels = self.problem()
         with mock.patch.object(svm, "MAX_PASSES", 3), \
                 pytest.warns(RuntimeWarning, match="max_passes=3") as caught:
-            model = train(g, labels, C=100.0)
+            model = svm._smo(_clamp_psd(g.values)[0], labels, 100.0, 1e-3)
         message = str(caught[0].message)
         assert "gap" in message and "tolerance" in message
         assert "clamp" not in message
@@ -298,9 +321,9 @@ class TestSolverProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want_alphas, want_bias = mvp_train(k, labels, C=c, max_passes=max_passes)
+            psd = _clamp_psd(k)[0]
             with mock.patch.object(svm, "MAX_PASSES", max_passes):
-                model = train(k, labels, C=c)
-            psd = _clamp_psd(k)
+                model = svm._smo(psd, labels, c, 1e-3)
         assert model.alphas.tobytes() == want_alphas.tobytes()
         assert repr(model.bias) == repr(want_bias)
         if model.converged:
@@ -312,32 +335,42 @@ class TestSolverProperties:
         k = problem[0]
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
-            out = _clamp_psd(k)
+            out, factor = _clamp_psd(k)
         with warnings.catch_warnings(record=True) as want:
             warnings.simplefilter("always")
             ref = mvp_clamp_psd(k)
         assert (out is k) == (ref is k)
         assert out.tobytes() == ref.tobytes()
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        # the factor drops only eigenvalues in [-1e-6, 1e-12 * the largest],
+        # and no entry of a symmetric matrix exceeds its spectral norm
+        assert np.max(np.abs(factor @ factor.T - out)) <= 1e-6 + 1e-9
 
 
 @st.composite
-def low_rank_problems(draw):
-    """Exact, Pauli or two-encoding combined Grams with rank below n // 4."""
-    route = draw(st.sampled_from(["exact", "pauli", "combined"]))
+def warm_problems(draw):
+    """Exact, Pauli, shot or two-encoding combined Grams, factored either way.
+
+    Exact and Pauli Grams at n < 64 have rank above n // 4 and shot Grams
+    have full rank, so those take the PSD check's factor.
+    """
+    route = draw(st.sampled_from(["exact", "pauli", "shots", "combined"]))
     # a combined Gram has rank up to 31, which the factor reaches at n >= 124
-    n = draw(st.integers(128, 200) if route == "combined" else st.integers(64, 160))
+    n = draw(st.integers(128, 200) if route == "combined" else st.integers(8, 160))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (n, 2))
     labels = rng.choice([-1, 1], size=n)
+    if len(np.unique(labels)) < 2:
+        labels[0] = -labels[1]
     ids = draw(st.lists(st.sampled_from(["ef1", "ef2", "ef3", "ef4", "ef5"]),
                         min_size=2, max_size=2, unique=True))
     if route == "combined":
         w = draw(st.floats(0.1, 1.9))
         g = combine([gram(builtin(e), pts) for e in ids], [w, 2.0 - w])
     else:
-        g = gram(builtin(ids[0]), pts, method=route)
+        g = gram(builtin(ids[0]), pts, method=route,
+                 shots=draw(st.sampled_from([30, 1000])), seed=seed)
     return g, labels, draw(st.sampled_from([1.0, 100.0, 1000.0]))
 
 
@@ -361,23 +394,31 @@ class TestWarmStart:
         assert model.converged
         assert np.max(kkt_residuals(model, g.values)) <= model.tolerance + 1e-9
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(low_rank_problems())
+    def test_large_C_converges(self):
+        # next to a multiplier near C = 1e5 a partner at 1.4e-12 must count as at zero
+        assert [svm._bound_eps(c) for c in (0.5, 1000.0, np.inf)] == [1e-12] * 3
+        ds = generate("moon", 200, seed=3)
+        g = gram(builtin("ef1"), ds.points)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="SMO stopped")
+            model = train(g, ds.labels, C=1e5)
+        assert model.converged
+        assert np.max(kkt_residuals(model, g.values)) <= model.tolerance + 1e-9
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(warm_problems())
     def test_warm_solve_properties(self, problem):
         g, labels, c = problem
         k = g.values
-        assert svm._warm_start(k, labels.astype(float), c) is not None
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", message="SMO stopped")
-            model = train(g, labels, C=c)
-        assert model.converged
-        assert np.max(kkt_residuals(model, k)) <= model.tolerance + 1e-9
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cold = svm._smo(_clamp_psd(k), labels, c, model.tolerance)
-        want = cold.dual_objective(k)
-        assert model.dual_objective(k) >= want - 1e-9 * abs(want)
-        again = train(k, labels, C=c)
+            psd = _clamp_psd(k)[0]
+            cold = svm._smo(psd, labels, c, 1e-3)
+            warnings.filterwarnings("error", message="SMO stopped")
+            model, start = train_and_start(g, labels, c)
+            again = train(k, labels, C=c)
+        assert start is not None
+        assert_beats_cold(model, psd, cold)
         assert again.alphas.tobytes() == model.alphas.tobytes()
         assert repr(again.bias) == repr(model.bias)
 
@@ -395,40 +436,46 @@ class TestWarmStart:
             model = train(bent, labels, C=10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            want = svm._smo(mvp_clamp_psd(bent), labels, 10.0, 1e-3)
-        assert model.alphas.tobytes() == want.alphas.tobytes()
-        assert repr(model.bias) == repr(want.bias)
+            psd = mvp_clamp_psd(bent)
+        assert_beats_cold(model, psd, svm._smo(psd, labels, 10.0, 1e-3))
 
     @pytest.mark.parametrize("method, c", [("shots", 10.0), ("exact", np.inf)])
     def test_cold_path_byte_equal_to_reference_loop(self, method, c):
-        # a shot Gram has no certified factor, and C = inf skips the warm start
+        # C = inf fails the IPM, so train is SMO from zero; the shot Gram is
+        # warm-started from the PSD check's factor and must beat that solve
         k, labels = self.problem(method)
-        assert svm._warm_start(k, labels.astype(float), c) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = train(k, labels, C=c)
+            model, start = train_and_start(k, labels, c)
             want_alphas, want_bias = mvp_train(k, labels, C=c)
-        assert model.alphas.tobytes() == want_alphas.tobytes()
-        assert repr(model.bias) == repr(want_bias)
+            psd = _clamp_psd(k)[0]
+            cold = svm._smo(psd, labels, c, 1e-3)
+        assert cold.alphas.tobytes() == want_alphas.tobytes()
+        assert repr(cold.bias) == repr(want_bias)
+        if np.isinf(c):
+            assert start is None
+            assert model.alphas.tobytes() == want_alphas.tobytes()
+            assert repr(model.bias) == repr(want_bias)
+        else:
+            assert start is not None
+            assert_beats_cold(model, psd, cold)
 
     @pytest.mark.parametrize("inner", ["raise", "nan"])
     def test_ipm_failure_falls_back_to_cold(self, inner):
         k, labels = self.problem()
-        cholesky = np.linalg.cholesky
+        g, y = svm._certified_factor(k), labels.astype(float)
 
         def failing(m):
-            """The IPM's r x r Cholesky fails; the n x n PSD check does not."""
-            if len(m) == len(k):
-                return cholesky(m)
+            """The IPM's r x r Cholesky fails."""
             if inner == "raise":
                 raise np.linalg.LinAlgError("forced")
             return np.full_like(m, np.nan)
 
-        assert svm._warm_start(k, labels.astype(float), 10.0) is not None
-        want = svm._smo(_clamp_psd(k), labels, 10.0, 1e-3)
+        assert svm._warm_start(g, y, 10.0) is not None
+        want = svm._smo(_clamp_psd(k)[0], labels, 10.0, 1e-3)
         with warnings.catch_warnings(), mock.patch.object(np.linalg, "cholesky", failing):
             warnings.simplefilter("error")
-            assert svm._warm_start(k, labels.astype(float), 10.0) is None
+            assert svm._warm_start(g, y, 10.0) is None
             model = train(k, labels, C=10.0)
         assert model.alphas.tobytes() == want.alphas.tobytes()
         assert repr(model.bias) == repr(want.bias)
