@@ -79,9 +79,12 @@ def encoding_phases(spec: EncodingSpec, points) -> np.ndarray:
 
     Phases stay scalar Python evaluations: ``math.exp`` and ``np.exp`` do
     not always agree to the last bit, and evaluating point by point makes
-    the EncodingError name the first bad point.
+    the EncodingError name the first bad point.  Points must be (N, 2).
     """
-    return np.array([eval_encoding(spec, x) for x in points], dtype=float).reshape(-1, 3)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
+    return np.array([eval_encoding(spec, x) for x in pts], dtype=float).reshape(-1, 3)
 
 
 def phase_states(phases) -> np.ndarray:

@@ -21,8 +21,10 @@ SMO's working pair is the maximal violating pair in Keerthi's sense:
 with g_i = sum_j alpha_j y_j K_ij and c_i = y_i - g_i, feasibility of the
 bias requires max(c over the lower set) <= min(c over the upper set) + 2
 * tolerance; the pair attaining that gap is updated analytically each
-step.  At convergence the bias is the midpoint of the feasible interval,
-which makes every KKT residual at most the tolerance by construction.
+step.  From the interior-point start SMO takes few updates or none, so
+each step rebuilds both sets from alpha rather than keeping them.  At
+convergence the bias is the midpoint of the feasible interval, which
+makes every KKT residual at most the tolerance by construction.
 
 Each model records ``iterations`` (SMO pair updates), ``converged`` and
 ``final_gap``; stopping after ``MAX_PASSES`` pair updates or on a stalled
@@ -58,8 +60,9 @@ class LabeledDataset:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         lab = np.asarray(self.labels, dtype=int)
-        if pts.ndim != 2 or pts.shape[0] != lab.shape[0]:
-            raise ValueError("points and labels must have equal length")
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != lab.shape[0]:
+            raise ValueError(f"points must have shape (N, 2) with one label each, got "
+                             f"{pts.shape} points and {lab.shape} labels")
         if not np.all(np.isin(lab, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
         pts = pts.copy()
@@ -112,14 +115,24 @@ class SvmModel:
         """Parse :meth:`to_text` output; malformed text raises ValueError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = dict(ln.split("=", 1) for ln in lines[:3] if "=" in ln)
+        head = []
         for key in ("C", "tolerance", "bias"):
             if key not in header:
                 raise ValueError(f"model text is missing the {key!r} header line")
+            try:
+                head.append(float(header[key]))
+            except ValueError:
+                raise ValueError(f"model header line {key + '=' + header[key]!r} is not "
+                                 "a number") from None
+        c, tolerance, bias = head
+        if not (c > 0 and tolerance > 0 and np.isfinite(bias)):  # as train; NaN fails
+            raise ValueError(f"model header has C={c!r}, tolerance={tolerance!r}, "
+                             f"bias={bias!r}; expected C > 0, tolerance > 0, finite bias")
         rows = [ln.split(",") for ln in lines[3:]]
         if not rows:
             raise ValueError("model text has no alpha,label rows")
         widths = {len(r) for r in rows}
-        if len(widths) > 1 or min(widths) < 2:
+        if widths not in ({2}, {4}):
             raise ValueError("model rows mix forms or are malformed; expected every "
                              "row as alpha,label or every row as alpha,label,x1,x2")
         labels, values = [], []
@@ -134,9 +147,8 @@ class SvmModel:
                 raise ValueError(f"model row {i} {','.join(r)!r} has label {labels[-1]}; "
                                  "expected -1 or +1")
         values = np.array(values)
-        pts = values[:, 1:] if min(widths) > 2 else None
-        return cls(values[:, 0], float(header["bias"]), np.array(labels, dtype=int),
-                   float(header["C"]), float(header["tolerance"]), pts)
+        pts = values[:, 1:] if widths == {4} else None
+        return cls(values[:, 0], bias, np.array(labels, dtype=int), c, tolerance, pts)
 
 
 def _clamp_psd(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +336,8 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         raise ValueError("C and tolerance must be positive")
     if not np.all(np.isfinite(k)):
         raise ValueError("gram has non-finite entries")
+    if points is not None and np.shape(points) != (n, 2):  # as from_text reads them
+        raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
     with np.errstate(all="ignore"):  # a non-finite residual fails the certificate
         g = _certified_factor(k)
     if g is None:
@@ -343,95 +357,55 @@ def _smo(k: np.ndarray, labels, C: float, tolerance: float, points=None,
          start: np.ndarray | None = None) -> SvmModel:
     """The SMO loop over a PSD Gram k, from ``start`` or from alpha = 0."""
     y = np.asarray(labels, dtype=float)
-    n = len(y)
-    # Python floats for the pair arithmetic; numpy only for n-vectors.
-    ys = y.tolist()
-    diag = k.diagonal().tolist()
-    alphas = [0.0] * n if start is None else start.tolist()
+    alphas = np.zeros(len(y)) if start is None else start.copy()
+    g = np.zeros(len(y)) if start is None else k @ (start * y)  # sum_j alpha_j y_j K_ij
     eps = _bound_eps(C)
-    cap = C - eps
-    # sum_j alpha_j y_j K_ij, bias-free margin
-    g = np.zeros(n) if start is None else k @ (start * y)
-    step = np.empty(n)
-    step_j = np.empty(n)
-    # c = y - g on the lower (upper) set and -inf (+inf) off it is
-    # y_low - g (y_up - g), where y_low holds y on the lower set and -inf
-    # off it.  Only the updated pair can change sets, so y_low and y_up
-    # are kept incrementally.
-    y_low = np.empty(n)
-    y_up = np.empty(n)
-    c_low = np.empty(n)
-    c_up = np.empty(n)
-
-    def place(m):
-        """Put index m in or out of the lower and upper sets by its alpha."""
-        a, y_m = alphas[m], ys[m]
-        at_zero = a <= eps
-        at_c = a >= cap
-        free = not (at_zero or at_c)
-        # lower: alpha=0 & y=+1, alpha=C & y=-1, free (force b >= c_m - tol)
-        # upper: alpha=0 & y=-1, alpha=C & y=+1, free (force b <= c_m + tol)
-        in_low = free or (at_zero and y_m > 0) or (at_c and y_m < 0)
-        in_up = free or (at_zero and y_m < 0) or (at_c and y_m > 0)
-        y_low[m] = y_m if in_low else -np.inf
-        y_up[m] = y_m if in_up else np.inf
-
-    for m in range(n):
-        place(m)
+    pos, neg = y > 0, y < 0
 
     def feasibility():
         """(gap, i_low, i_up, b) for the current multipliers."""
-        np.subtract(y_low, g, out=c_low)
-        np.subtract(y_up, g, out=c_up)
-        i_low = int(np.argmax(c_low))
-        i_up = int(np.argmin(c_up))
+        c = y - g
+        # lower set: indices forcing b >= c_i - tol
+        #   alpha=0 & y=+1, alpha=C & y=-1, 0<alpha<C
+        # upper set: indices forcing b <= c_i + tol
+        #   alpha=0 & y=-1, alpha=C & y=+1, 0<alpha<C
+        at_zero = alphas <= eps
+        at_c = alphas >= C - eps
+        free = ~(at_zero | at_c)
+        c_low = np.where(free | (at_zero & pos) | (at_c & neg), c, -np.inf)
+        c_up = np.where(free | (at_zero & neg) | (at_c & pos), c, np.inf)
+        i_low, i_up = int(np.argmax(c_low)), int(np.argmin(c_up))
         top, bottom = c_low.item(i_low), c_up.item(i_up)
         return top - bottom, i_low, i_up, (top + bottom) / 2.0
 
-    iterations = 0
-    for _ in range(MAX_PASSES):
+    for iterations in range(MAX_PASSES + 1):  # iterations: pair updates so far
         gap, i, j, b = feasibility()
-        if gap <= 2.0 * tolerance:
+        if gap <= 2.0 * tolerance or iterations == MAX_PASSES:
             break
         # two-variable analytic update of (alpha_i, alpha_j)
-        a_i, a_j, y_i, y_j = alphas[i], alphas[j], ys[i], ys[j]
+        a_i, a_j, y_i, y_j = alphas.item(i), alphas.item(j), y.item(i), y.item(j)
         if y_i != y_j:
-            lo = max(0.0, a_j - a_i)
-            hi = min(C, C + a_j - a_i)
+            lo, hi = max(0.0, a_j - a_i), min(C, C + a_j - a_i)
         else:
-            lo = max(0.0, a_i + a_j - C)
-            hi = min(C, a_i + a_j)
-        eta = diag[i] + diag[j] - 2.0 * k.item(i, j)
-        eta = max(eta, 1e-12)
+            lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
+        eta = max(k.item(i, i) + k.item(j, j) - 2.0 * k.item(i, j), 1e-12)
         e_i = g.item(i) - y_i
         e_j = g.item(j) - y_j
-        aj_new = min(max(a_j + y_j * (e_i - e_j) / eta, lo), hi)
-        d_j = aj_new - a_j
+        d_j = min(max(a_j + y_j * (e_i - e_j) / eta, lo), hi) - a_j
         if abs(d_j) < 1e-14:
             break  # numerically stuck; bias midpoint still minimizes residuals
         d_i = -y_i * y_j * d_j
         alphas[i] += d_i
         alphas[j] += d_j
-        iterations += 1
-        np.multiply(k[i], d_i * y_i, out=step)
-        np.multiply(k[j], d_j * y_j, out=step_j)
-        np.add(step, step_j, out=step)
-        np.add(g, step, out=g)
-        place(i)
-        place(j)
-    else:
-        gap, _, _, b = feasibility()
+        g += (d_i * y_i) * k[i] + (d_j * y_j) * k[j]
 
     converged = gap <= 2.0 * tolerance
     if not converged:
         why = (f"max_passes={MAX_PASSES} reached" if iterations == MAX_PASSES
                else "step stalled below 1e-14")
-        warnings.warn(
-            f"SMO stopped unconverged after {iterations} iterations ({why}): "
-            f"gap {gap:.3e} > 2*tolerance {2.0 * tolerance:.3e}",
-            RuntimeWarning,
-        )
-    return SvmModel(np.array(alphas), float(b), np.asarray(labels, dtype=int), C,
+        warnings.warn(f"SMO stopped unconverged after {iterations} iterations ({why}): "
+                      f"gap {gap:.3e} > 2*tolerance {2.0 * tolerance:.3e}", RuntimeWarning)
+    return SvmModel(alphas, float(b), np.asarray(labels, dtype=int), C,
                     tolerance, None if points is None else np.asarray(points, dtype=float),
                     iterations, converged, gap)
 

@@ -83,6 +83,17 @@ class TestHeatmap:
         assert code == 1
         assert "'QQ'" in stderr and "ZZ" in stderr and "XY" in stderr
 
+    @pytest.mark.parametrize("lo, hi, shown", [("1", "-1", "[1.0, -1.0]"),
+                                               ("0.5", "0.5", "[0.5, 0.5]"),
+                                               ("nan", "1", "[nan, 1.0]")])
+    def test_empty_or_nan_range_exits_1(self, tmp_path, capsys, lo, hi, shown):
+        out = tmp_path / "hm"
+        code, _, stderr = run(capsys, "heatmap", "--axis", "ZZ", "--resolution", "3",
+                              "--range-min", lo, "--range-max", hi, "--out", str(out))
+        assert code == 1
+        assert f"range {shown} is empty" in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ("heatmap", "kernel", "screen"))
     def test_custom_without_expression(self, tmp_path, capsys, command):
         argv = {"heatmap": ["heatmap", "--encoding", "custom"],

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from qkmap.encodings import (
 )
 from qkmap.kernels import gram
 from qkmap.pauli import coefficient_grids, coefficients
+from qkmap.svm import LabeledDataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
@@ -149,6 +151,30 @@ class TestFirstBadPoint:
         # rows run x2 = 1, 0, -1 and columns x1 = -1, 0, 1
         with pytest.raises(EncodingError, match=r"x=\(1\.0, 1\.0\)"):
             coefficient_grids(custom(_bad_right_half), [0], (-1, 1), 3)
+
+
+class TestPointShape:
+    """Points are (N, 2) on every route; no coordinate is dropped."""
+
+    @pytest.mark.parametrize("route", [
+        lambda spec, pts: feature_states(spec, pts),
+        lambda spec, pts: coefficients(spec, pts),
+        lambda spec, pts: gram(spec, pts, method="exact"),
+        lambda spec, pts: gram(spec, pts, method="pauli"),
+        lambda spec, pts: gram(spec, pts, method="shots", shots=10, seed=0),
+    ])
+    @pytest.mark.parametrize("points, shape", [(np.zeros((3, 3)), "(3, 3)"),
+                                               ([0.1, 0.2], "(2,)"),
+                                               (np.zeros((2, 1, 2)), "(2, 1, 2)")])
+    def test_routes_reject(self, route, points, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(N, 2), got {shape}")):
+            route(builtin("ef1"), points)
+
+    @pytest.mark.parametrize("points, shown", [(np.zeros((4, 3)), "(4, 3) points and (4,)"),
+                                               (np.zeros((4, 2, 1)), "(4, 2, 1) points")])
+    def test_dataset_rejects(self, points, shown):
+        with pytest.raises(ValueError, match=re.escape(f"one label each, got {shown}")):
+            LabeledDataset(points, [1, -1, 1, -1])
 
 
 class TestExpressionLanguage:

@@ -163,6 +163,12 @@ class TestGrids:
         with pytest.raises(ValueError):
             coefficient_grids(builtin("ef1"), [0], (-1, 1), 1)
 
+    @pytest.mark.parametrize("x_range", [(1.0, 1.0), (1.0, -1.0), (np.nan, 1.0),
+                                         (-1.0, np.nan)])
+    def test_empty_or_nan_range_rejected(self, x_range):
+        with pytest.raises(ValueError, match=r"range \[.*\] is empty"):
+            coefficient_grids(builtin("ef1"), [0], x_range, 3)
+
     def test_shared_sweep_consistent(self):
         gs = coefficient_grids(builtin("ef3"), [3, 15], (-1, 1), 4)
         lone = coefficient_grids(builtin("ef3"), [15], (-1, 1), 4)[0]

@@ -79,19 +79,21 @@ def mvp_clamp_psd(values):
     return (v * w) @ v.T
 
 
-def mvp_train(k, labels, C=1.0, tolerance=1e-3, max_passes=10_000):
+def mvp_train(k, labels, C=1.0, tolerance=1e-3, max_passes=10_000, start=None):
     """Reference SMO loop, kept verbatim from the first solver version.
 
     Rebuilds every index mask each iteration and does the pair arithmetic
-    on numpy scalars; ``train`` must reproduce its (alphas, bias) bit for
-    bit.
+    on numpy scalars; SMO must reproduce its (alphas, bias) bit for bit.
+    ``start`` (default alpha = 0) is the only addition: the multipliers
+    to start from.
     """
     y = np.asarray(labels, dtype=float)
     n = len(y)
     k = mvp_clamp_psd(np.asarray(k, dtype=float))
 
-    alphas = np.zeros(n)
-    g = np.zeros(n)  # sum_j alpha_j y_j K_ij, bias-free margin
+    alphas = np.zeros(n) if start is None else np.array(start, dtype=float)
+    # sum_j alpha_j y_j K_ij, bias-free margin
+    g = np.zeros(n) if start is None else k @ (alphas * y)
 
     def feasibility():
         """(gap, i_low, i_up, b) for the current multipliers."""
@@ -248,6 +250,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="C and tolerance must be positive"):
             train(g, [1, -1], C=c, tolerance=tolerance)
 
+    @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros((3, 2))])
+    def test_points_must_be_one_pair_per_label(self, points):
+        # a model of other points would be written in a form from_text rejects
+        with pytest.raises(ValueError, match=re.escape(f"(4, 2), got {points.shape}")):
+            train(np.eye(4), [1, -1, 1, -1], points=points)
+
     def test_infinite_C_is_hard_margin(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
         g = gram(builtin("ef1"), pts)
@@ -328,6 +336,25 @@ class TestSolverProperties:
         assert repr(model.bias) == repr(want_bias)
         if model.converged:
             assert np.max(kkt_residuals(model, psd)) <= model.tolerance + 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(problems(), st.integers(0, 2 ** 32 - 1))
+    def test_byte_equal_to_reference_loop_from_a_start(self, problem, seed):
+        # a feasible start with work left: a box point balanced on y^T a = 0
+        k, labels, c = problem
+        y = labels.astype(float)
+        a = np.random.default_rng(seed).uniform(0.0, c, len(y))
+        pos, neg = a[y > 0].sum(), a[y < 0].sum()
+        a[y > 0] *= min(1.0, neg / pos)
+        a[y < 0] *= min(1.0, pos / neg)
+        start = svm._project(a, c - a, y, c)
+        assert start is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_alphas, want_bias = mvp_train(k, labels, C=c, start=start)
+            model = svm._smo(_clamp_psd(k)[0], labels, c, 1e-3, None, start)
+        assert model.alphas.tobytes() == want_alphas.tobytes()
+        assert repr(model.bias) == repr(want_bias)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(problems())
@@ -578,6 +605,32 @@ class TestSerialization:
     def test_header_only_rejected(self):
         with pytest.raises(ValueError, match="no alpha,label rows"):
             SvmModel.from_text("C=1.0\ntolerance=0.001\nbias=0.5\n")
+
+    @pytest.mark.parametrize("tail", [",0.1", ",0.1,0.2,0.3"])
+    def test_rows_of_other_widths_rejected(self, tail):
+        text = f"C=1\ntolerance=0.001\nbias=0\n0.5,1{tail}\n0.5,-1{tail}\n"
+        with pytest.raises(ValueError, match="every row as alpha,label or every row"):
+            SvmModel.from_text(text)
+
+    @pytest.mark.parametrize("key", ("C", "tolerance", "bias"))
+    def test_non_numeric_header_names_line(self, key):
+        text = "C=1\ntolerance=0.001\nbias=0\n0.5,1\n0.5,-1\n"
+        text = re.sub(f"^{key}=.*$", f"{key}=abc", text, flags=re.M)
+        with pytest.raises(ValueError, match=f"model header line '{key}=abc' is not a number"):
+            SvmModel.from_text(text)
+
+    @pytest.mark.parametrize("header", ["C=-1", "C=0", "C=nan", "tolerance=0",
+                                        "tolerance=nan", "bias=nan", "bias=inf"])
+    def test_header_values_checked_as_train_does(self, header):
+        key = header.split("=")[0]
+        text = "C=1\ntolerance=0.001\nbias=0\n0.5,1\n0.5,-1\n"
+        text = re.sub(f"^{key}=.*$", header, text, flags=re.M)
+        with pytest.raises(ValueError, match="expected C > 0, tolerance > 0, finite bias"):
+            SvmModel.from_text(text)
+
+    def test_infinite_C_read(self):
+        text = "C=inf\ntolerance=0.001\nbias=0\n0.5,1\n0.5,-1\n"
+        assert SvmModel.from_text(text).C == np.inf
 
 
 class TestCrossValidate:
