@@ -7,6 +7,8 @@ the classes are cleanly separable.  The shape constants are below.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .svm import LabeledDataset
@@ -135,7 +137,10 @@ def from_csv(path) -> LabeledDataset:
                 continue
             try:
                 x1, x2, y = line.strip().split(",")
-                points.append([float(x1), float(x2)])
+                p1, p2 = float(x1), float(x2)
+                if not (math.isfinite(p1) and math.isfinite(p2)):  # not numpy: 3 us a row
+                    raise ValueError("non-finite coordinate")
+                points.append([p1, p2])
                 labels.append(int(y))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}; "

@@ -1,12 +1,12 @@
 """Gram matrices over point sets by three routes, plus weighted combination.
 
-Routes: exact (squared statevector overlap), pauli (2^n * dot product of
-coefficient vectors, the real-feature-space identity), and shots (fraction
-of all-zero outcomes when measuring the inversion-test circuit
-U_Phi(x)^dagger U_Phi(z)|00>).  That outcome has probability
-|<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et al., Nature 567, 209
-(2019)), so the shot route samples counts from the exact overlaps.  One
-kernel value is an entry of a two-point Gram:
+Routes: exact (tr(rho_x rho_z) as a real product of density-matrix rows of
+the simulated states), pauli (2^n * dot product of coefficient vectors, the
+real-feature-space identity), and shots (fraction of all-zero outcomes when
+measuring the inversion-test circuit U_Phi(x)^dagger U_Phi(z)|00>).  That
+outcome has probability |<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et
+al., Nature 567, 209 (2019)), so the shot route samples counts from the
+exact overlaps.  One kernel value is an entry of a two-point Gram:
 ``gram(spec, [x, z], method, shots, seed).values[0, 1]``.
 """
 
@@ -67,17 +67,17 @@ class GramMatrix:
 
 def gram(spec: EncodingSpec, points, method: str = EXACT,
          shots: int = 10_000, seed: int = 0) -> GramMatrix:
-    """Gram matrix over a point set; each unordered pair evaluated once.
+    """Gram matrix over a point set, symmetric by construction.
 
-    Shot-estimated matrices set the diagonal to exactly 1 without sampling
-    (the inversion-test circuit is the identity there) and mirror each
-    off-diagonal estimate, so they are symmetric by construction.  Row i
-    draws its entries j > i in order, each one Binomial(shots, K_ij) with
-    K_ij the exact entry clipped to at most 1, from one generator seeded by
-    ``SeedSequence((seed, i))``.  The matrix is deterministic for a given
-    point set and seed, but not promised bit-stable when points are
-    appended: an exact overlap may move in the last bit, and one changed
-    draw shifts the rest of its row.
+    Exact and Pauli matrices are one real product F F^T.  Shot-estimated
+    matrices set the diagonal to exactly 1 without sampling (the inversion-test
+    circuit is the identity there) and mirror each off-diagonal estimate.  Row i
+    draws its entries j > i in order, each one Binomial(shots, K_ij) with K_ij
+    the exact entry clipped to at most 1, from one generator seeded by
+    ``SeedSequence((seed, i))``.  The matrix is deterministic for a given point
+    set and seed, but not promised bit-stable when points are appended: an exact
+    overlap may move in the last bit, and one changed draw shifts the rest of
+    its row.
     """
     if method == SHOTS and shots < 1:
         raise ValueError("shots must be at least 1")
@@ -86,15 +86,15 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
     if n < 1:
         raise ValueError("at least one point required")
     if method == PAULI:
-        coeffs = coefficients(spec, pts)
-        k = 4.0 * coeffs @ coeffs.T
-        k = (k + k.T) / 2.0
-        return GramMatrix(k, PAULI)
-    if method not in (EXACT, SHOTS):
+        f = 2.0 * coefficients(spec, pts)
+    elif method in (EXACT, SHOTS):  # rows of Re and Im of each density matrix
+        states = feature_states(spec, pts)
+        f = (states[:, :, None] * states[:, None, :].conj()).reshape(n, 16).view(float)
+    else:
         raise ValueError(f"unknown gram method {method!r}")
-    states = feature_states(spec, pts)
-    k = np.abs(states.conj() @ states.T) ** 2
-    k = (k + k.T) / 2.0
+    k = f @ f.T  # one buffer: numpy's A A^T path fills one triangle and mirrors it
+    if method == PAULI:
+        return GramMatrix(k, PAULI)
     np.fill_diagonal(k, 1.0)
     if method == EXACT:
         return GramMatrix(k, EXACT)

@@ -134,8 +134,9 @@ def coefficient_grids(spec: EncodingSpec, pauli_indices, x_range=(-1.0, 1.0),
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     lo, hi = float(x_range[0]), float(x_range[1])
-    if not lo < hi:  # also rejects NaN
-        raise ValueError(f"range [{lo!r}, {hi!r}] is empty; need minimum < maximum")
+    if not (lo < hi and np.isfinite(hi - lo)):  # also rejects NaN and infinities
+        raise ValueError(f"range [{lo!r}, {hi!r}] is empty or not finite; "
+                         "need finite minimum < maximum")
     x1s = np.linspace(lo, hi, resolution)
     x1, x2 = np.meshgrid(x1s, x1s[::-1])
     states = feature_states(spec, np.stack([x1.ravel(), x2.ravel()], axis=1))

@@ -135,7 +135,7 @@ class SvmModel:
         if widths not in ({2}, {4}):
             raise ValueError("model rows mix forms or are malformed; expected every "
                              "row as alpha,label or every row as alpha,label,x1,x2")
-        labels, values = [], []
+        labels, values, eps = [], [], _bound_eps(c)
         for i, r in enumerate(rows, start=1):
             try:
                 labels.append(int(r[1]))
@@ -146,6 +146,10 @@ class SvmModel:
             if labels[-1] not in (-1, 1):
                 raise ValueError(f"model row {i} {','.join(r)!r} has label {labels[-1]}; "
                                  "expected -1 or +1")
+            alpha = values[-1][0]
+            if not (np.isfinite(alpha) and -eps <= alpha <= c + eps):  # train writes -2e-16
+                raise ValueError(f"model row {i} {','.join(r)!r} has alpha {alpha!r}; "
+                                 f"expected a finite value in [0, C={c!r}]")
         values = np.array(values)
         pts = values[:, 1:] if widths == {4} else None
         return cls(values[:, 0], bias, np.array(labels, dtype=int), c, tolerance, pts)

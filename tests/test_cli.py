@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,14 +87,20 @@ class TestHeatmap:
 
     @pytest.mark.parametrize("lo, hi, shown", [("1", "-1", "[1.0, -1.0]"),
                                                ("0.5", "0.5", "[0.5, 0.5]"),
-                                               ("nan", "1", "[nan, 1.0]")])
+                                               ("nan", "1", "[nan, 1.0]"),
+                                               ("-inf", "1", "[-inf, 1.0]"),
+                                               ("-1", "inf", "[-1.0, inf]"),
+                                               ("-1e308", "1e308", "[-1e+308, 1e+308]")])
     def test_empty_or_nan_range_exits_1(self, tmp_path, capsys, lo, hi, shown):
         out = tmp_path / "hm"
-        code, _, stderr = run(capsys, "heatmap", "--axis", "ZZ", "--resolution", "3",
-                              "--range-min", lo, "--range-max", hi, "--out", str(out))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, stderr = run(capsys, "heatmap", "--axis", "ZZ", "--resolution", "3",
+                                  f"--range-min={lo}", f"--range-max={hi}", "--out", str(out))
         assert code == 1
         assert f"range {shown} is empty" in stderr
         assert not out.exists()
+        assert not caught and "RuntimeWarning" not in stderr
 
     @pytest.mark.parametrize("command", ("heatmap", "kernel", "screen"))
     def test_custom_without_expression(self, tmp_path, capsys, command):
@@ -150,6 +158,14 @@ class TestScreen:
         code, stdout, stderr = run(capsys, "screen", "--dataset", str(ds))
         assert code == 1
         assert stderr == f"error: {ds}:3: malformed row '0.3,0.4'; expected x1,x2,label\n"
+        assert stdout == ""
+
+    def test_non_finite_coordinate_names_file_and_line(self, tmp_path, capsys):
+        ds = tmp_path / "bad.csv"
+        ds.write_text("x1,x2,label\n0.1,0.2,1\nnan,0.1,1\n")
+        code, stdout, stderr = run(capsys, "screen", "--dataset", str(ds))
+        assert code == 1
+        assert stderr == f"error: {ds}:3: malformed row 'nan,0.1,1'; expected x1,x2,label\n"
         assert stdout == ""
 
     def test_expression_adds_custom_row(self, capsys):

@@ -134,6 +134,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             from_csv(path)
 
+    @pytest.mark.parametrize("row", ["nan,0.1,1", "0.1,inf,-1", "-inf,0.2,1"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,label\n0.1,0.2,1\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed row {row!r}")):
+            from_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x1,x2,label\n")

@@ -129,11 +129,15 @@ class TestGram:
         assert abs(g.values[0, 0] - 1.0) < 1e-10
 
     def test_symmetric_unit_diagonal(self):
-        pts = [(0.1, 0.2), (-0.5, 0.8), (0.9, -0.9)]
-        for method in ("exact", "pauli"):
-            g = gram(builtin("ef2"), pts, method=method)
-            assert np.max(np.abs(g.values - g.values.T)) <= 1e-12
-            assert np.max(np.abs(np.diag(g.values) - 1.0)) < 1e-10
+        rng = np.random.default_rng(9)
+        # 257 points also cross the BLAS block boundaries of the A A^T product
+        point_sets = [[(0.1, 0.2), (-0.5, 0.8), (0.9, -0.9)]]
+        point_sets += [rng.uniform(-1, 1, (n, 2)) for n in (1, 3, 257)]
+        for pts in point_sets:
+            for method in ("exact", "pauli"):
+                g = gram(builtin("ef2"), pts, method=method)
+                assert np.array_equal(g.values, g.values.T)
+                assert np.max(np.abs(np.diag(g.values) - 1.0)) < 1e-10
 
     def test_psd_on_random_points(self):
         rng = np.random.default_rng(6)

@@ -628,6 +628,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="expected C > 0, tolerance > 0, finite bias"):
             SvmModel.from_text(text)
 
+    @pytest.mark.parametrize("row", ["nan,1", "inf,1", "-5,-1", "7,1", "-1e-9,1"])
+    def test_alpha_outside_zero_to_C_names_row(self, row):
+        text = f"C=1\ntolerance=0.001\nbias=0\n0.5,-1\n{row}\n"
+        with pytest.raises(ValueError, match=re.escape(f"model row 2 {row!r} has alpha")):
+            SvmModel.from_text(text)
+
+    def test_alpha_within_bound_slack_read(self):
+        # train's models reach alpha = -2e-16; its at-bound slack accepts them
+        text = "C=1\ntolerance=0.001\nbias=0\n-2e-16,1\n1.0000000000002,-1\n"
+        assert SvmModel.from_text(text).alphas.tolist() == [-2e-16, 1.0000000000002]
+
     def test_infinite_C_read(self):
         text = "C=inf\ntolerance=0.001\nbias=0\n0.5,1\n0.5,-1\n"
         assert SvmModel.from_text(text).C == np.inf
