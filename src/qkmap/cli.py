@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -113,7 +114,7 @@ def cmd_screen(args) -> int:
 
 
 def _train_gram(args, specs, points):
-    weights = args.weights or [1.0] * len(specs)
+    weights = [1.0] * len(specs) if args.weights is None else args.weights
     if len(weights) != len(specs):
         raise ValueError(f"--weights has {len(weights)} values for {len(specs)} encoding(s)")
     gs = [kernels.gram(spec, points, method=args.method,
@@ -232,16 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown, warnings.formatwarning = warnings.formatwarning, lambda m, *_: f"warning: {m}\n"
     try:
         if getattr(args, "seed", 0) < 0:  # heatmap has no --seed
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
-    except (ValueError, EncodingError, OSError, RuntimeError) as exc:
+    except (ValueError, EncodingError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ non-PSD matrices, rank above n // 4) goes through the PSD check, one
 eigendecomposition that clamps eigenvalues below -1e-6 to zero with a
 RuntimeWarning naming the minimum eigenvalue, and whose eigenvectors
 factor the clamped matrix.  A Mehrotra predictor-corrector
-interior-point method then solves the dual in the factor's
-r-dimensional space at O(n r^2) per step (Fine & Scheinberg, JMLR 2,
-243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783 (2002)); its point,
-put on the box and on y^T alpha = 0, starts SMO.  SMO starts from
-alpha = 0 only when C is infinite or the interior-point method fails.
+interior-point method then solves the dual in the factor's r-dimensional
+space, one r x r Cholesky and one r x n operator per step (Fine &
+Scheinberg, JMLR 2, 243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783
+(2002)); its point, put on the box and on y^T alpha = 0, starts SMO,
+which starts from alpha = 0 only when C is infinite or the IPM fails.
 
 SMO's working pair is the maximal violating pair in Keerthi's sense:
 with g_i = sum_j alpha_j y_j K_ij and c_i = y_i - g_i, feasibility of the
@@ -211,11 +211,11 @@ def _interior_point(v: np.ndarray, y: np.ndarray, C: float):
 
     Minimises 1/2 a^T Q a - sum(a) subject to y^T a = 0 and a + s = C,
     a, s >= 0, with the slack s its own variable so that a multiplier
-    near C keeps its distance to C to full precision.  Each Newton system
-    (D + V V^T) is solved by Sherman-Morrison-Woodbury with one r x r
-    Cholesky, so a step costs O(n r^2).  Stops when the duality measure
-    is at most 1e-9 * C or after IPM_STEPS steps.  Returns None once the
-    duality measure is not finite; a failed Cholesky raises LinAlgError.
+    near C keeps its distance to C to full precision.  Per step, one r x r
+    Cholesky L L^T = I + V^T D^{-1} V and one r x n operator p = L^{-1} V^T D^{-1}
+    give (D + V V^T)^{-1} = D^{-1} - p^T p (Sherman-Morrison-Woodbury), O(n r^2).
+    Stops when the duality measure is at most 1e-9 * C or after IPM_STEPS
+    steps; returns None once it is not finite; a failed Cholesky raises LinAlgError.
     """
     n = len(y)
     a = np.full(n, C / 2.0)
@@ -235,13 +235,11 @@ def _interior_point(v: np.ndarray, y: np.ndarray, C: float):
         r_u = a + s - C
         d = z / a + w / s
         vd = v / d[:, None]
-        low = np.linalg.cholesky(eye + v.T @ vd)
+        p = np.linalg.inv(np.linalg.cholesky(eye + v.T @ vd)) @ vd.T
 
         def solve(rhs):
             """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury."""
-            t = rhs / d
-            u = np.linalg.solve(low.T, np.linalg.solve(low, v.T @ t))
-            return t - vd @ u
+            return rhs / d - (p @ rhs) @ p
 
         m_y = solve(y)
 
@@ -253,14 +251,11 @@ def _interior_point(v: np.ndarray, y: np.ndarray, C: float):
             d_s = -r_u - d_a
             return d_a, d_s, -(r_az + z * d_a) / a, -(r_sw + w * d_s) / s, d_beta
 
-        def longest(d_a, d_s, d_z, d_w):
+        def longest(*steps):
             """Largest step in (0, 1] keeping a, s, z, w nonnegative."""
-            step = 1.0
-            for x, dx in ((a, d_a), (s, d_s), (z, d_z), (w, d_w)):
-                neg = dx < 0.0
-                if neg.any():
-                    step = min(step, float(np.min(-x[neg] / dx[neg])))
-            return step
+            x, dx = np.concatenate((a, s, z, w)), np.concatenate(steps)
+            neg = dx < 0.0
+            return float(np.min(-x[neg] / dx[neg], initial=1.0))
 
         # predictor: the affine-scaling step, which sets the centering sigma
         a_a, a_s, a_z, a_w, _ = newton(a * z, s * w)

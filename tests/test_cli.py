@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qkmap as qk
-from qkmap import kernels
+from qkmap import kernels, pauli
 from qkmap.cli import main
 
 
@@ -101,6 +105,21 @@ class TestHeatmap:
         assert f"range {shown} is empty" in stderr
         assert not out.exists()
         assert not caught and "RuntimeWarning" not in stderr
+
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate; raised, never allocated
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(1, 100000, 100000) and data type float64")
+
+        monkeypatch.setattr(pauli, "coefficient_grids", too_large)
+        out = tmp_path / "hm"
+        code, stdout, stderr = run(capsys, "heatmap", "--resolution", "100000",
+                                   "--axis", "ZZ", "--out", str(out))
+        assert code == 1
+        assert stderr == "error: Unable to allocate 74.5 GiB for an array with shape " \
+                         "(1, 100000, 100000) and data type float64\n"
+        assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ("heatmap", "kernel", "screen"))
     def test_custom_without_expression(self, tmp_path, capsys, command):
@@ -277,6 +296,10 @@ class TestTrain:
         assert code == 1
         assert stderr == "error: --weights has 2 values for 1 encoding(s)\n"
         assert stdout == ""
+        code, stdout, stderr = run(capsys, *argv, "--weights")
+        assert code == 1
+        assert stderr == "error: --weights has 0 values for 1 encoding(s)\n"
+        assert stdout == ""
         code, stdout, stderr = run(capsys, *argv, "--weights", "0.5")
         assert code == 1 and "must sum to 1" in stderr and stdout == ""
         _, bare, _ = run(capsys, *argv)
@@ -306,13 +329,37 @@ class TestTrain:
         assert "at least one encoding required" in stderr
         assert stdout == ""
 
+    SHOT_TRAIN = ("train", "--generate", "exp", "--n", "30", "--seed", "5",
+                  "--encodings", "ef1", "--method", "shots", "--shots", "200", "--csv")
+
     def test_rerun_identical(self, capsys):
-        args = ("train", "--generate", "exp", "--n", "30", "--seed", "5",
-                "--encodings", "ef1", "--method", "shots", "--shots", "200",
-                "--csv")
-        _, out1, _ = run(capsys, *args)
-        _, out2, _ = run(capsys, *args)
+        with pytest.warns(RuntimeWarning, match="clamping to PSD"):
+            _, out1, _ = run(capsys, *self.SHOT_TRAIN)
+        with pytest.warns(RuntimeWarning, match="clamping to PSD"):
+            _, out2, _ = run(capsys, *self.SHOT_TRAIN)
         assert out1 == out2
+
+    def test_warnings_print_without_source(self):
+        # every clamped fold warns; the command prints each warning as its message
+        src = Path(qk.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "always", "-m", "qkmap.cli",
+                               *self.SHOT_TRAIN], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines
+        for line in lines:
+            assert line.startswith("warning: Gram matrix has minimum eigenvalue -")
+            assert line.endswith("; clamping to PSD")
+
+    def test_warning_format_restored(self, capsys):
+        shown = warnings.formatwarning
+        with pytest.warns(RuntimeWarning):
+            assert run(capsys, *self.SHOT_TRAIN)[0] == 0
+        assert warnings.formatwarning is shown
+        assert run(capsys, "train", "--generate", "xor", "--n", "3")[0] == 1
+        assert warnings.formatwarning is shown
 
 
 class TestKernel:
