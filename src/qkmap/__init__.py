@@ -3,9 +3,7 @@
 from .encodings import (
     BUILTIN_IDS,
     EncodingError,
-    EncodingSpec,
     builtin,
-    custom,
     eval_encoding,
     feature_states,
     parse_phase_expression,

@@ -18,9 +18,8 @@ from . import datasets, kernels, pauli, screening, svm
 from .encodings import (
     BUILTIN_IDS,
     EncodingError,
-    EncodingSpec,
+    PhaseFunction,
     builtin,
-    custom,
     parse_phase_expression,
 )
 
@@ -28,8 +27,16 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _encodings_from_args(ids, custom_phi12: str | None) -> list[tuple[str, EncodingSpec]]:
-    """(id, spec) for each named encoding; --custom-phi12 adds 'custom' if unnamed."""
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage and message, but a usage error exits 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def _encodings_from_args(ids, custom_phi12: str | None) -> list[tuple[str, PhaseFunction]]:
+    """(id, phi12) for each named encoding; --custom-phi12 adds 'custom' if unnamed."""
     ids = list(ids)
     if custom_phi12 is not None and "custom" not in ids:
         ids.append("custom")
@@ -41,11 +48,11 @@ def _encodings_from_args(ids, custom_phi12: str | None) -> list[tuple[str, Encod
             raise ValueError("encoding 'custom' needs --custom-phi12 EXPR, "
                              "e.g. --custom-phi12 'pi*x1*x2'")
         else:
-            pairs.append((eid, custom(parse_phase_expression(custom_phi12))))
+            pairs.append((eid, parse_phase_expression(custom_phi12)))
     return pairs
 
 
-def _encoding_from_args(args) -> EncodingSpec:
+def _encoding_from_args(args) -> PhaseFunction:
     """The one encoding of heatmap and kernel: --encoding (default ef1) or the expression."""
     pairs = _encodings_from_args([args.encoding] if args.encoding else [], args.custom_phi12)
     if len(pairs) > 1:
@@ -76,12 +83,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    spec = _encoding_from_args(args)
+    phi12 = _encoding_from_args(args)
     if args.axis == "all":
         indices = list(range(16))
     else:
         indices = [pauli.pauli_index(args.axis)]
-    grids = pauli.coefficient_grids(spec, indices,
+    grids = pauli.coefficient_grids(phi12, indices,
                                     (args.range_min, args.range_max), args.resolution)
     os.makedirs(args.out, exist_ok=True)
     for i, grid in zip(indices, grids):
@@ -98,7 +105,7 @@ def cmd_screen(args) -> int:
     pairs = _encodings_from_args(args.encodings or BUILTIN_IDS, args.custom_phi12)
     if args.per_axis and len(pairs) != 1:
         raise ValueError(f"--per-axis needs exactly one encoding, got {len(pairs)}")
-    rows = [(eid, screening.minimum_accuracy(ds, spec)) for eid, spec in pairs]
+    rows = [(eid, screening.minimum_accuracy(ds, phi12)) for eid, phi12 in pairs]
     if args.csv:
         print("encoding,minimum_accuracy,best_axis,best_threshold,orientation")
         for eid, r in rows:
@@ -113,13 +120,13 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _train_gram(args, specs, points):
-    weights = [1.0] * len(specs) if args.weights is None else args.weights
-    if len(weights) != len(specs):
-        raise ValueError(f"--weights has {len(weights)} values for {len(specs)} encoding(s)")
-    gs = [kernels.gram(spec, points, method=args.method,
+def _train_gram(args, phi12s, points):
+    weights = [1.0] * len(phi12s) if args.weights is None else args.weights
+    if len(weights) != len(phi12s):
+        raise ValueError(f"--weights has {len(weights)} values for {len(phi12s)} encoding(s)")
+    gs = [kernels.gram(phi12, points, method=args.method,
                        shots=args.shots, seed=args.seed)
-          for spec in specs]
+          for phi12 in phi12s]
     if args.weights is None and len(gs) == 1:
         return gs[0]
     return kernels.combine(gs, weights)
@@ -127,11 +134,11 @@ def _train_gram(args, specs, points):
 
 def cmd_train(args) -> int:
     ds = _load_dataset(args)
-    specs = [spec for _, spec in _encodings_from_args(args.encodings or [], args.custom_phi12)]
-    if not specs:
+    phi12s = [phi12 for _, phi12 in _encodings_from_args(args.encodings or [], args.custom_phi12)]
+    if not phi12s:
         raise ValueError("at least one encoding required")
     # one Gram serves every fold and the saved model
-    full = _train_gram(args, specs, ds.points)
+    full = _train_gram(args, phi12s, ds.points)
     report = svm.cross_validate(ds, full, folds=args.folds, C=args.C,
                                 tolerance=args.tolerance, seed=args.seed)
     if args.csv:
@@ -153,8 +160,8 @@ def cmd_train(args) -> int:
 
 def cmd_kernel(args) -> int:
     ds = _load_dataset(args)
-    spec = _encoding_from_args(args)
-    g = kernels.gram(spec, ds.points, method=args.method,
+    phi12 = _encoding_from_args(args)
+    g = kernels.gram(phi12, ds.points, method=args.method,
                      shots=args.shots, seed=args.seed)
     g.to_csv(args.out)
     print(f"wrote {g.size}x{g.size} Gram matrix ({g.method}) to {args.out}")
@@ -162,7 +169,7 @@ def cmd_kernel(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkmap",
         description="Feature-map analysis and screening for kernel-based quantum classifiers",
     )

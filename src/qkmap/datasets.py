@@ -57,53 +57,40 @@ def _uniform(labeler):
     return draw
 
 
-def _gen_circle(rng, n_points):
-    def labeler(x):
-        r = float(np.linalg.norm(x))
-        if abs(r - CIRCLE_RADIUS) <= MARGIN:
-            return None
-        return 1 if r < CIRCLE_RADIUS else -1
-
-    return _balanced_rejection(rng, n_points, _uniform(labeler))
+def _circle(x):
+    r = float(np.linalg.norm(x))
+    if abs(r - CIRCLE_RADIUS) <= MARGIN:
+        return None
+    return 1 if r < CIRCLE_RADIUS else -1
 
 
-def _gen_exp(rng, n_points):
-    def labeler(x):
-        boundary = EXP_SCALE * np.exp(EXP_RATE * x[0]) + EXP_OFFSET
-        if abs(x[1] - boundary) <= MARGIN:
-            return None
-        return 1 if x[1] > boundary else -1
-
-    return _balanced_rejection(rng, n_points, _uniform(labeler))
+def _exp(x):
+    boundary = EXP_SCALE * np.exp(EXP_RATE * x[0]) + EXP_OFFSET
+    if abs(x[1] - boundary) <= MARGIN:
+        return None
+    return 1 if x[1] > boundary else -1
 
 
-def _gen_xor(rng, n_points):
-    def labeler(x):
-        prod = x[0] * x[1]
-        if abs(prod) <= MARGIN:
-            return None
-        return 1 if prod > 0 else -1
-
-    return _balanced_rejection(rng, n_points, _uniform(labeler))
+def _xor(x):
+    prod = x[0] * x[1]
+    if abs(prod) <= MARGIN:
+        return None
+    return 1 if prod > 0 else -1
 
 
-def _gen_moon(rng, n_points):
+def _moon(rng, label):
     """Two interleaved half-annuli; points outside the square are redrawn."""
-    def draw(rng, label):
-        theta = rng.uniform(0.0, np.pi)
-        radius = MOON_RADIUS + rng.uniform(-0.5, 0.5) * MOON_WIDTH
-        if label == 1:
-            x = np.array([radius * np.cos(theta) - MOON_X_OFFSET,
-                          radius * np.sin(theta) - MOON_Y_OFFSET])
-        else:
-            x = np.array([radius * np.cos(theta) + MOON_X_OFFSET,
-                          -radius * np.sin(theta) + MOON_Y_OFFSET])
-        return x, label if np.all(np.abs(x) <= 1.0) else None
-
-    return _balanced_rejection(rng, n_points, draw)
+    theta = rng.uniform(0.0, np.pi)
+    radius = MOON_RADIUS + rng.uniform(-0.5, 0.5) * MOON_WIDTH
+    if label == 1:
+        x = (radius * np.cos(theta) - MOON_X_OFFSET, radius * np.sin(theta) - MOON_Y_OFFSET)
+    else:
+        x = (radius * np.cos(theta) + MOON_X_OFFSET, -radius * np.sin(theta) + MOON_Y_OFFSET)
+    return x, label if abs(x[0]) <= 1.0 and abs(x[1]) <= 1.0 else None
 
 
-_GENERATORS = {"circle": _gen_circle, "exp": _gen_exp, "moon": _gen_moon, "xor": _gen_xor}
+_GENERATORS = {"circle": _uniform(_circle), "exp": _uniform(_exp), "moon": _moon,
+               "xor": _uniform(_xor)}
 
 KINDS = tuple(_GENERATORS)
 
@@ -116,7 +103,7 @@ def generate(kind: str, n_points: int = 100, seed: int = 0) -> LabeledDataset:
     if n_points < 2 or n_points % 2 != 0:
         raise ValueError("n_points must be an even number >= 2")
     rng = np.random.default_rng(seed)
-    return _GENERATORS[key](rng, n_points)
+    return _balanced_rejection(rng, n_points, _GENERATORS[key])
 
 
 def to_csv(dataset: LabeledDataset, path) -> None:

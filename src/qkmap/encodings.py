@@ -3,15 +3,15 @@
 A 2-d input x is encoded through three phases (phi1, phi2, phi12) into
 the circuit U_phi H H U_phi H H acting on |00>, where U_phi is the
 diagonal two-qubit phase gate.  phi1 = x1 and phi2 = x2 for every
-encoding, so an encoding is its entangling phase phi12: five built-ins
-(ids ``ef1`` .. ``ef5``) or a user function via :func:`custom`.
+encoding, so an encoding is its entangling phase: any function
+phi12(x1, x2), such as the five built-ins (ids ``ef1`` .. ``ef5``) or a
+compiled :func:`parse_phase_expression`.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,14 +25,6 @@ class EncodingError(ValueError):
     """An encoding function produced a non-finite phase."""
 
 
-@dataclass(frozen=True)
-class EncodingSpec:
-    """One feature map: its id and its entangling phase phi12(x1, x2)."""
-
-    id: str
-    phi12: PhaseFunction
-
-
 _BUILTIN_PHI12 = {
     "ef1": lambda x1, x2: math.pi * x1 * x2,
     "ef2": lambda x1, x2: (math.pi / 2.0) * (1.0 - x1) * (1.0 - x2),
@@ -44,26 +36,21 @@ _BUILTIN_PHI12 = {
 BUILTIN_IDS = tuple(_BUILTIN_PHI12)
 
 
-def builtin(encoding_id: str) -> EncodingSpec:
-    """Return one of the built-in specs ``ef1`` .. ``ef5``."""
+def builtin(encoding_id: str) -> PhaseFunction:
+    """Return the phi12 function of one of the built-ins ``ef1`` .. ``ef5``."""
     key = encoding_id.lower()
     if key not in _BUILTIN_PHI12:
         raise ValueError(f"unknown encoding id {encoding_id!r}; expected one of {BUILTIN_IDS}")
-    return EncodingSpec(key, _BUILTIN_PHI12[key])
+    return _BUILTIN_PHI12[key]
 
 
-def custom(phi12: PhaseFunction) -> EncodingSpec:
-    """A user-supplied entangling phase phi12(x1, x2)."""
-    return EncodingSpec("custom", phi12)
-
-
-def eval_encoding(spec: EncodingSpec, x) -> tuple[float, float, float]:
+def eval_encoding(phi12: PhaseFunction, x) -> tuple[float, float, float]:
     """The phases (phi1, phi2, phi12) = (x1, x2, phi12(x1, x2)), checking finiteness."""
     x1, x2 = float(x[0]), float(x[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise EncodingError("input point is not finite")
     try:
-        v = spec.phi12(x1, x2)
+        v = phi12(x1, x2)
         if isinstance(v, complex):
             raise ValueError(f"complex value {v}")
         v = float(v)
@@ -74,7 +61,7 @@ def eval_encoding(spec: EncodingSpec, x) -> tuple[float, float, float]:
     return x1, x2, v
 
 
-def encoding_phases(spec: EncodingSpec, points) -> np.ndarray:
+def encoding_phases(phi12: PhaseFunction, points) -> np.ndarray:
     """(N, 3) array of (phi1, phi2, phi12), one :func:`eval_encoding` per point.
 
     Phases stay scalar Python evaluations: ``math.exp`` and ``np.exp`` do
@@ -84,7 +71,7 @@ def encoding_phases(spec: EncodingSpec, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
-    return np.array([eval_encoding(spec, x) for x in pts], dtype=float).reshape(-1, 3)
+    return np.array([eval_encoding(phi12, x) for x in pts], dtype=float).reshape(-1, 3)
 
 
 def phase_states(phases) -> np.ndarray:
@@ -104,9 +91,9 @@ def phase_states(phases) -> np.ndarray:
     return amps
 
 
-def feature_states(spec: EncodingSpec, points) -> np.ndarray:
+def feature_states(phi12: PhaseFunction, points) -> np.ndarray:
     """(N, 4) amplitudes of |Phi(x)> for every point x."""
-    return phase_states(encoding_phases(spec, points))
+    return phase_states(encoding_phases(phi12, points))
 
 
 # --- expression mini-language --------------------------------------------

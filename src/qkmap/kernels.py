@@ -7,7 +7,8 @@ measuring the inversion-test circuit U_Phi(x)^dagger U_Phi(z)|00>).  That
 outcome has probability |<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et
 al., Nature 567, 209 (2019)), so the shot route samples counts from the
 exact overlaps.  One kernel value is an entry of a two-point Gram:
-``gram(spec, [x, z], method, shots, seed).values[0, 1]``.
+``gram(phi12, [x, z], method, shots, seed).values[0, 1]``, where the
+encoding is its phase function phi12(x1, x2).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import EncodingSpec, feature_states
+from .encodings import PhaseFunction, feature_states
 from .pauli import coefficients
 
 EXACT = "exact"
@@ -65,7 +66,7 @@ class GramMatrix:
                 fh.write(",".join(map(repr, row)) + "\n")
 
 
-def gram(spec: EncodingSpec, points, method: str = EXACT,
+def gram(phi12: PhaseFunction, points, method: str = EXACT,
          shots: int = 10_000, seed: int = 0) -> GramMatrix:
     """Gram matrix over a point set, symmetric by construction.
 
@@ -86,9 +87,9 @@ def gram(spec: EncodingSpec, points, method: str = EXACT,
     if n < 1:
         raise ValueError("at least one point required")
     if method == PAULI:
-        f = 2.0 * coefficients(spec, pts)
+        f = 2.0 * coefficients(phi12, pts)
     elif method in (EXACT, SHOTS):  # rows of Re and Im of each density matrix
-        states = feature_states(spec, pts)
+        states = feature_states(phi12, pts)
         f = (states[:, :, None] * states[:, None, :].conj()).reshape(n, 16).view(float)
     else:
         raise ValueError(f"unknown gram method {method!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encodings import EncodingSpec, encoding_phases, feature_states
+from .encodings import PhaseFunction, encoding_phases, feature_states
 
 _LETTERS = "IXYZ"
 _SINGLE = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
@@ -112,12 +112,12 @@ def closed_form_table(phases) -> np.ndarray:
     return np.stack([a[label] for label in TWO_QUBIT_LABELS], axis=-1) / 4.0
 
 
-def coefficients(spec: EncodingSpec, points) -> np.ndarray:
+def coefficients(phi12: PhaseFunction, points) -> np.ndarray:
     """(N, 16) closed-form coefficient vectors of the feature map at the points."""
-    return closed_form_table(encoding_phases(spec, points))
+    return closed_form_table(encoding_phases(phi12, points))
 
 
-def coefficient_grids(spec: EncodingSpec, pauli_indices, x_range=(-1.0, 1.0),
+def coefficient_grids(phi12: PhaseFunction, pauli_indices, x_range=(-1.0, 1.0),
                       resolution: int = 101) -> list[np.ndarray]:
     """Grids of a_i(x) for each index i, sharing one sweep of feature states.
 
@@ -139,7 +139,7 @@ def coefficient_grids(spec: EncodingSpec, pauli_indices, x_range=(-1.0, 1.0),
                          "need finite minimum < maximum")
     x1s = np.linspace(lo, hi, resolution)
     x1, x2 = np.meshgrid(x1s, x1s[::-1])
-    states = feature_states(spec, np.stack([x1.ravel(), x2.ravel()], axis=1))
+    states = feature_states(phi12, np.stack([x1.ravel(), x2.ravel()], axis=1))
     coeffs = _simulated_coefficients(states, 2)
     return [coeffs[:, i].reshape(resolution, resolution) for i in indices]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import EncodingSpec
+from .encodings import PhaseFunction
 from .pauli import coefficients, pauli_label
 
 LEFT_POSITIVE = "left-positive"
@@ -83,7 +83,7 @@ def axis_accuracy(values, labels) -> tuple[float, float, str]:
     return best_correct / n, threshold, best_orient
 
 
-def minimum_accuracy(dataset, spec: EncodingSpec) -> AxisAccuracyReport:
+def minimum_accuracy(dataset, phi12: PhaseFunction) -> AxisAccuracyReport:
     """Screen all 16 axes of the coefficient vectors of a labeled dataset.
 
     best_axis is the axis with the highest R; exact ties go to the highest
@@ -92,7 +92,7 @@ def minimum_accuracy(dataset, spec: EncodingSpec) -> AxisAccuracyReport:
     """
     if len(dataset) < 1:
         raise ValueError("dataset must be nonempty")
-    coeffs = coefficients(spec, dataset.points)
+    coeffs = coefficients(phi12, dataset.points)
     per_axis = []
     for i in range(16):
         per_axis.append(axis_accuracy(coeffs[:, i], dataset.labels))

@@ -490,6 +490,8 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
+    if not np.all(np.isfinite(k)):  # with 2 folds, some entries appear only in test rows
+        raise ValueError("gram has non-finite entries")
 
     def fold_splits(shuffle_seed):
         order = np.random.default_rng(shuffle_seed).permutation(n)
@@ -506,9 +508,9 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
 
     train_acc, test_acc = [], []
     for train_idx, test_idx in splits:
-        sub = k[np.ix_(train_idx, train_idx)]
+        rows = k.take(train_idx, 1).take(np.concatenate((train_idx, test_idx)), 0)
+        sub, test_rows = rows[:len(train_idx)], rows[len(train_idx):]
         model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance)
         train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))
-        test_rows = k[np.ix_(test_idx, train_idx)]
         test_acc.append(accuracy(model, test_rows, dataset.labels[test_idx]))
     return CvReport(tuple(train_acc), tuple(test_acc), seed)

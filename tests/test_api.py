@@ -6,8 +6,8 @@ import qkmap
 
 PUBLIC_NAMES = {
     # encodings
-    "BUILTIN_IDS", "EncodingError", "EncodingSpec", "builtin", "custom", "eval_encoding",
-    "feature_states", "parse_phase_expression",
+    "BUILTIN_IDS", "EncodingError", "builtin", "eval_encoding", "feature_states",
+    "parse_phase_expression",
     # pauli
     "TWO_QUBIT_LABELS", "coefficient_grids", "coefficients", "decompose", "grid_to_csv",
     "grid_to_pgm", "pauli_index", "pauli_label",
@@ -26,5 +26,5 @@ PUBLIC_NAMES = {
 def test_top_level_names_are_pinned():
     names = {name for name, value in vars(qkmap).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 32
     assert names == PUBLIC_NAMES

@@ -18,6 +18,23 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--generate", "circle", "--encodings", "bogus"],
+     "qkmap train: error: argument --encodings: invalid choice: 'bogus'"),
+    (["train", "--generate", "circle", "--C", "abc"],
+     "qkmap train: error: argument --C: invalid float value: 'abc'"),
+    (["gen", "circle"], "qkmap gen: error: the following arguments are required: --out"),
+], ids=["encodings", "C", "out"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # 2 is reserved for numerical failure; argparse's text is kept
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    stderr = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert stderr.startswith(f"usage: qkmap {argv[0]} [-h]")
+    assert stderr.splitlines()[-1].startswith(message)
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "circle", "--out", "OUT"], ["screen", "--generate", "circle"],
     ["train", "--generate", "circle", "--encodings", "ef1"],
@@ -385,9 +402,10 @@ class TestKernel:
         assert np.max(np.abs(load(exact_f) - load(shots_f))) <= 0.03
 
     def test_invalid_method_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(capsys, "kernel", "--generate", "xor", "--n", "10",
                 "--method", "magic", "--out", str(tmp_path / "k.csv"))
+        assert exc.value.code == 1
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,10 +4,79 @@ import numpy as np
 import pytest
 
 from qkmap import datasets as D
-from qkmap.datasets import _MAX_DRAWS, KINDS, from_csv, generate, to_csv
+from qkmap.datasets import (
+    _MAX_DRAWS,
+    CIRCLE_RADIUS,
+    EXP_OFFSET,
+    EXP_RATE,
+    EXP_SCALE,
+    KINDS,
+    MARGIN,
+    MOON_RADIUS,
+    MOON_WIDTH,
+    MOON_X_OFFSET,
+    MOON_Y_OFFSET,
+    _balanced_rejection,
+    _uniform,
+    from_csv,
+    generate,
+    to_csv,
+)
 from qkmap.svm import LabeledDataset
 
 ALL_KINDS = ("circle", "exp", "moon", "xor")
+
+
+# The four generators as they were written before each dataset kind became
+# its draw function: ``generate`` must match them bit for bit.
+def _gen_circle(rng, n_points):
+    def labeler(x):
+        r = float(np.linalg.norm(x))
+        if abs(r - CIRCLE_RADIUS) <= MARGIN:
+            return None
+        return 1 if r < CIRCLE_RADIUS else -1
+
+    return _balanced_rejection(rng, n_points, _uniform(labeler))
+
+
+def _gen_exp(rng, n_points):
+    def labeler(x):
+        boundary = EXP_SCALE * np.exp(EXP_RATE * x[0]) + EXP_OFFSET
+        if abs(x[1] - boundary) <= MARGIN:
+            return None
+        return 1 if x[1] > boundary else -1
+
+    return _balanced_rejection(rng, n_points, _uniform(labeler))
+
+
+def _gen_xor(rng, n_points):
+    def labeler(x):
+        prod = x[0] * x[1]
+        if abs(prod) <= MARGIN:
+            return None
+        return 1 if prod > 0 else -1
+
+    return _balanced_rejection(rng, n_points, _uniform(labeler))
+
+
+def _gen_moon(rng, n_points):
+    """Two interleaved half-annuli; points outside the square are redrawn."""
+    def draw(rng, label):
+        theta = rng.uniform(0.0, np.pi)
+        radius = MOON_RADIUS + rng.uniform(-0.5, 0.5) * MOON_WIDTH
+        if label == 1:
+            x = np.array([radius * np.cos(theta) - MOON_X_OFFSET,
+                          radius * np.sin(theta) - MOON_Y_OFFSET])
+        else:
+            x = np.array([radius * np.cos(theta) + MOON_X_OFFSET,
+                          -radius * np.sin(theta) + MOON_Y_OFFSET])
+        return x, label if np.all(np.abs(x) <= 1.0) else None
+
+    return _balanced_rejection(rng, n_points, draw)
+
+
+REFERENCE_GENERATORS = {"circle": _gen_circle, "exp": _gen_exp, "moon": _gen_moon,
+                        "xor": _gen_xor}
 
 
 def reference_moon(rng, n_points):
@@ -95,6 +164,16 @@ class TestGenerate:
         for seed in range(10):
             got = generate("moon", n, seed=seed)
             want = reference_moon(np.random.default_rng(seed), n)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+    @pytest.mark.parametrize("n", (2, 20, 100, 800, 1600))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_reference_generators(self, kind, n):
+        for seed in (0, 1, 3, 7, 11, 42):
+            got = generate(kind, n, seed=seed)
+            want = REFERENCE_GENERATORS[kind](np.random.default_rng(seed), n)
+            assert got.points.dtype == want.points.dtype and got.points.shape == (n, 2)
             assert got.points.tobytes() == want.points.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
 

@@ -12,7 +12,6 @@ from qkmap.encodings import (
     BUILTIN_IDS,
     EncodingError,
     builtin,
-    custom,
     eval_encoding,
     feature_states,
     parse_phase_expression,
@@ -76,7 +75,7 @@ class TestBuiltins:
 
 class TestCustom:
     def test_custom_error_names_function(self):
-        bad = custom(lambda x1, x2: 1.0 / (x1 - x1))
+        bad = lambda x1, x2: 1.0 / (x1 - x1)
         with pytest.raises(EncodingError, match="phi12"):
             eval_encoding(bad, (0.2, 0.4))
 
@@ -87,7 +86,7 @@ class TestCustom:
 
 class TestFeatureState:
     def test_zero_phases_give_ground_state(self):
-        spec = custom(lambda x1, x2: 0.0)
+        spec = lambda x1, x2: 0.0
         st = feature_states(spec, [(0.0, 0.0)])[0]
         assert abs(st[0] - 1.0) < 1e-12
         assert np.max(np.abs(st[1:])) < 1e-12
@@ -145,12 +144,12 @@ class TestFirstBadPoint:
     ])
     def test_routes(self, route):
         with pytest.raises(EncodingError, match=r"phi12 is not finite at x=\(0\.6, 0\.3\)"):
-            route(custom(_bad_right_half), self.POINTS)
+            route(_bad_right_half, self.POINTS)
 
     def test_grid_scan_order(self):
         # rows run x2 = 1, 0, -1 and columns x1 = -1, 0, 1
         with pytest.raises(EncodingError, match=r"x=\(1\.0, 1\.0\)"):
-            coefficient_grids(custom(_bad_right_half), [0], (-1, 1), 3)
+            coefficient_grids(_bad_right_half, [0], (-1, 1), 3)
 
 
 class TestPointShape:
@@ -192,7 +191,7 @@ class TestExpressionLanguage:
             ref = builtin(eid)
             for _ in range(20):
                 x1, x2 = rng.uniform(-1, 1, 2)
-                assert abs(fn(x1, x2) - ref.phi12(x1, x2)) < 1e-12
+                assert abs(fn(x1, x2) - ref(x1, x2)) < 1e-12
 
     def test_whitespace_insensitive(self):
         a = parse_phase_expression("pi*x1*x2")
@@ -221,10 +220,10 @@ class TestExpressionLanguage:
 
     def test_integer_tower_overflows_instead_of_hanging(self):
         # integer literals evaluated as big ints made this run without end
-        script = ("from qkmap.encodings import EncodingError, custom, eval_encoding, "
+        script = ("from qkmap.encodings import EncodingError, eval_encoding, "
                   "parse_phase_expression\n"
                   "try:\n"
-                  "    eval_encoding(custom(parse_phase_expression('9^9^9')), (0.1, 0.2))\n"
+                  "    eval_encoding(parse_phase_expression('9^9^9'), (0.1, 0.2))\n"
                   "except EncodingError as exc:\n"
                   "    print(exc)\n")
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -238,7 +237,7 @@ class TestExpressionLanguage:
             parse_phase_expression("1" + "0" * 400)
 
     def test_complex_value_names_phase_and_point(self):
-        spec = custom(parse_phase_expression("x1^0.5"))
+        spec = parse_phase_expression("x1^0.5")
         assert eval_encoding(spec, (0.25, 0.0))[2] == 0.5
         match = r"phi12 failed at x=\(-0\.25, 0\.5\): complex"
         with pytest.raises(EncodingError, match=match):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qkmap.encodings import custom, feature_states, phase_states
+from qkmap.encodings import feature_states, phase_states
 from qkmap.kernels import gram
 from qkmap.pauli import decompose, pauli_index
 from qkmap.states import hadamard_layer, phase_layer
@@ -15,7 +15,7 @@ for b in range(4):
 GROUND = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 # phi1 = x1, phi2 = x2, phi12 = 0: the point (0, 0) maps to |00>, (pi, pi)
 # to |11> and (pi/2, pi/2) to a state with |<00|Phi>|^2 = 1/4
-SEPARABLE = custom(lambda x1, x2: 0.0)
+SEPARABLE = lambda x1, x2: 0.0
 ORIGIN, FAR, QUARTER = (0.0, 0.0), (np.pi, np.pi), (np.pi / 2, np.pi / 2)
 
 

@@ -736,6 +736,33 @@ class TestSerialization:
         assert SvmModel.from_text(text).C == np.inf
 
 
+def reference_cross_validate(dataset, k, folds, C, tolerance, seed):
+    """cross_validate's fold loop as first written, with two np.ix_ copies per fold."""
+    n = len(dataset)
+
+    def fold_splits(shuffle_seed):
+        order = np.random.default_rng(shuffle_seed).permutation(n)
+        size = n // folds
+        parts = [order[f * size:(f + 1) * size] for f in range(folds)]
+        return [(np.concatenate(parts[:f] + parts[f + 1:]), parts[f]) for f in range(folds)]
+
+    for shuffle_seed in (seed, seed + 1):
+        splits = fold_splits(shuffle_seed)
+        if all(len(np.unique(dataset.labels[tr])) >= 2 for tr, _ in splits):
+            break
+    else:
+        raise ValueError("a fold is missing a class even after re-shuffle")
+
+    train_acc, test_acc = [], []
+    for train_idx, test_idx in splits:
+        sub = k[np.ix_(train_idx, train_idx)]
+        model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance)
+        train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))
+        test_rows = k[np.ix_(test_idx, train_idx)]
+        test_acc.append(accuracy(model, test_rows, dataset.labels[test_idx]))
+    return CvReport(tuple(train_acc), tuple(test_acc), seed)
+
+
 class TestCrossValidate:
     def make_separable(self, n=40):
         rng = np.random.default_rng(5)
@@ -789,6 +816,34 @@ class TestCrossValidate:
         assert report.seed == 0 and len(report.fold_test_accuracies) == 3
         with pytest.raises(ValueError, match="missing a class even after re-shuffle"):
             cross_validate(ds, full, folds=3, seed=36)
+
+    @pytest.mark.parametrize("folds", (2, 5))
+    @pytest.mark.parametrize("route", ("exact", "pauli", "shots", "combined"))
+    @pytest.mark.parametrize("kind, n", [("moon", 60), ("circle", 100), ("xor", 400)])
+    def test_matches_reference_fold_loop(self, kind, n, route, folds):
+        ds = generate(kind, n, seed=7)
+        if route == "combined":
+            full = combine([gram(builtin(e), ds.points) for e in ("ef1", "ef3")], [0.5, 1.5])
+        else:
+            full = gram(builtin("ef1"), ds.points, method=route, shots=1000, seed=7)
+        reports = []
+        for cv in (cross_validate, reference_cross_validate):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = cv(ds, full.values, folds, 100.0, 1e-3, 7)
+            reports.append((report, [str(w.message) for w in caught]))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_gram_rejected(self, bad):
+        # with 2 folds an entry between the folds appears only in test rows
+        ds = generate("circle", 40, seed=0)
+        order = np.random.default_rng(0).permutation(40)  # the folds of seed 0
+        i, j = order[0], order[-1]
+        full = gram(builtin("ef1"), ds.points).values.copy()
+        full[i, j] = full[j, i] = bad
+        with pytest.raises(ValueError, match="gram has non-finite entries"):
+            cross_validate(ds, full, folds=2)
 
     @pytest.mark.parametrize("full", [GramMatrix(np.eye(10)), np.eye(40), np.ones((20, 40))],
                              ids=["smaller", "larger", "non-square"])
