@@ -9,7 +9,6 @@ from .encodings import (
     parse_phase_expression,
 )
 from .pauli import (
-    TWO_QUBIT_LABELS,
     coefficient_grids,
     coefficients,
     decompose,
@@ -29,7 +28,7 @@ from .svm import (
     kkt_residuals,
     train,
 )
-from .screening import AxisAccuracyReport, axis_accuracy, minimum_accuracy, vc_dimension
+from .screening import AxisAccuracyReport, axis_accuracy, minimum_accuracy
 from .datasets import from_csv, generate, to_csv
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import PhaseFunction, feature_states
-from .pauli import coefficients
+from .pauli import _density_reals, coefficients
 
 EXACT = "exact"
 PAULI = "pauli"
@@ -47,9 +47,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.values)[0])
 
     def to_csv(self, path) -> None:
         """One-line header (method plus shots/seed/weights), then the rows."""
@@ -80,17 +77,16 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     overlap may move in the last bit, and one changed draw shifts the rest of
     its row.
     """
-    if method == SHOTS and shots < 1:
-        raise ValueError("shots must be at least 1")
+    if method == SHOTS and not 1 <= shots < 2 ** 63:  # the sampler's count is a C long
+        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 1:
         raise ValueError("at least one point required")
     if method == PAULI:
         f = 2.0 * coefficients(phi12, pts)
-    elif method in (EXACT, SHOTS):  # rows of Re and Im of each density matrix
-        states = feature_states(phi12, pts)
-        f = (states[:, :, None] * states[:, None, :].conj()).reshape(n, 16).view(float)
+    elif method in (EXACT, SHOTS):
+        f = _density_reals(feature_states(phi12, pts))
     else:
         raise ValueError(f"unknown gram method {method!r}")
     k = f @ f.T  # one buffer: numpy's A A^T path fills one triangle and mirrors it

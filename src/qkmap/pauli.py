@@ -48,15 +48,23 @@ def pauli_matrix(index: int, n_qubits: int = 2) -> np.ndarray:
     return m
 
 
-def _simulated_coefficients(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """(N, 4^n) coefficients <psi|sigma_i|psi> / 2^n of (N, 2^n) amplitudes."""
-    paulis = np.array([pauli_matrix(i, n_qubits) for i in range(4 ** n_qubits)])
-    e = np.einsum("nb,kbc,nc->nk", amps.conj(), paulis, amps)
-    bad = np.argwhere(np.abs(e.imag) > 1e-10)
-    if bad.size:
-        n, i = bad[0]
-        raise ArithmeticError(f"expectation of index {i} has imaginary residue {e.imag[n, i]}")
-    return e.real / 2 ** n_qubits
+def _density_reals(states) -> np.ndarray:
+    """(N, 2*4^n) rows F of Re and Im of each |psi><psi| of (N, 2^n) states.
+
+    Every simulator-side quantity is F times a real matrix: the exact Gram
+    F F^T, the Pauli coefficients F @ _pauli_map(n).
+    """
+    s = np.asarray(states, dtype=np.complex128)
+    return (s[:, :, None] * s[:, None, :].conj()).reshape(len(s), -1).view(float)
+
+
+def _pauli_map(n_qubits: int) -> np.ndarray:
+    """Real (2*4^n, 4^n) map M: tr(rho sigma_i) / 2^n is (reals of rho) @ M[:, i].
+
+    tr(rho sigma) of Hermitian rho, sigma is the dot product of their reals.
+    """
+    paulis = np.array([pauli_matrix(i, n_qubits).ravel() for i in range(4 ** n_qubits)])
+    return paulis.view(float).T / 2 ** n_qubits
 
 
 def decompose(amps) -> np.ndarray:
@@ -71,10 +79,9 @@ def decompose(amps) -> np.ndarray:
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"expected 2**n amplitudes with n >= 1, got shape {a.shape}")
     norm = np.linalg.norm(a)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state not normalized: |psi| = {norm!r}")
-    n = dim.bit_length() - 1
-    coeffs = _simulated_coefficients(a[None], n)[0]
+    if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
+        raise ValueError(f"state not normalized: |psi| = {float(norm)!r}")
+    coeffs = (_density_reals(a[None]) @ _pauli_map(dim.bit_length() - 1))[0]
     coeffs.setflags(write=False)
     return coeffs
 
@@ -124,8 +131,8 @@ def coefficient_grids(phi12: PhaseFunction, pauli_indices, x_range=(-1.0, 1.0),
     Each grid samples a uniform resolution x resolution lattice over
     x_range x x_range, row-major with x2 descending down the rows and x1
     ascending along the columns, so printing a grid matches the usual
-    heat-map orientation.  Values come from the simulator route (Pauli
-    expectations of the feature states), not the closed forms.
+    heat-map orientation.  Values come from the simulator (the feature
+    states' density reals times the Pauli map), not the closed forms.
     """
     indices = list(pauli_indices)
     for i in indices:
@@ -140,7 +147,7 @@ def coefficient_grids(phi12: PhaseFunction, pauli_indices, x_range=(-1.0, 1.0),
     x1s = np.linspace(lo, hi, resolution)
     x1, x2 = np.meshgrid(x1s, x1s[::-1])
     states = feature_states(phi12, np.stack([x1.ravel(), x2.ravel()], axis=1))
-    coeffs = _simulated_coefficients(states, 2)
+    coeffs = _density_reals(states) @ _pauli_map(2)
     return [coeffs[:, i].reshape(resolution, resolution) for i in indices]
 
 
@@ -152,9 +159,12 @@ def grid_to_csv(grid: np.ndarray, path) -> None:
 
 
 def grid_to_pgm(grid: np.ndarray, path) -> None:
-    """8-bit PGM, min-max normalized per grid (flat grids render mid-gray)."""
+    """8-bit PGM, min-max normalized per grid; flat grids render mid-gray.
+
+    A span within 1e-12 of the largest magnitude is flat: round-off noise.
+    """
     lo, hi = float(grid.min()), float(grid.max())
-    if hi - lo < 1e-300:
+    if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
         pixels = np.full(grid.shape, 128, dtype=np.uint8)
     else:
         pixels = np.round((grid - lo) / (hi - lo) * 255.0).astype(np.uint8)

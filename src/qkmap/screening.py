@@ -100,9 +100,3 @@ def minimum_accuracy(dataset, phi12: PhaseFunction) -> AxisAccuracyReport:
     r, thr, orient = per_axis[best]
     return AxisAccuracyReport(tuple(per_axis), r, best, thr, orient)
 
-
-def vc_dimension(n_qubits: int) -> int:
-    """Capacity of the real-coefficient feature space: 4^n + 1."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be positive")
-    return 4 ** n_qubits + 1

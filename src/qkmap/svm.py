@@ -96,10 +96,6 @@ class SvmModel:
     converged: bool | None = None
     final_gap: float | None = None
 
-    def dual_objective(self, gram_values: np.ndarray) -> float:
-        ay = self.alphas * self.labels
-        return float(self.alphas.sum() - 0.5 * ay @ gram_values @ ay)
-
     def to_text(self) -> str:
         lines = [f"C={float(self.C)!r}", f"tolerance={float(self.tolerance)!r}",
                  f"bias={float(self.bias)!r}"]

@@ -47,6 +47,19 @@ def test_negative_seed_names_flag(tmp_path, capsys, argv):
     assert "--seed must be a non-negative integer, got -1" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--generate", "xor", "--encodings", "ef1"],
+    ["kernel", "--generate", "xor", "--out", "OUT"],
+], ids=["train", "kernel"])
+def test_shots_beyond_c_long_exit_1(tmp_path, capsys, argv):
+    # a validation error, not the sampler's "Python int too large" with exit 2
+    argv = [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv]
+    code, _, stderr = run(capsys, *argv, "--n", "10", "--method", "shots",
+                          "--shots", str(2 ** 63))
+    assert code == 1
+    assert "shots must lie in [1, 2**63 - 1], got 9223372036854775808" in stderr
+
+
 class TestGen:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

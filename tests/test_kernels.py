@@ -121,6 +121,14 @@ class TestKernelShots:
         with pytest.raises(ValueError):
             pair_kernel(builtin("ef1"), (0, 0), (1, 1), "shots", shots=0, seed=0)
 
+    def test_shots_beyond_c_long_rejected(self):
+        # the sampler takes its count as a C long: 2**63 - 1 runs, 2**63 is refused
+        with pytest.raises(ValueError, match=r"shots must lie in \[1, 2\*\*63 - 1\], "
+                                             r"got 9223372036854775808"):
+            pair_kernel(builtin("ef1"), (0, 0), (1, 1), "shots", shots=2 ** 63, seed=0)
+        assert 0.0 <= pair_kernel(builtin("ef1"), (0, 0), (1, 1), "shots",
+                                  shots=2 ** 63 - 1, seed=0) <= 1.0
+
 
 class TestGram:
     def test_single_point(self):
@@ -143,7 +151,7 @@ class TestGram:
         rng = np.random.default_rng(6)
         pts = rng.uniform(-1, 1, (20, 2))
         g = gram(builtin("ef3"), pts)
-        assert g.min_eigenvalue() >= -1e-8
+        assert np.linalg.eigvalsh(g.values)[0] >= -1e-8
 
     def test_shot_matrix_symmetric_with_unit_diagonal(self):
         rng = np.random.default_rng(7)
@@ -212,7 +220,7 @@ class TestCombine:
 
     def test_psd_closure(self):
         c = combine([self.g1, self.g3], (1.5, 0.5))
-        assert c.min_eigenvalue() >= -1e-8
+        assert np.linalg.eigvalsh(c.values)[0] >= -1e-8
 
     def test_size_mismatch(self):
         small = gram(builtin("ef1"), self.pts[:4])

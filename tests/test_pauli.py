@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from qkmap.pauli import (
     grid_to_pgm,
     pauli_index,
     pauli_label,
+    pauli_matrix,
 )
 from qkmap.states import hadamard_layer, phase_layer
 
@@ -22,10 +26,24 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 SINGLE = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
-def dense_pauli(label):
-    # qubit 1 is the LSB, so its matrix sits on the right of the kron
-    q1, q2 = label[0], label[1]
-    return np.kron(SINGLE[q2], SINGLE[q1])
+def dense_paulis(n):
+    """All 4^n dense Pauli matrices in index order, from the kron of 2x2 factors."""
+    # product varies its last letter fastest, and that letter is qubit 1's; qubit 1
+    # is the LSB, so its factor sits on the right of the kron, in tuple order
+    return [functools.reduce(np.kron, [SINGLE[ch] for ch in letters])
+            for letters in itertools.product("IXYZ", repeat=n)]
+
+
+# Reference copy of the earlier simulator route, a complex einsum over the Paulis.
+def _simulated_coefficients(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(N, 4^n) coefficients <psi|sigma_i|psi> / 2^n of (N, 2^n) amplitudes."""
+    paulis = np.array([pauli_matrix(i, n_qubits) for i in range(4 ** n_qubits)])
+    e = np.einsum("nb,kbc,nc->nk", amps.conj(), paulis, amps)
+    bad = np.argwhere(np.abs(e.imag) > 1e-10)
+    if bad.size:
+        n, i = bad[0]
+        raise ArithmeticError(f"expectation of index {i} has imaginary residue {e.imag[n, i]}")
+    return e.real / 2 ** n_qubits
 
 
 def random_state(rng, n=2):
@@ -67,15 +85,34 @@ class TestDecompose:
             expect = 0.25 if label in ("II", "ZI", "IZ", "ZZ") else 0.0
             assert abs(vec[pauli_index(label)] - expect) < 1e-12
 
-    def test_matches_dense_matrix_oracle(self):
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_matches_dense_matrix_oracle(self, n):
         rng = np.random.default_rng(0)
+        paulis = dense_paulis(n)
         for _ in range(25):
-            st = random_state(rng)
+            st = random_state(rng, n)
             vec = decompose(st)
+            assert vec.shape == (4 ** n,)
             rho = np.outer(st, np.conj(st))
-            for i, label in enumerate(TWO_QUBIT_LABELS):
-                expect = np.trace(rho @ dense_pauli(label)).real / 4.0
+            for i, sigma in enumerate(paulis):
+                expect = np.trace(rho @ sigma).real / 2 ** n
                 assert abs(vec[i] - expect) < 1e-12
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_matches_earlier_einsum_route(self, n):
+        rng = np.random.default_rng(5)
+        states = np.array([random_state(rng, n) for _ in range(20)])
+        want = _simulated_coefficients(states, n)
+        got = np.array([decompose(st) for st in states])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("amps, shown", [
+        ([np.nan, 0, 0, 0], "nan"), ([np.inf, 0, 0, 0], "inf"),
+        ([1, 1j * np.nan], "nan"), ([1, 1, 0, 0], "1.414"),
+    ], ids=["nan", "inf", "imaginary-nan", "unnormalized"])
+    def test_unnormalized_or_nan_rejected(self, amps, shown):
+        with pytest.raises(ValueError, match=rf"state not normalized: \|psi\| = {shown}"):
+            decompose(np.array(amps, dtype=complex))
 
     def test_identity_coefficient_and_purity(self):
         rng = np.random.default_rng(1)
@@ -169,6 +206,16 @@ class TestGrids:
         with pytest.raises(ValueError, match=r"range \[.*\] is empty"):
             coefficient_grids(builtin("ef1"), [0], x_range, 3)
 
+    @pytest.mark.parametrize("eid", ("ef1", "ef2", "ef3", "ef4", "ef5"))
+    def test_matches_earlier_einsum_route(self, eid):
+        xs = np.linspace(-1.0, 1.0, 61)
+        x1, x2 = np.meshgrid(xs, xs[::-1])
+        states = feature_states(builtin(eid), np.stack([x1.ravel(), x2.ravel()], axis=1))
+        want = _simulated_coefficients(states, 2)
+        grids = coefficient_grids(builtin(eid), range(16), (-1, 1), 61)
+        for i, grid in enumerate(grids):
+            assert np.max(np.abs(grid - want[:, i].reshape(61, 61))) <= 1e-15
+
     def test_shared_sweep_consistent(self):
         gs = coefficient_grids(builtin("ef3"), [3, 15], (-1, 1), 4)
         lone = coefficient_grids(builtin("ef3"), [15], (-1, 1), 4)[0]
@@ -192,6 +239,14 @@ class TestSerialization:
         assert raw.startswith(b"P5\n4 4\n255\n")
         pixels = np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8)
         assert pixels.min() == 0 and pixels.max() == 255
+
+    def test_identity_panel_renders_flat(self, tmp_path):
+        # a_II is 1/4 everywhere; its round-off must not be stretched into gray levels
+        grid = coefficient_grids(builtin("ef1"), [0], (-1, 1), 61)[0]
+        path = tmp_path / "ii.pgm"
+        grid_to_pgm(grid, path)
+        pixels = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
+        assert pixels.size == 61 * 61 and np.all(pixels == 128)
 
     def test_pgm_flat_grid(self, tmp_path):
         grid = np.full((3, 3), 0.25)

@@ -11,7 +11,6 @@ from qkmap.screening import (
     LEFT_POSITIVE,
     axis_accuracy,
     minimum_accuracy,
-    vc_dimension,
 )
 from qkmap.svm import LabeledDataset
 
@@ -175,13 +174,3 @@ class TestMinimumAccuracy:
         assert len(lines) == 17
         assert lines[1].startswith("II,")
 
-
-class TestVcDimension:
-    def test_values(self):
-        assert vc_dimension(2) == 17
-        assert vc_dimension(1) == 5
-        assert vc_dimension(3) == 65
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            vc_dimension(0)
