@@ -137,10 +137,10 @@ def cmd_train(args) -> int:
     phi12s = [phi12 for _, phi12 in _encodings_from_args(args.encodings or [], args.custom_phi12)]
     if not phi12s:
         raise ValueError("at least one encoding required")
-    # one Gram serves every fold and the saved model
-    full = _train_gram(args, phi12s, ds.points)
-    report = svm.cross_validate(ds, full, folds=args.folds, C=args.C,
-                                tolerance=args.tolerance, seed=args.seed)
+    # one PSD Gram and its factor serve every fold and the saved model
+    k, g = svm._psd_factor(_train_gram(args, phi12s, ds.points).values)
+    report = svm.cross_validate(ds, k, folds=args.folds, C=args.C,
+                                tolerance=args.tolerance, seed=args.seed, _factor=g)
     if args.csv:
         print("fold,train_accuracy,test_accuracy")
         for f, (tr, te) in enumerate(zip(report.fold_train_accuracies,
@@ -150,8 +150,8 @@ def cmd_train(args) -> int:
     else:
         print(report.summary())
     if args.model_out:
-        model = svm.train(full, ds.labels, C=args.C, tolerance=args.tolerance,
-                          points=ds.points)
+        model = svm.train(k, ds.labels, C=args.C, tolerance=args.tolerance,
+                          points=ds.points, _factor=g)
         with open(args.model_out, "w") as fh:
             fh.write(model.to_text())
         print(f"wrote model to {args.model_out}")

@@ -40,8 +40,9 @@ class GramMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"Gram matrix must be square, got {v.shape}")
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable or not v.flags.owndata:  # a caller's array may change later
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -72,10 +73,11 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     circuit is the identity there) and mirror each off-diagonal estimate.  Row i
     draws its entries j > i in order, each one Binomial(shots, K_ij) with K_ij
     the exact entry clipped to at most 1, from one generator seeded by
-    ``SeedSequence((seed, i))``.  The matrix is deterministic for a given point
-    set and seed, but not promised bit-stable when points are appended: an exact
-    overlap may move in the last bit, and one changed draw shifts the rest of
-    its row.
+    ``SeedSequence(seed, spawn_key=(i,))``, numpy's spawn idiom, so that no row
+    shares its stream with ``default_rng(seed)``.  The matrix is deterministic
+    for a given point set and seed, but not promised bit-stable when points are
+    appended: an exact overlap may move in the last bit, and one changed draw
+    shifts the rest of its row.  The result is read-only and not copied.
     """
     if method == SHOTS and not 1 <= shots < 2 ** 63:  # the sampler's count is a C long
         raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
@@ -90,17 +92,18 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     else:
         raise ValueError(f"unknown gram method {method!r}")
     k = f @ f.T  # one buffer: numpy's A A^T path fills one triangle and mirrors it
-    if method == PAULI:
-        return GramMatrix(k, PAULI)
-    np.fill_diagonal(k, 1.0)
     if method == EXACT:
-        return GramMatrix(k, EXACT)
-    p0 = np.minimum(k, 1.0)
-    k = np.eye(n)
-    for i in range(n - 1):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        k[i, i + 1:] = k[i + 1:, i] = rng.binomial(shots, p0[i, i + 1:]) / shots
-    return GramMatrix(k, SHOTS, shots=shots, seed=seed)
+        np.fill_diagonal(k, 1.0)
+    elif method == SHOTS:
+        p0 = np.minimum(k, 1.0)  # entries j > i only; the diagonal is not sampled
+        k = np.eye(n)
+        for i in range(n - 1):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            k[i, i + 1:] = k[i + 1:, i] = rng.binomial(shots, p0[i, i + 1:]) / shots
+    k.setflags(write=False)  # GramMatrix keeps a read-only array it owns without a copy
+    if method == SHOTS:
+        return GramMatrix(k, SHOTS, shots=shots, seed=seed)
+    return GramMatrix(k, method)
 
 
 def combine(grams, weights) -> GramMatrix:

@@ -33,8 +33,8 @@ naming the gap and the tolerance.
 
 Everything after training is batched: :func:`decide` maps an (m, n)
 block of kernel rows against the n training points to m decision
-values, and :func:`cross_validate` slices every fold out of the one
-full-dataset Gram matrix it is given.
+values, and :func:`cross_validate` slices every fold out of one PSD
+matrix and factor, made once from the full-dataset Gram it is given.
 """
 
 from __future__ import annotations
@@ -306,8 +306,22 @@ def _warm_start(g: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
         return _project(*point, y, C)
 
 
+def _psd_factor(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, G): the certified pivoted Cholesky of K, or else the PSD check's clamp.
+
+    G G^T factors the returned matrix, and the rows G[idx] factor its
+    principal sub-block k[idx][:, idx]: each row of a sub-block of |R|
+    sums to no more than the full row, so the certificate carries over.
+    """
+    if not np.all(np.isfinite(k)):
+        raise ValueError("gram has non-finite entries")
+    with np.errstate(all="ignore"):  # a non-finite residual fails the certificate
+        g = _certified_factor(k)
+    return _clamp_psd(k) if g is None else (k, g)
+
+
 def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
-          points=None) -> SvmModel:
+          points=None, *, _factor: np.ndarray | None = None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
     Deterministic: the Gram is factored (certified pivoted Cholesky, or
@@ -316,7 +330,8 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
     lowest-index tie-breaks.  Warns (RuntimeWarning) when the PSD check
     clamps, and when SMO stops at ``MAX_PASSES`` or on a stalled step
     before the gap closes; the model's ``converged``, ``iterations`` and
-    ``final_gap`` say the same.
+    ``final_gap`` say the same.  ``_factor``, private, is a G with G G^T
+    factoring ``gram`` (a PSD matrix), as :func:`_psd_factor` returns it.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -329,14 +344,9 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         raise ValueError("both classes must be present for training")
     if not (C > 0 and tolerance > 0):  # also rejects NaN
         raise ValueError("C and tolerance must be positive")
-    if not np.all(np.isfinite(k)):
-        raise ValueError("gram has non-finite entries")
     if points is not None and np.shape(points) != (n, 2):  # as from_text reads them
         raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
-    with np.errstate(all="ignore"):  # a non-finite residual fails the certificate
-        g = _certified_factor(k)
-    if g is None:
-        k, g = _clamp_psd(k)
+    k, g = _psd_factor(k) if _factor is None else (k, _factor)
     return _smo(k, labels, C, tolerance, points, _warm_start(g, y, C))
 
 
@@ -469,14 +479,19 @@ class CvReport:
 
 
 def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
-                   C: float = 1.0, tolerance: float = 1e-3, seed: int = 0) -> CvReport:
+                   C: float = 1.0, tolerance: float = 1e-3, seed: int = 0, *,
+                   _factor: np.ndarray | None = None) -> CvReport:
     """Seeded k-fold cross validation over a full-dataset Gram matrix.
 
     ``gram`` (a GramMatrix or a square array) holds the kernel between
-    every pair of the dataset's points, in dataset order; fold sub-blocks
-    are sliced out of it.  Folds are contiguous blocks of one seeded
-    shuffle.  If a fold misses a class the shuffle is retried once with a
-    derived seed, then an error is raised.
+    every pair of the dataset's points, in dataset order.  It is factored
+    once, and clamped to PSD once if it must be (with one warning); every
+    fold trains on its principal sub-block of that one matrix, with the
+    factor's rows, and scores training and test points on that matrix
+    too.  The clamp sees test points' kernel entries but not their labels.
+    Folds are contiguous blocks of one seeded shuffle.  If a fold misses a
+    class the shuffle is retried once with a derived seed, then an error
+    is raised.
     """
     n = len(dataset)
     if folds < 2:
@@ -486,8 +501,6 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
-    if not np.all(np.isfinite(k)):  # with 2 folds, some entries appear only in test rows
-        raise ValueError("gram has non-finite entries")
 
     def fold_splits(shuffle_seed):
         order = np.random.default_rng(shuffle_seed).permutation(n)
@@ -502,11 +515,13 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     else:
         raise ValueError("a fold is missing a class even after re-shuffle")
 
+    k, g = _psd_factor(k) if _factor is None else (k, _factor)
     train_acc, test_acc = [], []
     for train_idx, test_idx in splits:
-        rows = k.take(train_idx, 1).take(np.concatenate((train_idx, test_idx)), 0)
+        rows = k.take(np.concatenate((train_idx, test_idx)), 0).take(train_idx, 1)
         sub, test_rows = rows[:len(train_idx)], rows[len(train_idx):]
-        model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance)
+        model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance,
+                      _factor=g[train_idx])
         train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))
         test_acc.append(accuracy(model, test_rows, dataset.labels[test_idx]))
     return CvReport(tuple(train_acc), tuple(test_acc), seed)

@@ -3,12 +3,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qkmap as qk
-from qkmap import kernels, pauli
+from qkmap import kernels, pauli, svm
 from qkmap.cli import main
 
 
@@ -297,6 +298,21 @@ class TestTrain:
                         points=ds.points)
         assert model.read_text() == want.to_text()
 
+    @pytest.mark.parametrize("method, clamps", [("exact", 0), ("shots", 1)])
+    def test_one_factor_per_command(self, tmp_path, capsys, method, clamps):
+        # the folds and the saved model share the full Gram's one factor
+        with mock.patch.object(svm, "_certified_factor", wraps=svm._certified_factor) as cf, \
+                mock.patch.object(svm, "_clamp_psd", wraps=svm._clamp_psd) as cp, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+            code, _, _ = run(capsys, "train", "--generate", "moon", "--n", "100",
+                             "--seed", "7", "--encodings", "ef1", "--C", "100",
+                             "--method", method, "--shots", "1000",
+                             "--model-out", str(tmp_path / "m.txt"))
+        assert code == 0
+        assert (cf.call_count, cp.call_count, eigh.call_count) == (1, clamps, clamps)
+
     @pytest.mark.parametrize("folds", ("0", "-1"))
     def test_too_few_folds(self, capsys, folds):
         code, stdout, stderr = run(capsys, "train", "--generate", "xor", "--n", "20",
@@ -370,18 +386,16 @@ class TestTrain:
         assert out1 == out2
 
     def test_warnings_print_without_source(self):
-        # every clamped fold warns; the command prints each warning as its message
+        # the full Gram is clamped once; the command prints the warning as its message
         src = Path(qk.__file__).resolve().parent.parent
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-W", "always", "-m", "qkmap.cli",
                                *self.SHOT_TRAIN], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stderr.splitlines()
-        assert lines
-        for line in lines:
-            assert line.startswith("warning: Gram matrix has minimum eigenvalue -")
-            assert line.endswith("; clamping to PSD")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("warning: Gram matrix has minimum eigenvalue -")
+        assert line.endswith("; clamping to PSD")
 
     def test_warning_format_restored(self, capsys):
         shown = warnings.formatwarning

@@ -18,13 +18,14 @@ def dense_feature_unitary(p1, p2, p12):
 def inversion_test_gram(spec, points, shots, seed):
     """Per-pair reference: count "00" outcomes of U(x_i)^dagger U(x_j)|00>.
 
-    Row i draws its pairs j > i in order from one generator seeded by (seed, i).
+    Row i draws its pairs j > i in order from one generator seeded by the
+    sequence spawned as child i of ``SeedSequence(seed)``.
     """
     n = len(points)
     unitaries = [dense_feature_unitary(*eval_encoding(spec, p)) for p in points]
     k = np.eye(n)
     for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(i + 1)[i])
         for j in range(i + 1, n):
             state = unitaries[i].conj().T @ unitaries[j][:, 0]
             probs = np.abs(state) ** 2
@@ -192,6 +193,20 @@ class TestGram:
         g = GramMatrix(pts @ pts.T + 1.0, "linear")
         assert g.values[0, 1] == g.values[1, 0] == 1.75
         assert g.values[0, 0] == 1.5
+
+    def test_values_are_read_only_and_independent_of_the_caller(self):
+        arr = np.eye(3)
+        base = np.eye(4)
+        view = base[:3, :3]
+        view.setflags(write=False)  # read-only, but base can still change it
+        kept = [GramMatrix(arr), GramMatrix(view)]
+        arr[0, 1] = base[0, 1] = 5.0
+        for g in kept:
+            assert g.values[0, 1] == 0.0
+            assert not g.values.flags.writeable
+        for method in ("exact", "pauli", "shots"):
+            g = gram(builtin("ef1"), [(0, 0), (0.3, 0.4)], method=method, shots=100)
+            assert not g.values.flags.writeable
 
     def test_csv_header(self, tmp_path):
         g = gram(builtin("ef1"), [(0, 0), (0.3, 0.4)], method="shots",

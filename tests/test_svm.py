@@ -12,6 +12,7 @@ from qkmap import svm
 from qkmap.datasets import generate
 from qkmap.encodings import builtin
 from qkmap.kernels import GramMatrix, combine, gram
+from qkmap.screening import minimum_accuracy
 from qkmap.svm import (
     IPM_STEPS,
     CvReport,
@@ -741,9 +742,9 @@ class TestSerialization:
         assert SvmModel.from_text(text).C == np.inf
 
 
-def reference_cross_validate(dataset, k, folds, C, tolerance, seed):
-    """cross_validate's fold loop as first written, with two np.ix_ copies per fold."""
-    n = len(dataset)
+def reference_splits(labels, folds, seed):
+    """(train, test) indices of cross_validate's folds: one seeded shuffle, retried once."""
+    n = len(labels)
 
     def fold_splits(shuffle_seed):
         order = np.random.default_rng(shuffle_seed).permutation(n)
@@ -753,13 +754,25 @@ def reference_cross_validate(dataset, k, folds, C, tolerance, seed):
 
     for shuffle_seed in (seed, seed + 1):
         splits = fold_splits(shuffle_seed)
-        if all(len(np.unique(dataset.labels[tr])) >= 2 for tr, _ in splits):
-            break
-    else:
-        raise ValueError("a fold is missing a class even after re-shuffle")
+        if all(len(np.unique(labels[tr])) >= 2 for tr, _ in splits):
+            return splits
+    raise ValueError("a fold is missing a class even after re-shuffle")
 
+
+def reference_cross_validate(dataset, k, folds, C, tolerance, seed):
+    """cross_validate's fold loop with two np.ix_ copies per fold, on one PSD matrix.
+
+    The full matrix is clamped once, by its own dense eigendecomposition:
+    when an eigenvalue is below -1e-6, every negative one is set to zero,
+    with one warning.  Each fold then trains and scores on that matrix.
+    """
+    w, v = np.linalg.eigh(k)
+    if w[0] < -1e-6:
+        warnings.warn(f"Gram matrix has minimum eigenvalue {w[0]:.3e}; clamping to PSD",
+                      RuntimeWarning)
+        k = (v * np.clip(w, 0.0, None)) @ v.T
     train_acc, test_acc = [], []
-    for train_idx, test_idx in splits:
+    for train_idx, test_idx in reference_splits(dataset.labels, folds, seed):
         sub = k[np.ix_(train_idx, train_idx)]
         model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance)
         train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))
@@ -839,6 +852,29 @@ class TestCrossValidate:
             reports.append((report, [str(w.message) for w in caught]))
         assert reports[0] == reports[1]
 
+    def test_shot_route_clamps_once(self):
+        # the full Gram is clamped once, not once per fold
+        ds = generate("moon", 60, seed=7)
+        full = gram(builtin("ef1"), ds.points, method="shots", shots=1000, seed=7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cross_validate(ds, full, folds=5, C=100.0, seed=7)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "clamping to PSD" in str(caught[0].message)
+
+    @pytest.mark.parametrize("route, clamps", [("exact", 0), ("shots", 1)])
+    def test_one_factor_per_run(self, route, clamps):
+        # one certificate attempt on the full Gram; no fold factors, certifies or runs eigh
+        ds = generate("moon", 100, seed=7)
+        full = gram(builtin("ef1"), ds.points, method=route, shots=1000, seed=7)
+        with mock.patch.object(svm, "_certified_factor", wraps=svm._certified_factor) as cf, \
+                mock.patch.object(svm, "_clamp_psd", wraps=svm._clamp_psd) as cp, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+            cross_validate(ds, full, folds=5, C=100.0, seed=7)
+        assert (cf.call_count, cp.call_count, eigh.call_count) == (1, clamps, clamps)
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_gram_rejected(self, bad):
         # with 2 folds an entry between the folds appears only in test rows
@@ -857,3 +893,27 @@ class TestCrossValidate:
         ds = generate("circle", 20, seed=0)
         with pytest.raises(ValueError, match="but the dataset has 20 points"):
             cross_validate(ds, full, folds=5)
+
+
+@pytest.mark.parametrize("route", ("exact", "pauli", "shots"))
+def test_fold_training_accuracy_meets_paper_bound(route):
+    """The paper's bound: a linear classifier in the Pauli feature space reaches
+    at least the best single-axis accuracy max_i R_i on its training set.
+
+    The bound holds for the soft margin only at large C (at C = 1 some
+    exact full-set solves fall below it), so C = 100.
+    """
+    below = []
+    for kind, eid, seed in itertools.product(("circle", "exp", "moon", "xor"),
+                                             ("ef1", "ef2", "ef3", "ef4", "ef5"), (1, 7)):
+        ds = generate(kind, 100, seed=seed)
+        full = gram(builtin(eid), ds.points, method=route, shots=1000, seed=seed)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+            report = cross_validate(ds, full, folds=5, C=100.0, seed=seed)
+        for f, (tr, _) in enumerate(reference_splits(ds.labels, 5, seed)):
+            fold = LabeledDataset(ds.points[tr], ds.labels[tr])
+            bound = minimum_accuracy(fold, builtin(eid)).minimum_accuracy
+            if report.fold_train_accuracies[f] < bound - 1e-12:
+                below.append((kind, eid, seed, f, report.fold_train_accuracies[f], bound))
+    assert not below
