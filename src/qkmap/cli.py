@@ -137,6 +137,7 @@ def cmd_train(args) -> int:
     phi12s = [phi12 for _, phi12 in _encodings_from_args(args.encodings or [], args.custom_phi12)]
     if not phi12s:
         raise ValueError("at least one encoding required")
+    svm._fold_splits(ds.labels, args.folds, args.seed)  # a fold misuse fails before any Gram
     # one PSD Gram and its factor serve every fold and the saved model
     k, g = svm._psd_factor(_train_gram(args, phi12s, ds.points).values)
     report = svm.cross_validate(ds, k, folds=args.folds, C=args.C,

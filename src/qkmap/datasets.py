@@ -109,8 +109,8 @@ def generate(kind: str, n_points: int = 100, seed: int = 0) -> LabeledDataset:
 def to_csv(dataset: LabeledDataset, path) -> None:
     with open(path, "w") as fh:
         fh.write("x1,x2,label\n")
-        for (x1, x2), y in zip(dataset.points, dataset.labels):
-            fh.write(f"{float(x1)!r},{float(x2)!r},{int(y)}\n")
+        fh.writelines([f"{x1!r},{x2!r},{y}\n" for (x1, x2), y
+                       in zip(dataset.points.tolist(), dataset.labels.tolist())])
 
 
 def from_csv(path) -> LabeledDataset:

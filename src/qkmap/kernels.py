@@ -50,7 +50,12 @@ class GramMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        """One-line header (method plus shots/seed/weights), then the rows."""
+        """One-line header (method plus shots/seed/weights), then the rows.
+
+        Entries are shortest round-trip ``repr``s, each upper-triangle one formatted
+        once and mirrored; entries whose bits differ from their mirror's (a caller's
+        non-symmetric matrix, 0.0 against -0.0) are formatted again on their own.
+        """
         parts = [f"method={self.method}", f"size={self.size}"]
         if self.shots is not None:
             parts.append(f"shots={self.shots}")
@@ -58,10 +63,16 @@ class GramMatrix:
             parts.append(f"seed={self.seed}")
         if self.weights is not None:
             parts.append("weights=" + ";".join(repr(w) for w in self.weights))
+        v = self.values
+        upper = np.triu_indices(self.size)
+        text = np.empty(v.shape, dtype=object)
+        text[upper] = text[upper[::-1]] = list(map(repr, v[upper].tolist()))
+        bits = v.view(np.uint64)
+        odd = np.nonzero(bits != bits.T)
+        text[odd] = list(map(repr, v[odd].tolist()))
         with open(path, "w") as fh:
             fh.write("# " + " ".join(parts) + "\n")
-            for row in self.values.tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
+            fh.writelines([",".join(row.tolist()) + "\n" for row in text])
 
 
 def gram(phi12: PhaseFunction, points, method: str = EXACT,

@@ -99,11 +99,13 @@ class SvmModel:
     def to_text(self) -> str:
         lines = [f"C={float(self.C)!r}", f"tolerance={float(self.tolerance)!r}",
                  f"bias={float(self.bias)!r}"]
-        for i, (a, y) in enumerate(zip(self.alphas, self.labels)):
-            coords = ""
-            if self.points is not None:
-                coords = "," + ",".join(repr(float(v)) for v in self.points[i])
-            lines.append(f"{float(a)!r},{int(y)}{coords}")
+        rows = zip(np.asarray(self.alphas, dtype=float).tolist(),
+                   np.asarray(self.labels, dtype=int).tolist())
+        if self.points is None:
+            lines += [f"{a!r},{y}" for a, y in rows]
+        else:
+            lines += [f"{a!r},{y}," + ",".join(map(repr, p)) for (a, y), p
+                      in zip(rows, np.asarray(self.points, dtype=float).tolist())]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -478,6 +480,23 @@ class CvReport:
                 f"seed={self.seed}")
 
 
+def _fold_splits(labels: np.ndarray, folds: int, seed: int) -> list[tuple]:
+    """(train, test) indices per fold as ``cross_validate`` makes them; misuse raises ValueError."""
+    n = len(labels)
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
+    if n % folds != 0:
+        raise ValueError(f"dataset size {n} not divisible by {folds} folds")
+    size = n // folds
+    for shuffle_seed in (seed, seed + 1):
+        order = np.random.default_rng(shuffle_seed).permutation(n)
+        parts = [order[f * size:(f + 1) * size] for f in range(folds)]
+        splits = [(np.concatenate(parts[:f] + parts[f + 1:]), parts[f]) for f in range(folds)]
+        if all(len(np.unique(labels[tr])) >= 2 for tr, _ in splits):
+            return splits
+    raise ValueError("a fold is missing a class even after re-shuffle")
+
+
 def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
                    C: float = 1.0, tolerance: float = 1e-3, seed: int = 0, *,
                    _factor: np.ndarray | None = None) -> CvReport:
@@ -494,27 +513,10 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     is raised.
     """
     n = len(dataset)
-    if folds < 2:
-        raise ValueError(f"folds must be at least 2, got {folds}")
-    if n % folds != 0:
-        raise ValueError(f"dataset size {n} not divisible by {folds} folds")
+    splits = _fold_splits(dataset.labels, folds, seed)
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
-
-    def fold_splits(shuffle_seed):
-        order = np.random.default_rng(shuffle_seed).permutation(n)
-        size = n // folds
-        parts = [order[f * size:(f + 1) * size] for f in range(folds)]
-        return [(np.concatenate(parts[:f] + parts[f + 1:]), parts[f]) for f in range(folds)]
-
-    for shuffle_seed in (seed, seed + 1):
-        splits = fold_splits(shuffle_seed)
-        if all(len(np.unique(dataset.labels[tr])) >= 2 for tr, _ in splits):
-            break
-    else:
-        raise ValueError("a fold is missing a class even after re-shuffle")
-
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
     train_acc, test_acc = [], []
     for train_idx, test_idx in splits:

@@ -321,6 +321,24 @@ class TestTrain:
         assert "folds must be at least 2" in stderr
         assert stdout == ""
 
+    @pytest.mark.parametrize("folds, message", [
+        ("0", "folds must be at least 2, got 0"),
+        ("7", "dataset size 60 not divisible by 7 folds"),
+    ])
+    def test_fold_misuse_fails_before_the_gram(self, capsys, folds, message):
+        # a shot Gram would be clamped with a warning; the misuse is reported first
+        with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(capsys, "train", "--generate", "moon", "--n", "60",
+                                       "--encodings", "ef1", "--method", "shots",
+                                       "--shots", "1000", "--folds", folds)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert caught == []
+        assert (builds.call_count, eigh.call_count) == (0, 0)
+
     def test_custom_without_encodings(self, capsys):
         code, stdout, _ = run(capsys, "train", "--generate", "circle", "--n", "30",
                               "--seed", "7", "--custom-phi12", "x1*x2")
