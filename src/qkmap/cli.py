@@ -75,6 +75,12 @@ def _add_dataset_flags(p):
     p.add_argument("--n", type=int, default=100, help="points to generate (default 100)")
 
 
+def _check_out_dir(path) -> None:
+    """A file output's directory must exist before any Gram is built for it."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"output directory {os.path.dirname(path)!r} does not exist")
+
+
 def cmd_gen(args) -> int:
     ds = datasets.generate(args.kind, args.n, args.seed)
     datasets.to_csv(ds, args.out)
@@ -137,7 +143,11 @@ def cmd_train(args) -> int:
     phi12s = [phi12 for _, phi12 in _encodings_from_args(args.encodings or [], args.custom_phi12)]
     if not phi12s:
         raise ValueError("at least one encoding required")
-    svm._fold_splits(ds.labels, args.folds, args.seed)  # a fold misuse fails before any Gram
+    # a fold, setting or output misuse fails before any Gram
+    svm._fold_splits(ds.labels, args.folds, args.seed)
+    svm._check_settings(args.C, args.tolerance)
+    if args.model_out:
+        _check_out_dir(args.model_out)
     # one PSD Gram and its factor serve every fold and the saved model
     k, g = svm._psd_factor(_train_gram(args, phi12s, ds.points).values)
     report = svm.cross_validate(ds, k, folds=args.folds, C=args.C,
@@ -162,6 +172,7 @@ def cmd_train(args) -> int:
 def cmd_kernel(args) -> int:
     ds = _load_dataset(args)
     phi12 = _encoding_from_args(args)
+    _check_out_dir(args.out)
     g = kernels.gram(phi12, ds.points, method=args.method,
                      shots=args.shots, seed=args.seed)
     g.to_csv(args.out)

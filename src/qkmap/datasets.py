@@ -129,6 +129,8 @@ def from_csv(path) -> LabeledDataset:
                     raise ValueError("non-finite coordinate")
                 points.append([p1, p2])
                 labels.append(int(y))
+                if labels[-1] not in (-1, 1):
+                    raise ValueError("label not -1 or +1")
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}; "
                                  "expected x1,x2,label") from None

@@ -35,6 +35,9 @@ Everything after training is batched: :func:`decide` maps an (m, n)
 block of kernel rows against the n training points to m decision
 values, and :func:`cross_validate` slices every fold out of one PSD
 matrix and factor, made once from the full-dataset Gram it is given.
+Each fold tests on one contiguous block of a seeded permutation, so the
+matrix is permuted once and every fold's training block and test rows
+are filled by six slice copies, with no per-fold gather.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ class SvmModel:
         if not (c > 0 and tolerance > 0 and np.isfinite(bias)):  # as train; NaN fails
             raise ValueError(f"model header has C={c!r}, tolerance={tolerance!r}, "
                              f"bias={bias!r}; expected C > 0, tolerance > 0, finite bias")
+        _check_settings(c, tolerance)
         rows = [ln.split(",") for ln in lines[3:]]
         if not rows:
             raise ValueError("model text has no alpha,label rows")
@@ -252,8 +256,8 @@ def _interior_point(v: np.ndarray, y: np.ndarray, C: float):
         def longest(*steps):
             """Largest step in (0, 1] keeping a, s, z, w nonnegative."""
             x, dx = np.concatenate((a, s, z, w)), np.concatenate(steps)
-            neg = dx < 0.0
-            return float(np.min(-x[neg] / dx[neg], initial=1.0))
+            # the quotients of lanes with dx >= 0, divisions by zero among them, are dropped
+            return float(np.min(np.where(dx < 0.0, -x / dx, 1.0), initial=1.0))
 
         # predictor: the affine-scaling step, which sets the centering sigma
         a_a, a_s, a_z, a_w, _ = newton(a * z, s * w)
@@ -322,6 +326,14 @@ def _psd_factor(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _clamp_psd(k) if g is None else (k, g)
 
 
+def _check_settings(C: float, tolerance: float) -> None:
+    """C > 0 (inf is the hard margin) and a finite tolerance > 0; NaN fails."""
+    if not (C > 0 and tolerance > 0):
+        raise ValueError("C and tolerance must be positive")
+    if tolerance == np.inf:  # every gap is within 2 * inf: each solve would converge
+        raise ValueError(f"tolerance must be finite, got {tolerance!r}")
+
+
 def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
           points=None, *, _factor: np.ndarray | None = None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
@@ -344,8 +356,7 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
         raise ValueError("labels must be -1 or +1")
     if np.all(y == y[0]):
         raise ValueError("both classes must be present for training")
-    if not (C > 0 and tolerance > 0):  # also rejects NaN
-        raise ValueError("C and tolerance must be positive")
+    _check_settings(C, tolerance)
     if points is not None and np.shape(points) != (n, 2):  # as from_text reads them
         raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
@@ -518,10 +529,18 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
+    # fold f tests on block f of one permutation: permute once, then copy blocks
+    order = np.concatenate([test_idx for _, test_idx in splits])
+    p = k.take(order, 0).take(order, 1)
+    size, m = n // folds, n - n // folds
     train_acc, test_acc = [], []
-    for train_idx, test_idx in splits:
-        rows = k.take(np.concatenate((train_idx, test_idx)), 0).take(train_idx, 1)
-        sub, test_rows = rows[:len(train_idx)], rows[len(train_idx):]
+    for f, (train_idx, test_idx) in enumerate(splits):
+        lo, hi = f * size, (f + 1) * size
+        rows = np.empty((n, m))  # training rows in fold order, then test rows
+        for dst, src in ((slice(0, lo), slice(0, lo)), (slice(lo, m), slice(hi, n)),
+                         (slice(m, n), slice(lo, hi))):
+            rows[dst, :lo], rows[dst, lo:] = p[src, :lo], p[src, hi:]
+        sub, test_rows = rows[:m], rows[m:]
         model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance,
                       _factor=g[train_idx])
         train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))

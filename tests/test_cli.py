@@ -218,6 +218,15 @@ class TestScreen:
         assert stderr == f"error: {ds}:3: malformed row 'nan,0.1,1'; expected x1,x2,label\n"
         assert stdout == ""
 
+    @pytest.mark.parametrize("row", ["0.3,0.4,2", "0.3,0.4,0"])
+    def test_bad_label_names_file_and_line(self, tmp_path, capsys, row):
+        ds = tmp_path / "bad.csv"
+        ds.write_text(f"x1,x2,label\n0.1,0.2,1\n{row}\n")
+        code, stdout, stderr = run(capsys, "screen", "--dataset", str(ds))
+        assert code == 1
+        assert stderr == f"error: {ds}:3: malformed row {row!r}; expected x1,x2,label\n"
+        assert stdout == ""
+
     def test_expression_adds_custom_row(self, capsys):
         argv = ("screen", "--generate", "circle", "--n", "20", "--csv")
         _, builtins_only, _ = run(capsys, *argv)
@@ -339,6 +348,30 @@ class TestTrain:
         assert caught == []
         assert (builds.call_count, eigh.call_count) == (0, 0)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--tolerance", "inf"], "tolerance must be finite, got inf"),
+        (["--tolerance", "0"], "C and tolerance must be positive"),
+        (["--model-out", "missing/m.txt"], "output directory 'missing' does not exist"),
+    ], ids=["infinite tolerance", "zero tolerance", "missing directory"])
+    def test_setting_misuse_fails_before_the_gram(self, tmp_path, capsys, monkeypatch,
+                                                  argv, message):
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run(capsys, "train", "--generate", "moon", "--n", "60",
+                                       "--encodings", "ef1", "--method", "shots",
+                                       "--shots", "1000", *argv)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert caught == [] and builds.call_count == 0
+
+    def test_infinite_C_is_allowed(self, capsys):
+        # the hard margin; ef1 separates xor
+        code, stdout, _ = run(capsys, "train", "--generate", "xor", "--n", "20",
+                              "--encodings", "ef1", "--C", "inf")
+        assert code == 0 and "mean train=1.0000" in stdout
+
     def test_custom_without_encodings(self, capsys):
         code, stdout, _ = run(capsys, "train", "--generate", "circle", "--n", "30",
                               "--seed", "7", "--custom-phi12", "x1*x2")
@@ -451,6 +484,15 @@ class TestKernel:
             run(capsys, "kernel", "--generate", "xor", "--n", "10",
                 "--method", "magic", "--out", str(tmp_path / "k.csv"))
         assert exc.value.code == 1
+
+    def test_missing_out_directory_fails_before_the_gram(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "k.csv"
+        with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds:
+            code, stdout, stderr = run(capsys, "kernel", "--generate", "moon", "--n", "10",
+                                       "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: output directory {str(out.parent)!r} does not exist\n"
+        assert builds.call_count == 0
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

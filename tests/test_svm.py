@@ -216,6 +216,69 @@ def mvp_interior_point(v: np.ndarray, y: np.ndarray, C: float):
     return a, s
 
 
+def masked_interior_point(v: np.ndarray, y: np.ndarray, C: float):
+    """Reference: the solver's IPM when its step length gathered by boolean masks, verbatim.
+
+    The solver's IPM takes each step length by one ``np.where`` over all
+    lanes; it must give the same warm start, byte for byte.
+    """
+    n = len(y)
+    a = np.full(n, C / 2.0)
+    s = np.full(n, C / 2.0)
+    z = np.ones(n)
+    w = np.ones(n)
+    beta = 0.0
+    eye = np.eye(v.shape[1])
+    for _ in range(IPM_STEPS):
+        mu = (a @ z + s @ w) / (2.0 * n)
+        if not np.isfinite(mu):
+            return None
+        if mu <= 1e-9 * C:
+            break
+        r_d = v @ (v.T @ a) - 1.0 + beta * y - z + w
+        r_e = y @ a
+        r_u = a + s - C
+        d = z / a + w / s
+        vd = v / d[:, None]
+        p = np.linalg.inv(np.linalg.cholesky(eye + v.T @ vd)) @ vd.T
+
+        def solve(rhs):
+            """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury."""
+            return rhs / d - (p @ rhs) @ p
+
+        m_y = solve(y)
+
+        def newton(r_az, r_sw):
+            rho = -r_d - r_az / a + r_sw / s - (w / s) * r_u
+            m_rho = solve(rho)
+            d_beta = (y @ m_rho + r_e) / (y @ m_y)
+            d_a = m_rho - d_beta * m_y
+            d_s = -r_u - d_a
+            return d_a, d_s, -(r_az + z * d_a) / a, -(r_sw + w * d_s) / s, d_beta
+
+        def longest(*steps):
+            """Largest step in (0, 1] keeping a, s, z, w nonnegative."""
+            x, dx = np.concatenate((a, s, z, w)), np.concatenate(steps)
+            neg = dx < 0.0
+            return float(np.min(-x[neg] / dx[neg], initial=1.0))
+
+        # predictor: the affine-scaling step, which sets the centering sigma
+        a_a, a_s, a_z, a_w, _ = newton(a * z, s * w)
+        t = longest(a_a, a_s, a_z, a_w)
+        mu_aff = ((a + t * a_a) @ (z + t * a_z) + (s + t * a_s) @ (w + t * a_w)) / (2.0 * n)
+        sigma = (mu_aff / mu) ** 3
+        # corrector: centred, with the predictor's second-order term
+        d_a, d_s, d_z, d_w, d_beta = newton(a * z + a_a * a_z - sigma * mu,
+                                            s * w + a_s * a_w - sigma * mu)
+        t = 0.995 * longest(d_a, d_s, d_z, d_w)
+        a = a + t * d_a
+        s = s + t * d_s
+        z = z + t * d_z
+        w = w + t * d_w
+        beta += t * d_beta
+    return a, s
+
+
 def train_and_start(gram, labels, C):
     """train's model and the IPM start it handed to SMO (None: SMO from zero)."""
     starts = []
@@ -331,6 +394,12 @@ class TestTrain:
         # a model of other points would be written in a form from_text rejects
         with pytest.raises(ValueError, match=re.escape(f"(4, 2), got {points.shape}")):
             train(np.eye(4), [1, -1, 1, -1], points=points)
+
+    def test_infinite_tolerance_rejected(self):
+        # every gap is at most 2 * inf, so each solve would call itself converged
+        g = gram(builtin("ef1"), [(0.1, 0.1), (0.8, -0.6)])
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            train(g, [1, -1], C=np.inf, tolerance=np.inf)
 
     def test_infinite_C_is_hard_margin(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
@@ -547,6 +616,31 @@ class TestWarmStart:
             # to 2.2e-4 * C from a solve stopped at 1e-11 * C
             assert np.max(np.abs(start - want)) <= 1e-6 * c
 
+    @staticmethod
+    def assert_start_byte_equal_to_masked(factor, y, c):
+        start = svm._warm_start(factor, y, c)
+        with mock.patch.object(svm, "_interior_point", masked_interior_point):
+            want = svm._warm_start(factor, y, c)
+        assert (start is None) == (want is None)
+        if want is not None:
+            assert start.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(warm_problems(), st.sampled_from([1.0, 100.0, 1e5, np.inf]))
+    def test_start_byte_equal_to_masked_step_length(self, problem, c):
+        g, labels, _ = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            factor = svm._psd_factor(g.values)[1]
+        self.assert_start_byte_equal_to_masked(factor, labels.astype(float), c)
+
+    @pytest.mark.parametrize("c", [1.0, 100.0])
+    def test_nan_factor_row_byte_equal_to_masked_step_length(self, c):
+        k, labels = self.problem()
+        factor = svm._psd_factor(k)[1].copy()
+        factor[5] = np.nan
+        self.assert_start_byte_equal_to_masked(factor, labels.astype(float), c)
+
     def problem(self, method="exact"):
         ds = generate("moon", 80, seed=7)
         return gram(builtin("ef1"), ds.points, method=method, shots=1000, seed=3).values, \
@@ -741,6 +835,11 @@ class TestSerialization:
         text = "C=inf\ntolerance=0.001\nbias=0\n0.5,1\n0.5,-1\n"
         assert SvmModel.from_text(text).C == np.inf
 
+    def test_infinite_tolerance_rejected(self):
+        text = "C=1\ntolerance=inf\nbias=0\n0.5,1\n0.5,-1\n"
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            SvmModel.from_text(text)
+
 
 def reference_splits(labels, folds, seed):
     """(train, test) indices of cross_validate's folds: one seeded shuffle, retried once."""
@@ -851,6 +950,56 @@ class TestCrossValidate:
                 report = cv(ds, full.values, folds, 100.0, 1e-3, 7)
             reports.append((report, [str(w.message) for w in caught]))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("case", ["2 folds", "3 folds", "4 folds", "5 folds",
+                                      "leave one out", "non-symmetric", "re-shuffle",
+                                      "moon 1600"])
+    def test_folds_receive_reference_blocks(self, case):
+        # every fold trains on k[tr, tr] and scores on it and on k[te, tr], byte for
+        # byte and C-contiguous; the solves are stubbed, as only their inputs matter
+        folds, seed = 5, 7
+        if case == "re-shuffle":  # fold seed 0 leaves a fold one class; seed 1 serves
+            ds = LabeledDataset(np.random.default_rng(0).uniform(-1, 1, (6, 2)),
+                                np.array([1, 1, -1, -1, -1, -1]))
+            folds, seed = 3, 0
+        else:
+            ds = generate("moon", 1600 if case == "moon 1600" else 60, seed=7)
+        n = len(ds)
+        if case.endswith("folds"):
+            folds = int(case.split()[0])
+        elif case == "leave one out":
+            folds = n
+        if case == "non-symmetric":
+            k = np.random.default_rng(3).normal(size=(n, n))
+        else:
+            k = gram(builtin("ef1"), ds.points).values
+        factor = np.random.default_rng(4).normal(size=(n, 3))
+        trained, scored = [], []
+
+        def fake_train(sub, labels, **kwargs):
+            trained.append((sub, labels, kwargs["_factor"]))
+            return None
+
+        def fake_accuracy(model, rows, labels):
+            scored.append((rows, labels))
+            return 0.5
+
+        with mock.patch.object(svm, "train", fake_train), \
+                mock.patch.object(svm, "accuracy", fake_accuracy):
+            report = cross_validate(ds, k, folds=folds, seed=seed, _factor=factor)
+        splits = reference_splits(ds.labels, folds, seed)
+        assert len(report.fold_test_accuracies) == len(trained) == folds
+        for f, (tr, te) in enumerate(splits):
+            sub, labels, g = trained[f]
+            want_sub, want_test = k[np.ix_(tr, tr)], k[np.ix_(te, tr)]
+            assert g.tobytes() == factor[tr].tobytes()
+            assert labels.tolist() == ds.labels[tr].tolist()
+            for got, want in ((sub, want_sub), (scored[2 * f][0], want_sub),
+                              (scored[2 * f + 1][0], want_test)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous
+            assert scored[2 * f][1].tolist() == ds.labels[tr].tolist()
+            assert scored[2 * f + 1][1].tolist() == ds.labels[te].tolist()
 
     def test_shot_route_clamps_once(self):
         # the full Gram is clamped once, not once per fold
