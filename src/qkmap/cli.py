@@ -8,6 +8,7 @@ from explicit seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -75,10 +76,12 @@ def _add_dataset_flags(p):
     p.add_argument("--n", type=int, default=100, help="points to generate (default 100)")
 
 
-def _check_out_dir(path) -> None:
-    """A file output's directory must exist before any Gram is built for it."""
+def _check_out_file(path) -> None:
+    """A file output's directory must exist, and the path must not be a directory."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"output directory {os.path.dirname(path)!r} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
 
 
 def cmd_gen(args) -> int:
@@ -147,7 +150,7 @@ def cmd_train(args) -> int:
     svm._fold_splits(ds.labels, args.folds, args.seed)
     svm._check_settings(args.C, args.tolerance)
     if args.model_out:
-        _check_out_dir(args.model_out)
+        _check_out_file(args.model_out)
     # one PSD Gram and its factor serve every fold and the saved model
     k, g = svm._psd_factor(_train_gram(args, phi12s, ds.points).values)
     report = svm.cross_validate(ds, k, folds=args.folds, C=args.C,
@@ -172,7 +175,7 @@ def cmd_train(args) -> int:
 def cmd_kernel(args) -> int:
     ds = _load_dataset(args)
     phi12 = _encoding_from_args(args)
-    _check_out_dir(args.out)
+    _check_out_file(args.out)
     g = kernels.gram(phi12, ds.points, method=args.method,
                      shots=args.shots, seed=args.seed)
     g.to_csv(args.out)
@@ -249,9 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first ``main`` call, so importing stays cheap.
+
+    Parsing leaves it unchanged, so every ``main`` call may reuse it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     shown, warnings.formatwarning = warnings.formatwarning, lambda m, *_: f"warning: {m}\n"
     try:
         if getattr(args, "seed", 0) < 0:  # heatmap has no --seed

@@ -16,6 +16,8 @@ space, one r x r Cholesky and one r x n operator per step (Fine &
 Scheinberg, JMLR 2, 243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783
 (2002)); its point, put on the box and on y^T alpha = 0, starts SMO,
 which starts from alpha = 0 only when C is infinite or the IPM fails.
+The IPM steps a stack of same-sized problems (lanes) in lockstep, each
+numpy call acting on every live lane; ``train`` is its one-lane case.
 
 SMO's working pair is the maximal violating pair in Keerthi's sense:
 with g_i = sum_j alpha_j y_j K_ij and c_i = y_i - g_i, feasibility of the
@@ -35,9 +37,11 @@ Everything after training is batched: :func:`decide` maps an (m, n)
 block of kernel rows against the n training points to m decision
 values, and :func:`cross_validate` slices every fold out of one PSD
 matrix and factor, made once from the full-dataset Gram it is given.
-Each fold tests on one contiguous block of a seeded permutation, so the
-matrix is permuted once and every fold's training block and test rows
-are filled by six slice copies, with no per-fold gather.
+Its folds share their size and the factor's rank, so one lockstep IPM
+over the folds' stacked factor rows starts every fold's SMO.  Each fold
+tests on one contiguous block of a seeded permutation, so the matrix is
+permuted once and every fold's training block and test rows are filled
+by six slice copies, with no per-fold gather.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .kernels import GramMatrix
 
 MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
 IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
+_OWN_START = object()  # train's default start: its own one-lane IPM
 
 
 @dataclass(frozen=True)
@@ -208,72 +213,122 @@ def _certified_factor(k: np.ndarray) -> np.ndarray | None:
     return g
 
 
-def _interior_point(v: np.ndarray, y: np.ndarray, C: float):
-    """(a, s): Mehrotra predictor-corrector on the dual with Q = V V^T.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L,) per-lane dot products of two (L, m) stacks, each the BLAS dot a_l . b_l."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    Minimises 1/2 a^T Q a - sum(a) subject to y^T a = 0 and a + s = C,
-    a, s >= 0, with the slack s its own variable so that a multiplier
-    near C keeps its distance to C to full precision.  Per step, one r x r
-    Cholesky L L^T = I + V^T D^{-1} V and one r x n operator p = L^{-1} V^T D^{-1}
-    give (D + V V^T)^{-1} = D^{-1} - p^T p (Sherman-Morrison-Woodbury), O(n r^2).
-    Stops when the duality measure is at most 1e-9 * C or after IPM_STEPS
-    steps; returns None once it is not finite; a failed Cholesky raises LinAlgError.
+
+def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
+    """Per lane, (a, s) or None: Mehrotra predictor-corrector on the dual with Q = V V^T.
+
+    v stacks L problems' factor rows, (L, m, r), and y their labels, (L, m);
+    all lanes step together, each numpy call acting on every live lane.
+    For each lane it minimises 1/2 a^T Q a - sum(a) subject to y^T a = 0
+    and a + s = C, a, s >= 0, with the slack s its own variable so that a
+    multiplier near C keeps its distance to C to full precision.  Per
+    step, one r x r Cholesky L L^T = I + V^T D^{-1} V and one r x m operator
+    p = L^{-1} V^T D^{-1} give (D + V V^T)^{-1} = D^{-1} - p^T p
+    (Sherman-Morrison-Woodbury), O(m r^2).  A lane stops when its duality
+    measure is at most 1e-9 * C, or after IPM_STEPS steps, and is None once
+    that measure is not finite or its Cholesky fails.  A stopped lane is
+    dropped from every stack; each product is a per-slice ``np.matmul``,
+    so every lane's bytes are those it would have alone.
     """
-    n = len(y)
-    a = np.full(n, C / 2.0)
-    s = np.full(n, C / 2.0)
-    z = np.ones(n)
-    w = np.ones(n)
-    beta = 0.0
-    eye = np.eye(v.shape[1])
+    lanes, m, r = v.shape
+    points = [None] * lanes
+    live = np.arange(lanes)
+    x = np.empty((lanes, 4, m))  # a, s, z, w of each lane
+    x[:, :2], x[:, 2:] = C / 2.0, 1.0
+    beta = np.zeros(lanes)
+    eye = np.eye(r)
+
+    def measure(x):
+        """The duality measure (a.z + s.w) / 2m of each lane."""
+        return (_dots(x[:, 0], x[:, 2]) + _dots(x[:, 1], x[:, 3])) / (2.0 * m)
+
     for _ in range(IPM_STEPS):
-        mu = (a @ z + s @ w) / (2.0 * n)
-        if not np.isfinite(mu):
-            return None
-        if mu <= 1e-9 * C:
-            break
-        r_d = v @ (v.T @ a) - 1.0 + beta * y - z + w
-        r_e = y @ a
-        r_u = a + s - C
+        mu = measure(x)
+        finite = np.isfinite(mu)
+        for i in np.flatnonzero(finite & (mu <= 1e-9 * C)):
+            points[live[i]] = (x[i, 0], x[i, 1])
+        keep = finite & (mu > 1e-9 * C)
+        if not keep.all():
+            if not keep.any():
+                return points
+            live, x, beta, v, y, mu = (t[keep] for t in (live, x, beta, v, y, mu))
+        a, s, z, w = x.transpose(1, 0, 2)
         d = z / a + w / s
-        vd = v / d[:, None]
-        p = np.linalg.inv(np.linalg.cholesky(eye + v.T @ vd)) @ vd.T
+        vd = v / d[:, :, None]
+        vt = v.transpose(0, 2, 1)
+        inv_l, ok = _inverse_factors(eye + np.matmul(vt, vd))
+        if not ok.all():  # a lane whose Cholesky failed stays None
+            if not ok.any():
+                return points
+            live, x, beta, v, y, mu, d, vd = (t[ok] for t in (live, x, beta, v, y, mu, d, vd))
+            a, s, z, w = x.transpose(1, 0, 2)
+            vt = v.transpose(0, 2, 1)
+        p = np.matmul(inv_l, vd.transpose(0, 2, 1))
+        r_d = np.matmul(v, np.matmul(vt, a[:, :, None]))[:, :, 0] - 1.0 \
+            + beta[:, None] * y - z + w
+        r_e = _dots(y, a)
+        r_u = a + s - C
 
         def solve(rhs):
-            """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury."""
-            return rhs / d - (p @ rhs) @ p
+            """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury, per lane."""
+            return rhs / d - np.matmul(np.matmul(p, rhs[:, :, None])[:, None, :, 0], p)[:, 0]
 
         m_y = solve(y)
+        y_m_y = _dots(y, m_y)
 
         def newton(r_az, r_sw):
+            """(dx, d_beta): the stacked steps of a, s, z, w and the step of beta."""
             rho = -r_d - r_az / a + r_sw / s - (w / s) * r_u
             m_rho = solve(rho)
-            d_beta = (y @ m_rho + r_e) / (y @ m_y)
-            d_a = m_rho - d_beta * m_y
+            d_beta = (_dots(y, m_rho) + r_e) / y_m_y
+            d_a = m_rho - d_beta[:, None] * m_y
             d_s = -r_u - d_a
-            return d_a, d_s, -(r_az + z * d_a) / a, -(r_sw + w * d_s) / s, d_beta
+            return np.stack((d_a, d_s, -(r_az + z * d_a) / a, -(r_sw + w * d_s) / s),
+                            axis=1), d_beta
 
-        def longest(*steps):
-            """Largest step in (0, 1] keeping a, s, z, w nonnegative."""
-            x, dx = np.concatenate((a, s, z, w)), np.concatenate(steps)
-            # the quotients of lanes with dx >= 0, divisions by zero among them, are dropped
-            return float(np.min(np.where(dx < 0.0, -x / dx, 1.0), initial=1.0))
+        def longest(dx):
+            """Largest step in (0, 1] per lane keeping a, s, z, w nonnegative."""
+            # the quotients of entries with dx >= 0, divisions by zero among them, are dropped
+            return np.min(np.where(dx < 0.0, -x / dx, 1.0), axis=(1, 2), initial=1.0)
 
         # predictor: the affine-scaling step, which sets the centering sigma
-        a_a, a_s, a_z, a_w, _ = newton(a * z, s * w)
-        t = longest(a_a, a_s, a_z, a_w)
-        mu_aff = ((a + t * a_a) @ (z + t * a_z) + (s + t * a_s) @ (w + t * a_w)) / (2.0 * n)
-        sigma = (mu_aff / mu) ** 3
+        aff, _ = newton(a * z, s * w)
+        mu_aff = measure(x + longest(aff)[:, None, None] * aff)
+        sigma = np.array([q ** 3 for q in mu_aff / mu])  # scalar powers: an array's moves bits
         # corrector: centred, with the predictor's second-order term
-        d_a, d_s, d_z, d_w, d_beta = newton(a * z + a_a * a_z - sigma * mu,
-                                            s * w + a_s * a_w - sigma * mu)
-        t = 0.995 * longest(d_a, d_s, d_z, d_w)
-        a = a + t * d_a
-        s = s + t * d_s
-        z = z + t * d_z
-        w = w + t * d_w
-        beta += t * d_beta
-    return a, s
+        centre = (sigma * mu)[:, None]
+        dx, d_beta = newton(a * z + aff[:, 0] * aff[:, 2] - centre,
+                            s * w + aff[:, 1] * aff[:, 3] - centre)
+        t = 0.995 * longest(dx)
+        x = x + t[:, None, None] * dx
+        beta = beta + t * d_beta
+    for i, lane in enumerate(live):
+        points[lane] = (x[i, 0], x[i, 1])
+    return points
+
+
+def _inverse_factors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inv(L) of each lane that factors, ok): L L^T = q for a stack q of (r, r) matrices.
+
+    A batched Cholesky raises for the whole stack when one lane fails, so
+    the lanes are then factored one at a time, and ``ok`` marks those
+    whose Cholesky (or inverse) did not raise LinAlgError.
+    """
+    try:
+        return np.linalg.inv(np.linalg.cholesky(q)), np.ones(len(q), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    factors, ok = [], np.ones(len(q), dtype=bool)
+    for i, lane in enumerate(q):
+        try:
+            factors.append(np.linalg.inv(np.linalg.cholesky(lane)))
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return np.array(factors), ok
 
 
 def _project(a: np.ndarray, s: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
@@ -295,21 +350,19 @@ def _project(a: np.ndarray, s: np.ndarray, y: np.ndarray, C: float) -> np.ndarra
     return a if abs(y @ a) <= 1e-9 * C else None
 
 
-def _warm_start(g: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
-    """SMO starting multipliers from the IPM on K ~ G G^T, or None for a cold start.
+def _warm_starts(g: np.ndarray, y: np.ndarray, C: float) -> list:
+    """Per lane, SMO's starting multipliers from the IPM on K ~ G G^T, or None.
 
-    None when the IPM fails numerically, as it does at C = inf, whose
-    duality measure is infinite from the first step, or when its
-    projected point is not balanced; SMO then starts from zero.
+    g stacks each lane's factor rows, (L, m, r), and y its labels, (L, m).
+    A lane is None, a cold start, when the IPM fails numerically on it, as
+    every lane does at C = inf, whose duality measure is infinite from the
+    first step, or when its projected point is not balanced; SMO then
+    starts from zero.
     """
     with np.errstate(all="ignore"):  # a non-finite value means the cold start
-        try:
-            point = _interior_point(y[:, None] * g, y, C)
-        except np.linalg.LinAlgError:
-            return None
-        if point is None or not np.all(np.isfinite(point)):
-            return None
-        return _project(*point, y, C)
+        points = _interior_points(y[:, :, None] * g, y, C)
+        return [None if point is None or not np.all(np.isfinite(point))
+                else _project(*point, lane_y, C) for point, lane_y in zip(points, y)]
 
 
 def _psd_factor(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +387,8 @@ def _check_settings(C: float, tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite, got {tolerance!r}")
 
 
-def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
-          points=None, *, _factor: np.ndarray | None = None) -> SvmModel:
+def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
+          _factor: np.ndarray | None = None, _start=_OWN_START) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
     Deterministic: the Gram is factored (certified pivoted Cholesky, or
@@ -344,8 +397,12 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
     lowest-index tie-breaks.  Warns (RuntimeWarning) when the PSD check
     clamps, and when SMO stops at ``MAX_PASSES`` or on a stalled step
     before the gap closes; the model's ``converged``, ``iterations`` and
-    ``final_gap`` say the same.  ``_factor``, private, is a G with G G^T
-    factoring ``gram`` (a PSD matrix), as :func:`_psd_factor` returns it.
+    ``final_gap`` say the same.  The private keywords take what
+    :func:`cross_validate` has already computed: ``_factor`` a G with G G^T
+    factoring ``gram`` (a PSD matrix), as :func:`_psd_factor` returns it,
+    and ``_start`` SMO's start on ``gram`` (a PSD matrix), one lane of
+    :func:`_warm_starts`, None for a cold start; given a start, train
+    neither factors nor runs the IPM.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -359,8 +416,10 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3,
     _check_settings(C, tolerance)
     if points is not None and np.shape(points) != (n, 2):  # as from_text reads them
         raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
-    k, g = _psd_factor(k) if _factor is None else (k, _factor)
-    return _smo(k, labels, C, tolerance, points, _warm_start(g, y, C))
+    if _start is _OWN_START:  # train is the IPM's one-lane case
+        k, g = _psd_factor(k) if _factor is None else (k, _factor)
+        _start = _warm_starts(g[None], y[None], C)[0]
+    return _smo(k, labels, C, tolerance, points, _start)
 
 
 def _bound_eps(C: float) -> float:
@@ -515,26 +574,31 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
 
     ``gram`` (a GramMatrix or a square array) holds the kernel between
     every pair of the dataset's points, in dataset order.  It is factored
-    once, and clamped to PSD once if it must be (with one warning); every
-    fold trains on its principal sub-block of that one matrix, with the
-    factor's rows, and scores training and test points on that matrix
-    too.  The clamp sees test points' kernel entries but not their labels.
-    Folds are contiguous blocks of one seeded shuffle.  If a fold misses a
-    class the shuffle is retried once with a derived seed, then an error
-    is raised.
+    once, and clamped to PSD once if it must be (with one warning), after
+    the folds, C and tolerance are checked; every fold trains on its
+    principal sub-block of that one matrix, started by its lane of one
+    lockstep IPM on the factor's rows, and scores training and test points
+    on that matrix too.  The clamp sees test points' kernel entries but
+    not their labels.  Folds are contiguous blocks of one seeded shuffle.
+    If a fold misses a class the shuffle is retried once with a derived
+    seed, then an error is raised.
     """
     n = len(dataset)
     splits = _fold_splits(dataset.labels, folds, seed)
+    _check_settings(C, tolerance)
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
+    # every fold has the same size and the factor's rank: one lockstep IPM starts them all
+    fold_rows = np.stack([train_idx for train_idx, _ in splits])
+    starts = _warm_starts(g[fold_rows], dataset.labels[fold_rows].astype(float), C)
     # fold f tests on block f of one permutation: permute once, then copy blocks
     order = np.concatenate([test_idx for _, test_idx in splits])
     p = k.take(order, 0).take(order, 1)
     size, m = n // folds, n - n // folds
     train_acc, test_acc = [], []
-    for f, (train_idx, test_idx) in enumerate(splits):
+    for f, ((train_idx, test_idx), start) in enumerate(zip(splits, starts)):
         lo, hi = f * size, (f + 1) * size
         rows = np.empty((n, m))  # training rows in fold order, then test rows
         for dst, src in ((slice(0, lo), slice(0, lo)), (slice(lo, m), slice(hi, n)),
@@ -542,7 +606,7 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
             rows[dst, :lo], rows[dst, lo:] = p[src, :lo], p[src, hi:]
         sub, test_rows = rows[:m], rows[m:]
         model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance,
-                      _factor=g[train_idx])
+                      _start=start)
         train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))
         test_acc.append(accuracy(model, test_rows, dataset.labels[test_idx]))
     return CvReport(tuple(train_acc), tuple(test_acc), seed)

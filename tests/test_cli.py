@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qkmap as qk
-from qkmap import kernels, pauli, svm
+from qkmap import cli, kernels, pauli, svm
 from qkmap.cli import main
 
 
@@ -34,6 +34,35 @@ def test_usage_errors_exit_1(capsys, argv, message):
     assert exc.value.code == 1
     assert stderr.startswith(f"usage: qkmap {argv[0]} [-h]")
     assert stderr.splitlines()[-1].startswith(message)
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    # main reuses one parser: repeated calls print the same bytes, and a usage
+    # error between them still exits 1 and leaves the parser working
+    argv = ("train", "--generate", "xor", "--n", "20", "--encodings", "ef1", "--csv",
+            "--model-out", str(tmp_path / "m.txt"))
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as builds:
+        first = run(capsys, *argv)
+        model = (tmp_path / "m.txt").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--generate", "xor", "--C", "abc"])
+        assert exc.value.code == 1
+        assert "qkmap train: error: argument --C" in capsys.readouterr().err
+        assert run(capsys, *argv) == first and first[0] == 0
+        assert (tmp_path / "m.txt").read_bytes() == model
+    assert builds.call_count == 1
+
+
+def test_parser_not_built_at_import():
+    src = Path(qk.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import qkmap.cli as cli; "
+                           "print(cli._parser.cache_info().currsize)"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -352,10 +381,12 @@ class TestTrain:
         (["--tolerance", "inf"], "tolerance must be finite, got inf"),
         (["--tolerance", "0"], "C and tolerance must be positive"),
         (["--model-out", "missing/m.txt"], "output directory 'missing' does not exist"),
-    ], ids=["infinite tolerance", "zero tolerance", "missing directory"])
+        (["--model-out", "isdir"], "output path 'isdir' is a directory"),
+    ], ids=["infinite tolerance", "zero tolerance", "missing directory", "directory"])
     def test_setting_misuse_fails_before_the_gram(self, tmp_path, capsys, monkeypatch,
                                                   argv, message):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "isdir").mkdir()
         with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds, \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -485,13 +516,18 @@ class TestKernel:
                 "--method", "magic", "--out", str(tmp_path / "k.csv"))
         assert exc.value.code == 1
 
-    def test_missing_out_directory_fails_before_the_gram(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "k.csv"
+    @pytest.mark.parametrize("out, message", [
+        ("missing/k.csv", "output directory {dir!r} does not exist"),
+        ("isdir", "output path {out!r} is a directory"),
+    ], ids=["missing directory", "directory"])
+    def test_out_misuse_fails_before_the_gram(self, tmp_path, capsys, out, message):
+        (tmp_path / "isdir").mkdir()
+        out = str(tmp_path / out)
         with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds:
             code, stdout, stderr = run(capsys, "kernel", "--generate", "moon", "--n", "10",
-                                       "--out", str(out))
+                                       "--out", out)
         assert code == 1 and stdout == ""
-        assert stderr == f"error: output directory {str(out.parent)!r} does not exist\n"
+        assert stderr == f"error: {message.format(dir=os.path.dirname(out), out=out)}\n"
         assert builds.call_count == 0
 
     def test_rerun_byte_identical(self, tmp_path, capsys):

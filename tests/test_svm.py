@@ -151,8 +151,9 @@ def mvp_interior_point(v: np.ndarray, y: np.ndarray, C: float):
     """Reference: the solver's IPM before it formed one Newton operator per step, verbatim.
 
     Solves each right-hand side with two ``np.linalg.solve`` calls on the
-    Cholesky factor and takes the step length in four masked loops; the
-    solver's IPM must give the same warm start to within 1e-6 * C.
+    Cholesky factor and takes the step length in four masked loops; each
+    lane of the solver's lockstep IPM must give the same warm start to
+    within 1e-6 * C.
     """
     n = len(y)
     a = np.full(n, C / 2.0)
@@ -217,10 +218,12 @@ def mvp_interior_point(v: np.ndarray, y: np.ndarray, C: float):
 
 
 def masked_interior_point(v: np.ndarray, y: np.ndarray, C: float):
-    """Reference: the solver's IPM when its step length gathered by boolean masks, verbatim.
+    """Reference: the solver's single-problem IPM when its step length gathered by
+    boolean masks, verbatim.
 
-    The solver's IPM takes each step length by one ``np.where`` over all
-    lanes; it must give the same warm start, byte for byte.
+    The solver's IPM steps every lane of a stack at once and takes each
+    lane's step length by one ``np.where`` over all its entries; every
+    lane must give the warm start this gives alone, byte for byte.
     """
     n = len(y)
     a = np.full(n, C / 2.0)
@@ -279,18 +282,45 @@ def masked_interior_point(v: np.ndarray, y: np.ndarray, C: float):
     return a, s
 
 
+def lanewise(reference):
+    """The lane API of svm._interior_points over a single-lane reference IPM.
+
+    Each lane is solved alone; a lane whose Cholesky raises is None, as
+    the solver's failure handling makes it.
+    """
+    def interior_points(v, y, C):
+        points = []
+        for lane_v, lane_y in zip(v, y):
+            try:
+                points.append(reference(lane_v, lane_y, C))
+            except np.linalg.LinAlgError:
+                points.append(None)
+        return points
+
+    return interior_points
+
+
+def warm_start(factor, y, C, reference=None):
+    """One lane's start from svm._warm_starts, or from a reference IPM when one is given."""
+    if reference is None:
+        return svm._warm_starts(factor[None], y[None], C)[0]
+    with mock.patch.object(svm, "_interior_points", lanewise(reference)):
+        return svm._warm_starts(factor[None], y[None], C)[0]
+
+
 def train_and_start(gram, labels, C):
     """train's model and the IPM start it handed to SMO (None: SMO from zero)."""
     starts = []
-    warm_start = svm._warm_start
+    warm_starts = svm._warm_starts
 
     def recording(*args):
-        starts.append(warm_start(*args))
+        starts.append(warm_starts(*args))
         return starts[-1]
 
-    with mock.patch.object(svm, "_warm_start", recording):
+    with mock.patch.object(svm, "_warm_starts", recording):
         model = train(gram, labels, C=C)
-    return model, starts[0]
+    [[start]] = starts  # train is the IPM's one-lane case
+    return model, start
 
 
 def dual_objective(model, gram_values):
@@ -604,9 +634,8 @@ class TestWarmStart:
             factor = svm._certified_factor(g.values)
             if factor is None:
                 factor = _clamp_psd(g.values)[1]
-        start = svm._warm_start(factor, y, c)
-        with mock.patch.object(svm, "_interior_point", mvp_interior_point):
-            want = svm._warm_start(factor, y, c)
+        start = warm_start(factor, y, c)
+        want = warm_start(factor, y, c, mvp_interior_point)
         assert (start is None) == (want is None)
         if want is not None:
             assert np.array_equal(start == 0.0, want == 0.0)
@@ -618,9 +647,8 @@ class TestWarmStart:
 
     @staticmethod
     def assert_start_byte_equal_to_masked(factor, y, c):
-        start = svm._warm_start(factor, y, c)
-        with mock.patch.object(svm, "_interior_point", masked_interior_point):
-            want = svm._warm_start(factor, y, c)
+        start = warm_start(factor, y, c)
+        want = warm_start(factor, y, c, masked_interior_point)
         assert (start is None) == (want is None)
         if want is not None:
             assert start.tobytes() == want.tobytes()
@@ -679,6 +707,69 @@ class TestWarmStart:
             assert start is not None
             assert_beats_cold(model, psd, cold)
 
+    @staticmethod
+    def cv_lanes(kind, eid, n, method="exact"):
+        """A 5-fold CV's stacked fold problems at fold seed 7: factor rows and labels."""
+        ds = generate(kind, n, seed=7)
+        full = gram(builtin(eid), ds.points, method=method, shots=1000, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            factor = svm._psd_factor(full.values)[1]
+        idx = np.stack([tr for tr, _ in reference_splits(ds.labels, 5, 7)])
+        return factor[idx], ds.labels[idx].astype(float)
+
+    @pytest.mark.parametrize("kind, eid, n, method, c", [
+        *((kind, eid, 100, "exact", 100.0) for kind in ("circle", "exp", "moon", "xor")
+          for eid in ("ef1", "ef2", "ef3", "ef4", "ef5")),
+        ("moon", "ef1", 400, "exact", 100.0),
+        ("moon", "ef1", 60, "shots", 100.0), ("moon", "ef1", 60, "shots", 1.0)])
+    def test_cv_lanes_byte_equal_to_masked_reference(self, kind, eid, n, method, c):
+        # the paper's table at n = 100, moon at n = 400 and the shot moon at n = 60:
+        # every lane of the lockstep IPM is the start its fold gets alone
+        g, y = self.cv_lanes(kind, eid, n, method)
+        starts = svm._warm_starts(g, y, c)
+        assert len(starts) == 5
+        for lane_g, lane_y, start in zip(g, y, starts):
+            want = warm_start(lane_g, lane_y, c, masked_interior_point)
+            assert want is not None and start.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("poison", ["nan row", "inf row", "failing slice"])
+    def test_failed_lane_leaves_the_other_lanes(self, poison):
+        # a poisoned lane starts cold and leaves the other lanes' bytes: a NaN or inf
+        # factor row makes its duality measure non-finite, and a Cholesky that fails
+        # for it mid-run makes the batched call raise for the whole stack
+        g, y = self.cv_lanes("moon", "ef1", 100)
+        want = svm._warm_starts(g, y, 100.0)
+        g = g.copy()
+        if poison != "failing slice":
+            g[2, 5] = np.nan if poison == "nan row" else np.inf
+        cholesky, batches, bad = np.linalg.cholesky, [], []
+
+        def failing(q):
+            """Cholesky that, from the third stacked call on, fails for that call's lane 2."""
+            if q.ndim == 3:
+                batches.append(len(q))
+                if poison == "failing slice" and len(batches) == 3:
+                    bad.append(q[2].copy())
+            if any(np.array_equal(lane, b) for lane in q.reshape(-1, *q.shape[-2:]) for b in bad):
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(q)
+
+        with mock.patch.object(np.linalg, "cholesky", failing):
+            got = svm._warm_starts(g, y, 100.0)
+            if poison != "failing slice":
+                assert warm_start(g[2], y[2], 100.0, masked_interior_point) is None
+        assert got[2] is None and want[2] is not None
+        for lane in (0, 1, 3, 4):
+            assert got[lane].tobytes() == want[lane].tobytes()
+        # the failed lane leaves the stack at once; the others step on together
+        fails = 3 if poison == "failing slice" else 1
+        assert batches[:fails + 1] == [5] * fails + [4]
+
+    def test_infinite_C_starts_every_lane_cold(self):
+        g, y = self.cv_lanes("moon", "ef1", 100)
+        assert svm._warm_starts(g, y, np.inf) == [None] * 5
+
     @pytest.mark.parametrize("inner", ["raise", "nan"])
     def test_ipm_failure_falls_back_to_cold(self, inner):
         k, labels = self.problem()
@@ -690,11 +781,11 @@ class TestWarmStart:
                 raise np.linalg.LinAlgError("forced")
             return np.full_like(m, np.nan)
 
-        assert svm._warm_start(g, y, 10.0) is not None
+        assert warm_start(g, y, 10.0) is not None
         want = svm._smo(_clamp_psd(k)[0], labels, 10.0, 1e-3)
         with warnings.catch_warnings(), mock.patch.object(np.linalg, "cholesky", failing):
             warnings.simplefilter("error")
-            assert svm._warm_start(g, y, 10.0) is None
+            assert warm_start(g, y, 10.0) is None
             model = train(k, labels, C=10.0)
         assert model.alphas.tobytes() == want.alphas.tobytes()
         assert repr(model.bias) == repr(want.bias)
@@ -956,7 +1047,8 @@ class TestCrossValidate:
                                       "moon 1600"])
     def test_folds_receive_reference_blocks(self, case):
         # every fold trains on k[tr, tr] and scores on it and on k[te, tr], byte for
-        # byte and C-contiguous; the solves are stubbed, as only their inputs matter
+        # byte and C-contiguous, from its own lane's start; the solves and starts are
+        # stubbed, as only their inputs matter
         folds, seed = 5, 7
         if case == "re-shuffle":  # fold seed 0 leaves a fold one class; seed 1 serves
             ds = LabeledDataset(np.random.default_rng(0).uniform(-1, 1, (6, 2)),
@@ -977,23 +1069,30 @@ class TestCrossValidate:
         trained, scored = [], []
 
         def fake_train(sub, labels, **kwargs):
-            trained.append((sub, labels, kwargs["_factor"]))
+            trained.append((sub, labels, kwargs))
             return None
 
         def fake_accuracy(model, rows, labels):
             scored.append((rows, labels))
             return 0.5
 
+        def lane_starts(g, y, C):
+            """Each lane's start names the factor rows and labels it was given."""
+            assert g.shape[0] == y.shape[0] == folds
+            return [(lane_g, lane_y) for lane_g, lane_y in zip(g, y)]
+
         with mock.patch.object(svm, "train", fake_train), \
-                mock.patch.object(svm, "accuracy", fake_accuracy):
+                mock.patch.object(svm, "accuracy", fake_accuracy), \
+                mock.patch.object(svm, "_warm_starts", lane_starts):
             report = cross_validate(ds, k, folds=folds, seed=seed, _factor=factor)
         splits = reference_splits(ds.labels, folds, seed)
         assert len(report.fold_test_accuracies) == len(trained) == folds
         for f, (tr, te) in enumerate(splits):
-            sub, labels, g = trained[f]
+            sub, labels, kwargs = trained[f]
             want_sub, want_test = k[np.ix_(tr, tr)], k[np.ix_(te, tr)]
+            g, lane_y = kwargs["_start"]
             assert g.tobytes() == factor[tr].tobytes()
-            assert labels.tolist() == ds.labels[tr].tolist()
+            assert lane_y.tolist() == labels.tolist() == ds.labels[tr].tolist()
             for got, want in ((sub, want_sub), (scored[2 * f][0], want_sub),
                               (scored[2 * f + 1][0], want_test)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -1024,6 +1123,37 @@ class TestCrossValidate:
             cross_validate(ds, full, folds=5, C=100.0, seed=7)
         assert (cf.call_count, cp.call_count, eigh.call_count) == (1, clamps, clamps)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"tolerance": np.inf}, "^tolerance must be finite, got inf$"),
+        ({"C": 0.0}, "^C and tolerance must be positive$"),
+        ({"C": np.nan}, "^C and tolerance must be positive$"),
+    ], ids=["infinite tolerance", "zero C", "NaN C"])
+    def test_setting_misuse_fails_before_the_factor(self, setting, message):
+        # a shot Gram would be clamped with a warning; the misuse is reported first
+        ds = generate("moon", 60, seed=7)
+        full = gram(builtin("ef1"), ds.points, method="shots", shots=1000, seed=7)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                cross_validate(ds, full, folds=5, seed=7, **{"C": 100.0, **setting})
+        assert caught == [] and eigh.call_count == 0
+
+    def test_infinite_C_trains_every_fold_from_zero(self):
+        # C = inf fails every lane of the IPM, so each fold's SMO starts from zero
+        ds = generate("xor", 40, seed=7)
+        full = gram(builtin("ef1"), ds.points).values
+        starts, fold_train = [], svm.train
+
+        def recording(*args, **kwargs):
+            starts.append(kwargs["_start"])
+            return fold_train(*args, **kwargs)
+
+        with mock.patch.object(svm, "train", recording):
+            report = cross_validate(ds, full, 5, np.inf, 1e-3, 7)
+        assert starts == [None] * 5
+        assert report == reference_cross_validate(ds, full, 5, np.inf, 1e-3, 7)
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_non_finite_gram_rejected(self, bad):
         # with 2 folds an entry between the folds appears only in test rows
@@ -1044,25 +1174,49 @@ class TestCrossValidate:
             cross_validate(ds, full, folds=5)
 
 
-@pytest.mark.parametrize("route", ("exact", "pauli", "shots"))
+# (encoding, weight) per component of the paper-bound oracle's sum-of-kernels routes:
+# every pair of built-ins, with weights (1, 1) and (1.5, 0.5) in turn
+COMBINATIONS = {
+    "combined": [((a, w), (b, 2.0 - w)) for (a, b), w in zip(
+        itertools.combinations(("ef1", "ef2", "ef3", "ef4", "ef5"), 2),
+        itertools.cycle((1.0, 1.5)))],
+    "zero weight": [(("ef2", 1.5), ("ef5", 1.5), ("ef1", 0.0))],
+}
+
+
+@pytest.mark.parametrize("route", ("exact", "pauli", "shots", "combined", "zero weight"))
 def test_fold_training_accuracy_meets_paper_bound(route):
     """The paper's bound: a linear classifier in the Pauli feature space reaches
     at least the best single-axis accuracy max_i R_i on its training set.
 
     The bound holds for the soft margin only at large C (at C = 1 some
-    exact full-set solves fall below it), so C = 100.
+    exact full-set solves fall below it), so C = 100.  A combination
+    sum_i w_i K_i has every component with w_i > 0 in its feature space,
+    scaled by sqrt(w_i), so each such component's single-axis thresholds
+    are linear classifiers there: its bound is the largest of those
+    components' bounds, and a zero-weight component adds nothing to it.
     """
+    if route in COMBINATIONS:
+        cases = itertools.product(("circle", "exp", "moon", "xor"), COMBINATIONS[route], (1, 7))
+    else:
+        cases = itertools.product(("circle", "exp", "moon", "xor"),
+                                  [((eid, 1.0),) for eid in ("ef1", "ef2", "ef3", "ef4", "ef5")],
+                                  (1, 7))
     below = []
-    for kind, eid, seed in itertools.product(("circle", "exp", "moon", "xor"),
-                                             ("ef1", "ef2", "ef3", "ef4", "ef5"), (1, 7)):
+    for kind, parts, seed in cases:
         ds = generate(kind, 100, seed=seed)
-        full = gram(builtin(eid), ds.points, method=route, shots=1000, seed=seed)
+        if route in COMBINATIONS:
+            full = combine([gram(builtin(eid), ds.points) for eid, _ in parts],
+                           [w for _, w in parts])
+        else:
+            full = gram(builtin(parts[0][0]), ds.points, method=route, shots=1000, seed=seed)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
             report = cross_validate(ds, full, folds=5, C=100.0, seed=seed)
         for f, (tr, _) in enumerate(reference_splits(ds.labels, 5, seed)):
             fold = LabeledDataset(ds.points[tr], ds.labels[tr])
-            bound = minimum_accuracy(fold, builtin(eid)).minimum_accuracy
+            bound = max(minimum_accuracy(fold, builtin(eid)).minimum_accuracy
+                        for eid, w in parts if w > 0)
             if report.fold_train_accuracies[f] < bound - 1e-12:
-                below.append((kind, eid, seed, f, report.fold_train_accuracies[f], bound))
+                below.append((kind, parts, seed, f, report.fold_train_accuracies[f], bound))
     assert not below
