@@ -18,7 +18,7 @@ import qkmap as qk
 
 
 def main():
-    # the feature space is the 4^n real Pauli coefficients of rho, and
+    # the feature space is the 16 real Pauli coefficients of rho, and
     # hyperplanes in R^d have VC dimension d + 1
     print(f"single-axis classifier family VC dimension (2 qubits): "
           f"{4 ** 2 + 1}")

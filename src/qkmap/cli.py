@@ -85,6 +85,7 @@ def _check_out_file(path) -> None:
 
 
 def cmd_gen(args) -> int:
+    _check_out_file(args.out)
     ds = datasets.generate(args.kind, args.n, args.seed)
     datasets.to_csv(ds, args.out)
     print(f"wrote {len(ds)} points to {args.out}")
@@ -97,6 +98,8 @@ def cmd_heatmap(args) -> int:
         indices = list(range(16))
     else:
         indices = [pauli.pauli_index(args.axis)]
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError(f"output path {args.out!r} is a file, not a directory")
     grids = pauli.coefficient_grids(phi12, indices,
                                     (args.range_min, args.range_max), args.resolution)
     os.makedirs(args.out, exist_ok=True)

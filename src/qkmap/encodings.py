@@ -6,6 +6,10 @@ diagonal two-qubit phase gate.  phi1 = x1 and phi2 = x2 for every
 encoding, so an encoding is its entangling phase: any function
 phi12(x1, x2), such as the five built-ins (ids ``ef1`` .. ``ef5``) or a
 compiled :func:`parse_phase_expression`.
+
+A state is a (..., 4) complex array of amplitudes.  Qubit 1 is the
+least-significant bit of the amplitude index, and the leftmost letter in
+Pauli labels (so "ZI" acts on qubit 1).
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from typing import Callable
 
 import numpy as np
-
-from .states import hadamard_layer, phase_layer
 
 PhaseFunction = Callable[[float, float], float]
 
@@ -34,6 +36,11 @@ _BUILTIN_PHI12 = {
 }
 
 BUILTIN_IDS = tuple(_BUILTIN_PHI12)
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# z1 and z2 of basis states 0..3: (-1)^bit of qubit 1 and of qubit 2
+_Z1 = np.array([1.0, -1.0, 1.0, -1.0])
+_Z2 = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def builtin(encoding_id: str) -> PhaseFunction:
@@ -84,11 +91,18 @@ def phase_states(phases) -> np.ndarray:
     :mod:`qkmap.pauli` holds exactly.
     """
     p = -0.5 * np.asarray(phases, dtype=float)
-    amps = np.zeros(p.shape[:-1] + (4,), dtype=np.complex128)
-    amps[..., 0] = 1.0
+    phase = p[..., :1] * _Z1 + p[..., 1:2] * _Z2 + p[..., 2:] * (_Z1 * _Z2)
+    a = np.zeros(p.shape[:-1] + (4,), dtype=np.complex128)
+    a[..., 0] = 1.0
     for _ in range(2):
-        amps = phase_layer(hadamard_layer(amps), [p[..., 0], p[..., 1]], {(1, 2): p[..., 2]})
-    return amps
+        # H x H: qubit 1's butterflies (0, 1) and (2, 3), then qubit 2's (0, 2) and (1, 3)
+        b0, b1 = (a[..., 0] + a[..., 1]) * _INV_SQRT2, (a[..., 0] - a[..., 1]) * _INV_SQRT2
+        b2, b3 = (a[..., 2] + a[..., 3]) * _INV_SQRT2, (a[..., 2] - a[..., 3]) * _INV_SQRT2
+        a = np.stack([(b0 + b2) * _INV_SQRT2, (b1 + b3) * _INV_SQRT2,
+                      (b0 - b2) * _INV_SQRT2, (b1 - b3) * _INV_SQRT2], axis=-1)
+        # the exponential inside the product, once per layer: a reused factor moves last bits
+        a = a * np.exp(1j * phase)
+    return a
 
 
 def feature_states(phi12: PhaseFunction, points) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Gram matrices over point sets by three routes, plus weighted combination.
 
 Routes: exact (tr(rho_x rho_z) as a real product of density-matrix rows of
-the simulated states), pauli (2^n * dot product of coefficient vectors, the
+the simulated states), pauli (4 * dot product of coefficient vectors, the
 real-feature-space identity), and shots (fraction of all-zero outcomes when
 measuring the inversion-test circuit U_Phi(x)^dagger U_Phi(z)|00>).  That
 outcome has probability |<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et

@@ -1,13 +1,15 @@
 """Real-vector representation of feature states via Pauli coefficients.
 
-A pure n-qubit density matrix expands as rho = sum_i a_i sigma_i over the
-4^n multi-qubit Pauli operators; the real vector a is the feature-space
-image used throughout the toolkit.  Index order: i = sum_k d_k 4^(k-1)
-with d_k in {I:0, X:1, Y:2, Z:3} the letter on qubit k, so the qubit-1
-letter varies fastest (II, XI, YI, ZI, IX, XX, ...).
+A pure two-qubit density matrix expands as rho = sum_i a_i sigma_i over
+the 16 two-qubit Pauli operators; the real vector a is the feature-space
+image used throughout the toolkit.  Index order: i = d_1 + 4 d_2 with
+d_k in {I:0, X:1, Y:2, Z:3} the letter on qubit k, so the qubit-1 letter
+varies fastest (II, XI, YI, ZI, IX, XX, ...).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -17,71 +19,68 @@ _LETTERS = "IXYZ"
 _SINGLE = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                     [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
+TWO_QUBIT_LABELS = tuple(q1 + q2 for q2 in _LETTERS for q1 in _LETTERS)
 
-def pauli_label(index: int, n_qubits: int = 2) -> str:
+
+def pauli_label(index: int) -> str:
     """Label for a coefficient index, qubit-1 letter leftmost (e.g. 7 -> "ZX")."""
-    if not 0 <= index < 4 ** n_qubits:
-        raise ValueError(f"index {index} out of range for n={n_qubits}")
-    return "".join(_LETTERS[(index >> (2 * k)) & 3] for k in range(n_qubits))
+    if not 0 <= index < 16:
+        raise ValueError(f"index {index} out of range for n=2")
+    return TWO_QUBIT_LABELS[index]
 
 
-def pauli_index(label: str, n_qubits: int = 2) -> int:
-    """Inverse of :func:`pauli_label`; rejects anything but n letters of IXYZ."""
-    letters = label.upper()
-    if len(letters) != n_qubits or any(ch not in _LETTERS for ch in letters):
-        valid = (", ".join(pauli_label(i) for i in range(16)) if n_qubits == 2
-                 else f"{n_qubits} letters from {_LETTERS}")
-        raise ValueError(f"invalid Pauli label {label!r}; expected one of: {valid}")
-    return sum(_LETTERS.index(ch) << (2 * k) for k, ch in enumerate(letters))
+def pauli_index(label: str) -> int:
+    """Inverse of :func:`pauli_label`; rejects anything but two letters of IXYZ."""
+    if label.upper() not in TWO_QUBIT_LABELS:
+        raise ValueError(f"invalid Pauli label {label!r}; "
+                         f"expected one of: {', '.join(TWO_QUBIT_LABELS)}")
+    return TWO_QUBIT_LABELS.index(label.upper())
 
 
-TWO_QUBIT_LABELS = tuple(pauli_label(i, 2) for i in range(16))
-
-
-def pauli_matrix(index: int, n_qubits: int = 2) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of sigma_index; qubit 1 is the rightmost factor."""
-    if not 0 <= index < 4 ** n_qubits:
-        raise ValueError(f"index {index} out of range for n={n_qubits}")
+def pauli_matrix(index: int) -> np.ndarray:
+    """Dense 4 x 4 matrix of sigma_index; qubit 1 is the right factor."""
     m = np.ones((1, 1), dtype=np.complex128)
-    for k in range(n_qubits):
-        m = np.kron(_SINGLE[(index >> (2 * k)) & 3], m)
+    for letter in pauli_label(index):  # from [[1]]: the product sets the signs of zeros
+        m = np.kron(_SINGLE[_LETTERS.index(letter)], m)
     return m
 
 
 def _density_reals(states) -> np.ndarray:
-    """(N, 2*4^n) rows F of Re and Im of each |psi><psi| of (N, 2^n) states.
+    """(N, 32) rows F of Re and Im of each |psi><psi| of (N, 4) states.
 
     Every simulator-side quantity is F times a real matrix: the exact Gram
-    F F^T, the Pauli coefficients F @ _pauli_map(n).
+    F F^T, the Pauli coefficients F @ _pauli_map().
     """
     s = np.asarray(states, dtype=np.complex128)
     return (s[:, :, None] * s[:, None, :].conj()).reshape(len(s), -1).view(float)
 
 
-def _pauli_map(n_qubits: int) -> np.ndarray:
-    """Real (2*4^n, 4^n) map M: tr(rho sigma_i) / 2^n is (reals of rho) @ M[:, i].
+@functools.cache
+def _pauli_map() -> np.ndarray:
+    """Real (32, 16) map M: tr(rho sigma_i) / 4 is (reals of rho) @ M[:, i].
 
     tr(rho sigma) of Hermitian rho, sigma is the dot product of their reals.
+    Built on first use, so importing the package does not pay for it.
     """
-    paulis = np.array([pauli_matrix(i, n_qubits).ravel() for i in range(4 ** n_qubits)])
-    return paulis.view(float).T / 2 ** n_qubits
+    paulis = np.array([pauli_matrix(i).ravel() for i in range(16)])
+    m = paulis.view(float).T / 4
+    m.setflags(write=False)
+    return m
 
 
 def decompose(amps) -> np.ndarray:
-    """All 4^n coefficients a_i = <psi|sigma_i|psi> / 2^n of one state.
+    """All 16 coefficients a_i = <psi|sigma_i|psi> / 4 of one two-qubit state.
 
-    ``amps`` is a (2^n,) amplitude vector; n is inferred from its length,
-    which must be a power of two, and its norm must be 1 within 1e-9.
-    Returns a read-only (4^n,) array in the module's index order.
+    ``amps`` is a (4,) amplitude vector whose norm must be 1 within 1e-9.
+    Returns a read-only (16,) array in the module's index order.
     """
     a = np.asarray(amps, dtype=np.complex128)
-    dim = a.shape[0] if a.ndim == 1 else 0
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"expected 2**n amplitudes with n >= 1, got shape {a.shape}")
+    if a.shape != (4,):
+        raise ValueError(f"expected 4 amplitudes, got shape {a.shape}")
     norm = np.linalg.norm(a)
     if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
         raise ValueError(f"state not normalized: |psi| = {float(norm)!r}")
-    coeffs = (_density_reals(a[None]) @ _pauli_map(dim.bit_length() - 1))[0]
+    coeffs = (_density_reals(a[None]) @ _pauli_map())[0]
     coeffs.setflags(write=False)
     return coeffs
 
@@ -147,7 +146,7 @@ def coefficient_grids(phi12: PhaseFunction, pauli_indices, x_range=(-1.0, 1.0),
     x1s = np.linspace(lo, hi, resolution)
     x1, x2 = np.meshgrid(x1s, x1s[::-1])
     states = feature_states(phi12, np.stack([x1.ravel(), x2.ravel()], axis=1))
-    coeffs = _density_reals(states) @ _pauli_map(2)
+    coeffs = _density_reals(states) @ _pauli_map()
     return [coeffs[:, i].reshape(resolution, resolution) for i in indices]
 
 

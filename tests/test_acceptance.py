@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import qkmap as qk
+from qkmap.encodings import phase_states
 from qkmap.pauli import closed_form_table
-from qkmap.states import hadamard_layer, phase_layer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATASET_SEED = 7
@@ -45,11 +45,7 @@ def test_criterion_1_closed_form_equivalence():
     worst = 0.0
     for _ in range(1000):
         p1, p2, p12 = rng.uniform(-np.pi, np.pi, 3)
-        st = np.array([1.0, 0.0, 0.0, 0.0])
-        for _ in range(2):
-            st = hadamard_layer(st)
-            st = phase_layer(st, [-p1 / 2, -p2 / 2], {(1, 2): -p12 / 2})
-        got = qk.decompose(st)
+        got = qk.decompose(phase_states([p1, p2, p12]))
         want = closed_form_table((p1, p2, p12))
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0

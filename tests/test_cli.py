@@ -106,6 +106,20 @@ class TestGen:
         assert code == 1
         assert "even" in stderr
 
+    @pytest.mark.parametrize("out, message", [
+        ("missing/x.csv", "output directory {dir!r} does not exist"),
+        ("isdir", "output path {out!r} is a directory"),
+    ], ids=["missing directory", "directory"])
+    def test_out_misuse_fails_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                out, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "isdir").mkdir()
+        with mock.patch.object(cli.datasets, "generate") as draws:
+            code, stdout, stderr = run(capsys, "gen", "circle", "--n", "10", "--out", out)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {message.format(dir=os.path.dirname(out), out=out)}\n"
+        assert draws.call_count == 0
+
     def test_byte_identical_rerun(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "gen", "moon", "--n", "50", "--seed", "3", "--out", str(a))
@@ -180,6 +194,17 @@ class TestHeatmap:
         assert stderr == "error: Unable to allocate 74.5 GiB for an array with shape " \
                          "(1, 100000, 100000) and data type float64\n"
         assert stdout == "" and not out.exists()
+
+    def test_out_file_fails_before_the_grids(self, tmp_path, capsys):
+        out = tmp_path / "F"
+        out.write_text("kept\n")
+        with mock.patch.object(pauli, "coefficient_grids") as grids:
+            code, stdout, stderr = run(capsys, "heatmap", "--resolution", "3",
+                                       "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: output path {str(out)!r} is a file, not a directory\n"
+        assert grids.call_count == 0
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ("heatmap", "kernel", "screen"))
     def test_custom_without_expression(self, tmp_path, capsys, command):

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qkmap.encodings import builtin, eval_encoding, feature_states
+from qkmap import pauli
+from qkmap.encodings import builtin, eval_encoding, feature_states, phase_states
 from qkmap.pauli import (
     TWO_QUBIT_LABELS,
     closed_form_table,
@@ -17,7 +18,6 @@ from qkmap.pauli import (
     pauli_label,
     pauli_matrix,
 )
-from qkmap.states import hadamard_layer, phase_layer
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,20 +34,30 @@ def dense_paulis(n):
             for letters in itertools.product("IXYZ", repeat=n)]
 
 
-# Reference copy of the earlier simulator route, a complex einsum over the Paulis.
-def _simulated_coefficients(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """(N, 4^n) coefficients <psi|sigma_i|psi> / 2^n of (N, 2^n) amplitudes."""
-    paulis = np.array([pauli_matrix(i, n_qubits) for i in range(4 ** n_qubits)])
+# Reference copy of the earlier simulator route, a complex einsum over the
+# Paulis, which it takes from the test-local kron builder.
+def _simulated_coefficients(amps: np.ndarray) -> np.ndarray:
+    """(N, 16) coefficients <psi|sigma_i|psi> / 4 of (N, 4) amplitudes."""
+    paulis = np.array(dense_paulis(2))
     e = np.einsum("nb,kbc,nc->nk", amps.conj(), paulis, amps)
     bad = np.argwhere(np.abs(e.imag) > 1e-10)
     if bad.size:
         n, i = bad[0]
         raise ArithmeticError(f"expectation of index {i} has imaginary residue {e.imag[n, i]}")
-    return e.real / 2 ** n_qubits
+    return e.real / 4
 
 
-def random_state(rng, n=2):
-    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+# Reference copy of the earlier n-qubit pauli_matrix: the byte oracle for the
+# signs of the zeros in the Pauli map.
+def earlier_pauli_matrix(index: int, n_qubits: int = 2) -> np.ndarray:
+    m = np.ones((1, 1), dtype=np.complex128)
+    for k in range(n_qubits):
+        m = np.kron(pauli._SINGLE[(index >> (2 * k)) & 3], m)
+    return m
+
+
+def random_state(rng):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     return amps / np.linalg.norm(amps)
 
 
@@ -63,8 +73,11 @@ class TestIndexing:
             assert pauli_index(pauli_label(i)) == i
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pauli_label(16, 2)
+        for index in (-1, 16):
+            with pytest.raises(ValueError, match=f"index {index} out of range for n=2"):
+                pauli_label(index)
+            with pytest.raises(ValueError, match=f"index {index} out of range for n=2"):
+                pauli_matrix(index)
 
     @pytest.mark.parametrize("label", ("QQ", "Z", "ZZZ", "", "Z1"))
     def test_invalid_label_rejected(self, label):
@@ -73,42 +86,52 @@ class TestIndexing:
 
     def test_lowercase_and_other_sizes(self):
         assert pauli_index("zx") == pauli_index("ZX")
-        assert pauli_index("IZI", 3) == 3 << 2
-        with pytest.raises(ValueError, match="3 letters"):
-            pauli_index("ZZ", 3)
+        for label in ("IZI", "IIII"):
+            with pytest.raises(ValueError, match="expected one of: II, XI"):
+                pauli_index(label)
+
+    def test_matrices_match_kron_of_letters(self):
+        for i, sigma in enumerate(dense_paulis(2)):
+            assert np.array_equal(pauli_matrix(i), sigma)
 
 
 class TestDecompose:
+    def test_map_bytes_match_earlier_matrices(self):
+        want = np.array([earlier_pauli_matrix(i).ravel() for i in range(16)]).view(float).T / 4
+        assert pauli._pauli_map().tobytes() == want.tobytes()
+        for i in range(16):
+            assert pauli_matrix(i).tobytes() == earlier_pauli_matrix(i).tobytes()
+
     def test_ground_state(self):
         vec = decompose(np.array([1.0, 0.0, 0.0, 0.0]))
         for label in TWO_QUBIT_LABELS:
             expect = 0.25 if label in ("II", "ZI", "IZ", "ZZ") else 0.0
             assert abs(vec[pauli_index(label)] - expect) < 1e-12
 
-    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n", (2,))
     def test_matches_dense_matrix_oracle(self, n):
         rng = np.random.default_rng(0)
         paulis = dense_paulis(n)
         for _ in range(25):
-            st = random_state(rng, n)
+            st = random_state(rng)
             vec = decompose(st)
-            assert vec.shape == (4 ** n,)
+            assert vec.shape == (16,)
             rho = np.outer(st, np.conj(st))
             for i, sigma in enumerate(paulis):
-                expect = np.trace(rho @ sigma).real / 2 ** n
+                expect = np.trace(rho @ sigma).real / 4
                 assert abs(vec[i] - expect) < 1e-12
 
-    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n", (2,))
     def test_matches_earlier_einsum_route(self, n):
         rng = np.random.default_rng(5)
-        states = np.array([random_state(rng, n) for _ in range(20)])
-        want = _simulated_coefficients(states, n)
+        states = np.array([random_state(rng) for _ in range(20)])
+        want = _simulated_coefficients(states)
         got = np.array([decompose(st) for st in states])
         assert np.max(np.abs(got - want)) <= 1e-15
 
     @pytest.mark.parametrize("amps, shown", [
         ([np.nan, 0, 0, 0], "nan"), ([np.inf, 0, 0, 0], "inf"),
-        ([1, 1j * np.nan], "nan"), ([1, 1, 0, 0], "1.414"),
+        ([1, 1j * np.nan, 0, 0], "nan"), ([1, 1, 0, 0], "1.414"),
     ], ids=["nan", "inf", "imaginary-nan", "unnormalized"])
     def test_unnormalized_or_nan_rejected(self, amps, shown):
         with pytest.raises(ValueError, match=rf"state not normalized: \|psi\| = {shown}"):
@@ -124,13 +147,6 @@ class TestDecompose:
             # same identity through the dense route: tr(rho^2) = 1
             rho = np.outer(st, np.conj(st))
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-9
-
-    def test_three_qubit_identity_coefficient(self):
-        rng = np.random.default_rng(2)
-        st = random_state(rng, 3)
-        vec = decompose(st)
-        assert abs(vec[0] - 1.0 / 8.0) < 1e-10
-        assert abs(np.sum(vec ** 2) - 1.0 / 8.0) < 1e-9
 
 
 class TestClosedForms:
@@ -150,11 +166,7 @@ class TestClosedForms:
         rng = np.random.default_rng(3)
         for _ in range(200):
             p1, p2, p12 = rng.uniform(-np.pi, np.pi, 3)
-            st = np.array([1.0, 0.0, 0.0, 0.0])
-            for _ in range(2):
-                st = phase_layer(hadamard_layer(st), [-p1 / 2, -p2 / 2],
-                                 {(1, 2): -p12 / 2})
-            got = decompose(st)
+            got = decompose(phase_states([p1, p2, p12]))
             want = closed_form_table((p1, p2, p12))
             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -211,7 +223,7 @@ class TestGrids:
         xs = np.linspace(-1.0, 1.0, 61)
         x1, x2 = np.meshgrid(xs, xs[::-1])
         states = feature_states(builtin(eid), np.stack([x1.ravel(), x2.ravel()], axis=1))
-        want = _simulated_coefficients(states, 2)
+        want = _simulated_coefficients(states)
         grids = coefficient_grids(builtin(eid), range(16), (-1, 1), 61)
         for i, grid in enumerate(grids):
             assert np.max(np.abs(grid - want[:, i].reshape(61, 61))) <= 1e-15

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkmap.datasets import from_csv, to_csv
-from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states
+from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states, phase_states
 from qkmap.kernels import gram
 from qkmap.pauli import coefficients, decompose
 from qkmap.svm import LabeledDataset, SvmModel, train
@@ -27,6 +28,69 @@ def dense_feature_unitary(p1, p2, p12):
     return d @ HH @ d @ HH
 
 
+# Reference copy of the earlier n-qubit simulator layers and the circuit
+# built on them: the byte oracle for phase_states.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def hadamard_layer(amps) -> np.ndarray:
+    """H on every qubit of the last axis of a (..., 2**n) amplitude array."""
+    a = np.array(amps, dtype=np.complex128)
+    dim = a.shape[-1]
+    idx = np.arange(dim)
+    for q in range(dim.bit_length() - 1):
+        lo = idx[(idx >> q) & 1 == 0]
+        hi = lo | (1 << q)
+        a0 = a[..., lo]
+        a1 = a[..., hi]
+        a[..., lo] = (a0 + a1) * _INV_SQRT2
+        a[..., hi] = (a0 - a1) * _INV_SQRT2
+    return a
+
+
+def phase_layer(amps, phi_single, phi_pairs) -> np.ndarray:
+    """Apply exp(i sum_k phi_k Z_k + i sum_{k<l} phi_{k,l} Z_k Z_l).
+
+    Acts on the last axis of a (..., 2**n) amplitude array.  ``phi_single``
+    holds one phase per qubit (qubit q at position q-1); ``phi_pairs`` maps
+    1-based qubit pairs (k, l) to their phase.  Each phase is a scalar or
+    an array over the leading axes of ``amps``.  The gate is diagonal:
+    basis state b picks up exp(i * (sum phi_k z_k(b) + sum phi_{k,l}
+    z_k(b) z_l(b))) with z_k(b) = (-1)^{bit k of b}.
+    """
+    a = np.asarray(amps, dtype=np.complex128)
+    dim = a.shape[-1]
+    n = dim.bit_length() - 1
+    phi_single = list(phi_single)
+    if len(phi_single) != n:
+        raise ValueError(f"phi_single must have {n} entries")
+    idx = np.arange(dim)
+    z = 1.0 - 2.0 * ((idx >> np.arange(n)[:, None]) & 1)
+    phase = np.zeros(a.shape)
+    for q, phi in enumerate(phi_single):
+        phase += np.multiply.outer(phi, z[q])
+    for (k, l), phi in dict(phi_pairs).items():
+        if k == l or not (1 <= k <= n) or not (1 <= l <= n):
+            raise ValueError(f"invalid qubit pair ({k}, {l}) for n={n}")
+        phase += np.multiply.outer(phi, z[k - 1]) * z[l - 1]
+    return a * np.exp(1j * phase)
+
+
+def reference_phase_states(phases) -> np.ndarray:
+    p = -0.5 * np.asarray(phases, dtype=float)
+    amps = np.zeros(p.shape[:-1] + (4,), dtype=np.complex128)
+    amps[..., 0] = 1.0
+    for _ in range(2):
+        amps = phase_layer(hadamard_layer(amps), [p[..., 0], p[..., 1]], {(1, 2): p[..., 2]})
+    return amps
+
+
+# up to 300 phase rows, or one (3,) row; magnitudes up to 1e6, zeros of both signs
+phase_values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+phase_rows = st.one_of(st.just((3,)), st.integers(1, 300).map(lambda n: (n, 3))).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=phase_values, fill=st.nothing()))
+
+
 @st.composite
 def point_sets(draw, max_size=12):
     """(N, 2) points in [-1, 1]^2, N >= 1."""
@@ -36,10 +100,9 @@ def point_sets(draw, max_size=12):
 
 @st.composite
 def normalised_states(draw):
-    """A random normalised (2**n,) amplitude array, n = 1..3."""
-    dim = 2 ** draw(st.integers(1, 3))
-    parts = draw(st.lists(coords, min_size=2 * dim, max_size=2 * dim))
-    amps = np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+    """A random normalised (4,) amplitude array."""
+    parts = draw(st.lists(coords, min_size=8, max_size=8))
+    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
     return amps / norm
@@ -54,6 +117,23 @@ def datasets(draw):
     if len(labels) > 1 and len(np.unique(labels)) < 2:
         labels[0] = -labels[1]
     return LabeledDataset(pts, labels)
+
+
+class TestPhaseStatesBytes:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(phase_rows)
+    def test_matches_earlier_layers(self, phases):
+        got, want = phase_states(phases), reference_phase_states(phases)
+        assert got.shape == want.shape == phases.shape[:-1] + (4,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_matches_earlier_layers_past_elision_size(self):
+        # from 4096 rows numpy multiplies into the exponential's temporary; only
+        # the product a * np.exp(...) keeps the earlier bytes on both sides of that
+        rng = np.random.default_rng(22)
+        for n in (4095, 4096, 20000):
+            phases = rng.uniform(-1e3, 1e3, (n, 3))
+            assert phase_states(phases).tobytes() == reference_phase_states(phases).tobytes()
 
 
 class TestBatchedEqualsScalar:
@@ -81,9 +161,8 @@ class TestPurity:
     @given(normalised_states())
     def test_decompose_identity_coefficient_and_purity(self, amps):
         vec = decompose(amps)
-        scale = 1.0 / len(amps)
-        assert abs(vec[0] - scale) <= 1e-12
-        assert abs(np.sum(vec ** 2) - scale) <= 1e-12
+        assert abs(vec[0] - 0.25) <= 1e-12
+        assert abs(np.sum(vec ** 2) - 0.25) <= 1e-12
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(specs, point_sets())

@@ -4,9 +4,9 @@ import pytest
 from qkmap.encodings import feature_states, phase_states
 from qkmap.kernels import gram
 from qkmap.pauli import decompose, pauli_index
-from qkmap.states import hadamard_layer, phase_layer
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+HH = np.kron(H, H)
 CNOT_Q1_CTRL = np.zeros((4, 4))  # control = qubit 1 (LSB), target = qubit 2
 for b in range(4):
     b1, b2 = b & 1, (b >> 1) & 1
@@ -42,6 +42,13 @@ def random_state(rng, n=2):
     return amps / np.linalg.norm(amps)
 
 
+def dense_circuit(p1, p2, p12):
+    """U_phi (H x H) U_phi (H x H) |00> from dense 4 x 4 matrices."""
+    z1, z2 = np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1])
+    d = np.diag(np.exp(-0.5j * (p1 * z1 + p2 * z2 + p12 * z1 * z2)))
+    return d @ HH @ d @ HH @ GROUND
+
+
 class TestStateVector:
     def test_zero_state(self):
         # with zero phases the circuit is (H x H)^2 = 1: the zeros cancel
@@ -52,90 +59,88 @@ class TestStateVector:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            decompose(np.array([1.0, 1.0]))
+            decompose(np.array([1.0, 1.0, 0.0, 0.0]))
         # the bound is 1e-9 on |psi|
         with pytest.raises(ValueError, match="normalized"):
-            decompose(np.array([1.0 + 1e-8, 0.0]))
-        assert decompose(np.array([1.0 + 1e-10, 0.0]))[pauli_index("Z", 1)] > 0.0
+            decompose(np.array([1.0 + 1e-8, 0.0, 0.0, 0.0]))
+        assert decompose(np.array([1.0 + 1e-10, 0.0, 0.0, 0.0]))[pauli_index("ZI")] > 0.0
 
     def test_rejects_bad_length(self):
-        for amps in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], np.zeros(0)):
-            with pytest.raises(ValueError, match="2\\*\\*n"):
+        for amps in ([1.0], [1.0, 0.0], [1.0, 0.0, 0.0], np.eye(8)[0], [[1.0, 0.0]],
+                     [[1.0, 0.0, 0.0, 0.0]], np.zeros(0)):
+            with pytest.raises(ValueError, match="expected 4 amplitudes"):
                 decompose(np.array(amps))
 
     def test_amplitudes_immutable(self):
-        # the layers return new arrays and never write into their input
-        st = random_state(np.random.default_rng(4))
-        st.setflags(write=False)
-        before = st.copy()
-        hadamard_layer(st)
-        phase_layer(st, [0.3, -0.2], {(1, 2): 0.5})
-        assert np.array_equal(st, before)
+        # the circuit returns a new array and never writes into its phases
+        phases = np.random.default_rng(4).uniform(-np.pi, np.pi, (5, 3))
+        phases.setflags(write=False)
+        before = phases.copy()
+        phase_states(phases)
+        assert np.array_equal(phases, before)
         with pytest.raises(ValueError):
-            decompose(st)[0] = 0.5
+            decompose(random_state(np.random.default_rng(4)))[0] = 0.5
 
 
 class TestHadamard:
     def test_uniform_superposition(self):
-        assert np.allclose(hadamard_layer(GROUND), 0.5)
+        # phi1 = phi2 = pi/2 turns each qubit's second H into an equal split
+        st = phase_states([np.pi / 2, np.pi / 2, 0.0])
+        assert np.max(np.abs(np.abs(st) - 0.5)) < 1e-12
 
     def test_involution(self):
-        rng = np.random.default_rng(5)
-        st = random_state(rng)
-        back = hadamard_layer(hadamard_layer(st))
-        assert np.max(np.abs(back - st)) < 1e-12
+        # (H x H)^2 = 1: phases whose layer is a global phase (-1 at 2 pi) give |00>
+        for phases in ([0.0, 0.0, 0.0], [2 * np.pi] * 3):
+            st = phase_states(phases)
+            assert abs(abs(st[0]) - 1.0) < 1e-12
+            assert np.max(np.abs(st[1:])) < 1e-12
 
     def test_matches_dense_matrix_oracle(self):
-        # (|00> - |01>)/sqrt(2): |01> has qubit 1 set, index 1
-        amps = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
-        expected = np.kron(H, H) @ amps
-        assert np.max(np.abs(hadamard_layer(amps) - expected)) < 1e-12
+        rng = np.random.default_rng(5)
+        phases = rng.uniform(-np.pi, np.pi, (50, 3))
+        got = phase_states(phases)
+        for row, st in zip(phases, got):
+            assert np.max(np.abs(st - dense_circuit(*row))) < 1e-12
 
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(6)
-        for n in (1, 2, 3, 4):
-            st = hadamard_layer(random_state(rng, n))
-            assert abs(np.linalg.norm(st) - 1.0) < 1e-9
+        norms = np.linalg.norm(phase_states(rng.uniform(-10, 10, (200, 3))), axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
 class TestDiagonalPhase:
     def test_zero_phases_identity(self):
-        rng = np.random.default_rng(7)
-        st = random_state(rng)
-        out = phase_layer(st, [0.0, 0.0], {(1, 2): 0.0})
-        assert np.array_equal(out, st)
+        # zero phases of either sign are the identity layer, bit for bit
+        for zeros in (np.zeros(3), -np.zeros(3), np.array([0.0, -0.0, 0.0])):
+            assert phase_states(zeros).tobytes() == phase_states(np.zeros(3)).tobytes()
 
     def test_single_z_phase_on_00(self):
-        # z1 = +1 on |00>, so phi1 = pi/2 multiplies by e^{i pi/2}
-        out = phase_layer(GROUND, [np.pi / 2, 0.0], {(1, 2): 0.0})
-        assert abs(out[0] - np.exp(1j * np.pi / 2)) < 1e-12
-
-    def test_pair_index_out_of_range(self):
-        with pytest.raises(ValueError, match="pair"):
-            phase_layer(GROUND, [0.0, 0.0], {(1, 3): 0.1})
-        with pytest.raises(ValueError, match="pair"):
-            phase_layer(GROUND, [0.0, 0.0], {(2, 2): 0.1})
+        # phi1 alone leaves qubit 2 in |0> and sends qubit 1 through
+        # D H D H |0> = cos(phi1/2) e^{-i phi1/2} |0> - i sin(phi1/2) e^{i phi1/2} |1>
+        phi = np.pi / 2
+        st = phase_states([phi, 0.0, 0.0])
+        want = [np.cos(phi / 2) * np.exp(-0.5j * phi), -1j * np.sin(phi / 2) * np.exp(0.5j * phi)]
+        assert np.max(np.abs(st[:2] - want)) < 1e-12
+        assert np.max(np.abs(st[2:])) < 1e-12
 
     def test_gate_sequence_equivalence(self):
-        # u1(2*phi) layers with CNOT-conjugated pair phase, up to global phase
+        # u1(-phi) layers with CNOT-conjugated pair phase, up to global phase
         rng = np.random.default_rng(8)
         for _ in range(100):
             p1, p2, p12 = rng.uniform(-np.pi, np.pi, 3)
-            st = random_state(rng)
-            diag = phase_layer(st, [p1, p2], {(1, 2): p12})
-            seq = (
-                on_qubit1(u1(2 * p1))
-                @ on_qubit2(u1(2 * p2))
-                @ CNOT_Q1_CTRL @ on_qubit2(u1(2 * p12)) @ CNOT_Q1_CTRL
-            ) @ st
-            overlap = np.vdot(diag, seq)
+            layer = (
+                on_qubit1(u1(-p1))
+                @ on_qubit2(u1(-p2))
+                @ CNOT_Q1_CTRL @ on_qubit2(u1(-p12)) @ CNOT_Q1_CTRL
+            )
+            seq = layer @ HH @ layer @ HH @ GROUND
+            overlap = np.vdot(phase_states([p1, p2, p12]), seq)
             assert abs(abs(overlap) - 1.0) < 1e-10
 
     def test_norm_preserved_exactly(self):
         rng = np.random.default_rng(9)
-        st = random_state(rng, 3)
-        out = phase_layer(st, [0.3, -1.2, 2.0], {(1, 3): 0.7, (2, 3): -0.1})
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        for phases in rng.uniform(-np.pi, np.pi, (20, 3)):
+            assert abs(np.linalg.norm(phase_states(phases)) - 1.0) < 1e-12
 
 
 class TestInnerProduct:
@@ -148,10 +153,6 @@ class TestInnerProduct:
 
     def test_orthogonal_basis_states(self):
         assert pair_kernel(ORIGIN, FAR) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="phi_single must have 1 entries"):
-            phase_layer(np.array([1.0, 0.0]), [0.0, 0.0], {})
 
     def test_matches_extended_precision_sum(self):
         rng = np.random.default_rng(11)
