@@ -84,6 +84,18 @@ def _check_out_file(path) -> None:
         raise ValueError(f"output path {path!r} is a directory")
 
 
+def _check_out_dir(path) -> None:
+    """A directory output's nearest existing path must be a directory, so makedirs can work."""
+    head = path
+    while head and not os.path.exists(head) and os.path.dirname(head) != head:
+        head = os.path.dirname(head)
+    if os.path.exists(head) and not os.path.isdir(head):
+        if head == path:
+            raise ValueError(f"output path {path!r} is a file, not a directory")
+        raise ValueError(f"output path {path!r} lies below {head!r}, which is a file, "
+                         "not a directory")
+
+
 def cmd_gen(args) -> int:
     _check_out_file(args.out)
     ds = datasets.generate(args.kind, args.n, args.seed)
@@ -98,8 +110,7 @@ def cmd_heatmap(args) -> int:
         indices = list(range(16))
     else:
         indices = [pauli.pauli_index(args.axis)]
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ValueError(f"output path {args.out!r} is a file, not a directory")
+    _check_out_dir(args.out)
     grids = pauli.coefficient_grids(phi12, indices,
                                     (args.range_min, args.range_max), args.resolution)
     os.makedirs(args.out, exist_ok=True)
@@ -134,8 +145,6 @@ def cmd_screen(args) -> int:
 
 def _train_gram(args, phi12s, points):
     weights = [1.0] * len(phi12s) if args.weights is None else args.weights
-    if len(weights) != len(phi12s):
-        raise ValueError(f"--weights has {len(weights)} values for {len(phi12s)} encoding(s)")
     gs = [kernels.gram(phi12, points, method=args.method,
                        shots=args.shots, seed=args.seed)
           for phi12 in phi12s]
@@ -149,11 +158,16 @@ def cmd_train(args) -> int:
     phi12s = [phi12 for _, phi12 in _encodings_from_args(args.encodings or [], args.custom_phi12)]
     if not phi12s:
         raise ValueError("at least one encoding required")
-    # a fold, setting or output misuse fails before any Gram
+    # a fold, setting, output or weight misuse fails before any Gram
     svm._fold_splits(ds.labels, args.folds, args.seed)
     svm._check_settings(args.C, args.tolerance)
     if args.model_out:
         _check_out_file(args.model_out)
+    if args.weights is not None:
+        if len(args.weights) != len(phi12s):
+            raise ValueError(f"--weights has {len(args.weights)} values for "
+                             f"{len(phi12s)} encoding(s)")
+        kernels._check_weights(args.weights, len(phi12s))
     # one PSD Gram and its factor serve every fold and the saved model
     k, g = svm._psd_factor(_train_gram(args, phi12s, ds.points).values)
     report = svm.cross_validate(ds, k, folds=args.folds, C=args.C,

@@ -117,11 +117,9 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     return GramMatrix(k, method)
 
 
-def combine(grams, weights) -> GramMatrix:
-    """PSD-preserving weighted sum of m Gram matrices: m weights in [0, m] summing to m."""
-    grams = list(grams)
+def _check_weights(weights, m: int) -> tuple:
+    """The weights of m Gram matrices as floats: m of them, each in [0, m], summing to m."""
     w = tuple(float(v) for v in weights)
-    m = len(grams)
     if m == 0:
         raise ValueError("at least one Gram matrix required")
     if len(w) != m:
@@ -130,6 +128,13 @@ def combine(grams, weights) -> GramMatrix:
         raise ValueError(f"each weight must lie in [0, {m}]")
     if abs(sum(w) - m) > 1e-9:
         raise ValueError(f"weights must sum to {m}, got {sum(w)}")
+    return w
+
+
+def combine(grams, weights) -> GramMatrix:
+    """PSD-preserving weighted sum of m Gram matrices: m weights in [0, m] summing to m."""
+    grams = list(grams)
+    w = _check_weights(weights, len(grams))
     size = grams[0].size
     for g in grams:
         if g.size != size:

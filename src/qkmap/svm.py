@@ -41,11 +41,17 @@ Its folds share their size and the factor's rank, so one lockstep IPM
 over the folds' stacked factor rows starts every fold's SMO.  Each fold
 tests on one contiguous block of a seeded permutation, so the matrix is
 permuted once and every fold's training block and test rows are filled
-by six slice copies, with no per-fold gather.
+by six slice copies, with no per-fold gather.  From ``_OVERLAP_FROM``
+points on, one short-lived worker thread makes those copies while the
+calling thread runs the IPM; the same numpy calls fill the same buffers,
+so the results keep their bytes.  Solves and scores stay on the calling
+thread.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -56,6 +62,12 @@ from .kernels import GramMatrix
 MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
 IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
 _OWN_START = object()  # train's default start: its own one-lane IPM
+# From this many points cross_validate copies the fold blocks on a worker thread
+# while the IPM runs; below it the thread costs more than it saves.  5-fold CV,
+# C = 100, moon ef1, 2 CPUs, medians of 21-41 alternating calls, inline against
+# overlapped: n = 150 8.3 / 8.8 ms, 200 10.0 / 10.3, 250 11.2 / 11.0, 300 13.4 / 12.5,
+# 400 18.0 / 15.3, 800 50.3 / 33.5, 1600 115 / 78.
+_OVERLAP_FROM = 300
 
 
 @dataclass(frozen=True)
@@ -567,6 +579,53 @@ def _fold_splits(labels: np.ndarray, folds: int, seed: int) -> list[tuple]:
     raise ValueError("a fold is missing a class even after re-shuffle")
 
 
+def _fold_blocks(k: np.ndarray, order: np.ndarray, folds: int) -> list[np.ndarray]:
+    """Per fold, a new (n, n - size) buffer: its training rows, then its test rows.
+
+    Fold f tests on block f of ``order``, so k is permuted once and each
+    buffer is filled by six slice copies of it; the columns are the
+    fold's training points, in fold order.  Pure numpy: it may run on a
+    worker thread.
+    """
+    n = len(order)
+    size, m = n // folds, n - n // folds
+    p = k.take(order, 0).take(order, 1)
+    blocks = []
+    for f in range(folds):
+        lo, hi = f * size, (f + 1) * size
+        rows = np.empty((n, m))  # training rows in fold order, then test rows
+        for dst, src in ((slice(0, lo), slice(0, lo)), (slice(lo, m), slice(hi, n)),
+                         (slice(m, n), slice(lo, hi))):
+            rows[dst, :lo], rows[dst, lo:] = p[src, :lo], p[src, hi:]
+        blocks.append(rows)
+    return blocks
+
+
+def _alongside(work, run):
+    """(work(), run()): ``work`` on one new thread while this thread runs ``run``.
+
+    The thread is joined before this returns or raises, and an exception
+    raised by ``work`` is raised again here.
+    """
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = work()
+        except BaseException as exc:  # raised again on the calling thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target, name="qkmap-fold-blocks")
+    worker.start()
+    try:
+        result = run()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return outcome["value"], result
+
+
 def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
                    C: float = 1.0, tolerance: float = 1e-3, seed: int = 0, *,
                    _factor: np.ndarray | None = None) -> CvReport:
@@ -592,18 +651,14 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
     # every fold has the same size and the factor's rank: one lockstep IPM starts them all
     fold_rows = np.stack([train_idx for train_idx, _ in splits])
-    starts = _warm_starts(g[fold_rows], dataset.labels[fold_rows].astype(float), C)
-    # fold f tests on block f of one permutation: permute once, then copy blocks
-    order = np.concatenate([test_idx for _, test_idx in splits])
-    p = k.take(order, 0).take(order, 1)
-    size, m = n // folds, n - n // folds
+    ipm = functools.partial(_warm_starts, g[fold_rows],
+                            dataset.labels[fold_rows].astype(float), C)
+    copy = functools.partial(_fold_blocks, k, np.concatenate([te for _, te in splits]), folds)
+    # the copies read only k, the IPM only the factor rows: from the cutoff on they overlap
+    blocks, starts = (copy(), ipm()) if n < _OVERLAP_FROM else _alongside(copy, ipm)
+    m = n - n // folds
     train_acc, test_acc = [], []
-    for f, ((train_idx, test_idx), start) in enumerate(zip(splits, starts)):
-        lo, hi = f * size, (f + 1) * size
-        rows = np.empty((n, m))  # training rows in fold order, then test rows
-        for dst, src in ((slice(0, lo), slice(0, lo)), (slice(lo, m), slice(hi, n)),
-                         (slice(m, n), slice(lo, hi))):
-            rows[dst, :lo], rows[dst, lo:] = p[src, :lo], p[src, hi:]
+    for (train_idx, test_idx), rows, start in zip(splits, blocks, starts):
         sub, test_rows = rows[:m], rows[m:]
         model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance,
                       _start=start)

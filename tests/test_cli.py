@@ -206,6 +206,27 @@ class TestHeatmap:
         assert grids.call_count == 0
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("below", ("sub", "sub/deeper"))
+    def test_out_below_a_file_fails_before_the_grids(self, tmp_path, capsys, monkeypatch,
+                                                     below):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("kept\n")
+        out = f"F/{below}"
+        with mock.patch.object(pauli, "coefficient_grids") as grids:
+            code, stdout, stderr = run(capsys, "heatmap", "--resolution", "5", "--out", out)
+        assert code == 1 and stdout == ""
+        assert stderr == (f"error: output path {out!r} lies below 'F', which is a file, "
+                          "not a directory\n")
+        assert grids.call_count == 0
+        assert sorted(os.listdir(tmp_path)) == ["F"]
+        assert (tmp_path / "F").read_text() == "kept\n"
+
+    def test_out_made_below_new_directories(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir"
+        code, _, _ = run(capsys, "heatmap", "--resolution", "3", "--axis", "ZZ",
+                         "--out", str(out))
+        assert code == 0 and os.listdir(out) == ["ZZ.csv"]
+
     @pytest.mark.parametrize("command", ("heatmap", "kernel", "screen"))
     def test_custom_without_expression(self, tmp_path, capsys, command):
         argv = {"heatmap": ["heatmap", "--encoding", "custom"],
@@ -458,6 +479,20 @@ class TestTrain:
         _, bare, _ = run(capsys, *argv)
         code, weighted, _ = run(capsys, *argv, "--weights", "1")
         assert code == 0 and weighted == bare
+
+    @pytest.mark.parametrize("weights, message", [
+        (["3", "-1"], "each weight must lie in [0, 2]"),
+        (["1", "1.5"], "weights must sum to 2, got 2.5"),
+        (["nan", "1"], "each weight must lie in [0, 2]"),
+        (["1"], "--weights has 1 values for 2 encoding(s)"),
+    ], ids=["range", "sum", "NaN", "count"])
+    def test_weight_misuse_fails_before_the_gram(self, capsys, weights, message):
+        with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds:
+            code, stdout, stderr = run(capsys, "train", "--generate", "moon", "--n", "60",
+                                       "--encodings", "ef1", "ef2", "--weights", *weights)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert builds.call_count == 0
 
     def test_nan_weight_rejected(self, capsys):
         code, stdout, stderr = run(capsys, "train", "--generate", "circle", "--n", "20",

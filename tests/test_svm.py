@@ -1,5 +1,7 @@
 import itertools
 import re
+import threading
+import time
 import warnings
 from unittest import mock
 
@@ -1044,18 +1046,21 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("case", ["2 folds", "3 folds", "4 folds", "5 folds",
                                       "leave one out", "non-symmetric", "re-shuffle",
-                                      "moon 1600"])
+                                      "moon 1600", "below the cutoff", "at the cutoff"])
     def test_folds_receive_reference_blocks(self, case):
         # every fold trains on k[tr, tr] and scores on it and on k[te, tr], byte for
         # byte and C-contiguous, from its own lane's start; the solves and starts are
-        # stubbed, as only their inputs matter
+        # stubbed, as only their inputs matter.  The blocks are copied on a worker
+        # thread from the cutoff on; the solves, scores and starts stay on this thread
         folds, seed = 5, 7
         if case == "re-shuffle":  # fold seed 0 leaves a fold one class; seed 1 serves
             ds = LabeledDataset(np.random.default_rng(0).uniform(-1, 1, (6, 2)),
                                 np.array([1, 1, -1, -1, -1, -1]))
             folds, seed = 3, 0
         else:
-            ds = generate("moon", 1600 if case == "moon 1600" else 60, seed=7)
+            n = {"moon 1600": 1600, "below the cutoff": svm._OVERLAP_FROM - 10,
+                 "at the cutoff": svm._OVERLAP_FROM}.get(case, 60)
+            ds = generate("moon", n, seed=7)
         n = len(ds)
         if case.endswith("folds"):
             folds = int(case.split()[0])
@@ -1066,25 +1071,37 @@ class TestCrossValidate:
         else:
             k = gram(builtin("ef1"), ds.points).values
         factor = np.random.default_rng(4).normal(size=(n, 3))
-        trained, scored = [], []
+        trained, scored, threads = [], [], {}
+        fold_blocks = svm._fold_blocks
 
         def fake_train(sub, labels, **kwargs):
+            threads.setdefault("train", set()).add(threading.current_thread())
             trained.append((sub, labels, kwargs))
             return None
 
         def fake_accuracy(model, rows, labels):
+            threads.setdefault("accuracy", set()).add(threading.current_thread())
             scored.append((rows, labels))
             return 0.5
 
         def lane_starts(g, y, C):
             """Each lane's start names the factor rows and labels it was given."""
+            threads.setdefault("starts", set()).add(threading.current_thread())
             assert g.shape[0] == y.shape[0] == folds
             return [(lane_g, lane_y) for lane_g, lane_y in zip(g, y)]
 
+        def blocks(*args):
+            threads.setdefault("blocks", set()).add(threading.current_thread())
+            return fold_blocks(*args)
+
         with mock.patch.object(svm, "train", fake_train), \
                 mock.patch.object(svm, "accuracy", fake_accuracy), \
-                mock.patch.object(svm, "_warm_starts", lane_starts):
+                mock.patch.object(svm, "_warm_starts", lane_starts), \
+                mock.patch.object(svm, "_fold_blocks", blocks):
             report = cross_validate(ds, k, folds=folds, seed=seed, _factor=factor)
+        here = threading.current_thread()
+        assert threads["train"] == threads["accuracy"] == threads["starts"] == {here}
+        assert (threads["blocks"] == {here}) == (n < svm._OVERLAP_FROM)
         splits = reference_splits(ds.labels, folds, seed)
         assert len(report.fold_test_accuracies) == len(trained) == folds
         for f, (tr, te) in enumerate(splits):
@@ -1099,6 +1116,75 @@ class TestCrossValidate:
                 assert got.flags.c_contiguous
             assert scored[2 * f][1].tolist() == ds.labels[tr].tolist()
             assert scored[2 * f + 1][1].tolist() == ds.labels[te].tolist()
+
+    @pytest.mark.parametrize("side", ("below", "at"))
+    def test_block_builder_error_raised_and_joined(self, side):
+        # a worker's exception is raised on the calling thread, after the join
+        n = svm._OVERLAP_FROM - (10 if side == "below" else 0)
+        ds = generate("moon", n, seed=7)
+        full = gram(builtin("ef1"), ds.points)
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate the fold blocks")
+
+        before = threading.active_count()
+        with mock.patch.object(svm, "_fold_blocks", no_memory), \
+                pytest.raises(MemoryError, match="^Unable to allocate the fold blocks$"):
+            cross_validate(ds, full, folds=5, C=100.0, seed=7)
+        assert threading.active_count() == before
+
+    def test_ipm_error_joins_the_worker(self):
+        # the IPM fails while the blocks are still being copied: the copy finishes,
+        # and its thread is joined, before the error leaves cross_validate
+        ds = generate("moon", svm._OVERLAP_FROM, seed=7)
+        full = gram(builtin("ef1"), ds.points)
+        fold_blocks, copied = svm._fold_blocks, []
+
+        def slow_blocks(*args):
+            time.sleep(0.2)
+            copied.append(fold_blocks(*args))
+            return copied[-1]
+
+        def failing_ipm(*args):
+            raise MemoryError("Unable to allocate the IPM stack")
+
+        before = threading.active_count()
+        with mock.patch.object(svm, "_fold_blocks", slow_blocks), \
+                mock.patch.object(svm, "_warm_starts", failing_ipm), \
+                pytest.raises(MemoryError, match="^Unable to allocate the IPM stack$"):
+            cross_validate(ds, full, folds=5, C=100.0, seed=7)
+        assert threading.active_count() == before
+        assert len(copied) == 1
+
+    @pytest.mark.parametrize("route", ("exact", "pauli", "shots"))
+    @pytest.mark.parametrize("side", ("below", "above"))
+    def test_overlap_keeps_reports_and_fold_bytes(self, route, side):
+        # the worker copies the same bytes: both paths give the same reports, warnings
+        # and fold models, and the reports equal the reference fold loop's
+        n = svm._OVERLAP_FROM + (-100 if side == "below" else 100)
+        ds = generate("moon", n, seed=7)
+        full = gram(builtin("ef1"), ds.points, method=route, shots=1000, seed=7).values
+        fold_train, runs = svm.train, []
+        # the path that n takes, then the other one
+        for cutoff in (svm._OVERLAP_FROM, n + 1 if side == "above" else 0):
+            models = []
+
+            def recording(*args, **kwargs):
+                models.append(fold_train(*args, **kwargs))
+                return models[-1]
+
+            with mock.patch.object(svm, "train", recording), \
+                    mock.patch.object(svm, "_OVERLAP_FROM", cutoff), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = cross_validate(ds, full, 5, 100.0, 1e-3, 7)
+            runs.append((report, [str(w.message) for w in caught],
+                         [(m.alphas.tobytes(), m.bias, m.iterations, m.converged,
+                           m.final_gap) for m in models]))
+        assert runs[0] == runs[1] and len(runs[0][2]) == 5
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+            assert runs[0][0] == reference_cross_validate(ds, full, 5, 100.0, 1e-3, 7)
 
     def test_shot_route_clamps_once(self):
         # the full Gram is clamped once, not once per fold
