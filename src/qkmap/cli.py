@@ -78,6 +78,8 @@ def _add_dataset_flags(p):
 
 def _check_out_file(path) -> None:
     """A file output's directory must exist, and the path must not be a directory."""
+    if not os.path.exists(path):
+        _check_out_dir(path)  # names a file that the path lies below
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"output directory {os.path.dirname(path)!r} does not exist")
     if os.path.isdir(path):

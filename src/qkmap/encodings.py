@@ -61,7 +61,7 @@ def eval_encoding(phi12: PhaseFunction, x) -> tuple[float, float, float]:
         if isinstance(v, complex):
             raise ValueError(f"complex value {v}")
         v = float(v)
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:  # TypeError: math.cos(complex)
         raise EncodingError(f"phi12 failed at x=({x1}, {x2}): {exc}") from exc
     if not math.isfinite(v):
         raise EncodingError(f"phi12 is not finite at x=({x1}, {x2}): {v}")

@@ -42,16 +42,14 @@ over the folds' stacked factor rows starts every fold's SMO.  Each fold
 tests on one contiguous block of a seeded permutation, so the matrix is
 permuted once and every fold's training block and test rows are filled
 by six slice copies, with no per-fold gather.  From ``_OVERLAP_FROM``
-points on, one short-lived worker thread makes those copies while the
-calling thread runs the IPM; the same numpy calls fill the same buffers,
-so the results keep their bytes.  Solves and scores stay on the calling
-thread.
+points on, a one-worker ``ThreadPoolExecutor`` makes those copies while
+the calling thread runs the IPM; the same numpy calls fill the same
+buffers, so the results keep their bytes.  Solves and scores stay on the
+calling thread.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -242,9 +240,9 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
     p = L^{-1} V^T D^{-1} give (D + V V^T)^{-1} = D^{-1} - p^T p
     (Sherman-Morrison-Woodbury), O(m r^2).  A lane stops when its duality
     measure is at most 1e-9 * C, or after IPM_STEPS steps, and is None once
-    that measure is not finite or its Cholesky fails.  A stopped lane is
-    dropped from every stack; each product is a per-slice ``np.matmul``,
-    so every lane's bytes are those it would have alone.
+    that measure is not finite; a lane whose Cholesky fails steps to NaN.
+    A stopped lane is dropped from every stack; each product is a per-slice
+    ``np.matmul``, so every lane's bytes are those it would have alone.
     """
     lanes, m, r = v.shape
     points = [None] * lanes
@@ -272,14 +270,7 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
         d = z / a + w / s
         vd = v / d[:, :, None]
         vt = v.transpose(0, 2, 1)
-        inv_l, ok = _inverse_factors(eye + np.matmul(vt, vd))
-        if not ok.all():  # a lane whose Cholesky failed stays None
-            if not ok.any():
-                return points
-            live, x, beta, v, y, mu, d, vd = (t[ok] for t in (live, x, beta, v, y, mu, d, vd))
-            a, s, z, w = x.transpose(1, 0, 2)
-            vt = v.transpose(0, 2, 1)
-        p = np.matmul(inv_l, vd.transpose(0, 2, 1))
+        p = np.matmul(_inverse_factors(eye + np.matmul(vt, vd)), vd.transpose(0, 2, 1))
         r_d = np.matmul(v, np.matmul(vt, a[:, :, None]))[:, :, 0] - 1.0 \
             + beta[:, None] * y - z + w
         r_e = _dots(y, a)
@@ -323,24 +314,24 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
     return points
 
 
-def _inverse_factors(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inv(L) of each lane that factors, ok): L L^T = q for a stack q of (r, r) matrices.
+def _inverse_factors(q: np.ndarray) -> np.ndarray:
+    """inv(L) per lane, L L^T = q, for a stack q of (r, r) matrices; NaN where that fails.
 
     A batched Cholesky raises for the whole stack when one lane fails, so
-    the lanes are then factored one at a time, and ``ok`` marks those
-    whose Cholesky (or inverse) did not raise LinAlgError.
+    the lanes are then factored one at a time; a lane whose Cholesky (or
+    inverse) raises LinAlgError keeps its NaNs.
     """
     try:
-        return np.linalg.inv(np.linalg.cholesky(q)), np.ones(len(q), dtype=bool)
+        return np.linalg.inv(np.linalg.cholesky(q))
     except np.linalg.LinAlgError:
         pass
-    factors, ok = [], np.ones(len(q), dtype=bool)
+    factors = np.full_like(q, np.nan)
     for i, lane in enumerate(q):
         try:
-            factors.append(np.linalg.inv(np.linalg.cholesky(lane)))
+            factors[i] = np.linalg.inv(np.linalg.cholesky(lane))
         except np.linalg.LinAlgError:
-            ok[i] = False
-    return np.array(factors), ok
+            pass
+    return factors
 
 
 def _project(a: np.ndarray, s: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
@@ -601,31 +592,6 @@ def _fold_blocks(k: np.ndarray, order: np.ndarray, folds: int) -> list[np.ndarra
     return blocks
 
 
-def _alongside(work, run):
-    """(work(), run()): ``work`` on one new thread while this thread runs ``run``.
-
-    The thread is joined before this returns or raises, and an exception
-    raised by ``work`` is raised again here.
-    """
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = work()
-        except BaseException as exc:  # raised again on the calling thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=target, name="qkmap-fold-blocks")
-    worker.start()
-    try:
-        result = run()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome.pop("error")
-    return outcome["value"], result
-
-
 def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
                    C: float = 1.0, tolerance: float = 1e-3, seed: int = 0, *,
                    _factor: np.ndarray | None = None) -> CvReport:
@@ -651,15 +617,19 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
     # every fold has the same size and the factor's rank: one lockstep IPM starts them all
     fold_rows = np.stack([train_idx for train_idx, _ in splits])
-    ipm = functools.partial(_warm_starts, g[fold_rows],
-                            dataset.labels[fold_rows].astype(float), C)
-    copy = functools.partial(_fold_blocks, k, np.concatenate([te for _, te in splits]), folds)
-    # the copies read only k, the IPM only the factor rows: from the cutoff on they overlap
-    blocks, starts = (copy(), ipm()) if n < _OVERLAP_FROM else _alongside(copy, ipm)
-    m = n - n // folds
+    lanes = (g[fold_rows], dataset.labels[fold_rows].astype(float), C)
+    order = np.concatenate([te for _, te in splits])
+    if n < _OVERLAP_FROM:
+        blocks, starts = _fold_blocks(k, order, folds), _warm_starts(*lanes)
+    else:  # the copies read only k, the IPM only the factor rows, so they overlap
+        from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
+        with ThreadPoolExecutor(1) as pool:  # leaving the block joins the worker
+            copying = pool.submit(_fold_blocks, k, order, folds)
+            starts = _warm_starts(*lanes)
+        blocks = copying.result()  # raises the worker's exception, BaseException included
     train_acc, test_acc = [], []
     for (train_idx, test_idx), rows, start in zip(splits, blocks, starts):
-        sub, test_rows = rows[:m], rows[m:]
+        sub, test_rows = rows[:len(train_idx)], rows[len(train_idx):]
         model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance,
                       _start=start)
         train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))

@@ -54,6 +54,18 @@ def test_one_parser_per_process(tmp_path, capsys):
     assert builds.call_count == 1
 
 
+def test_import_leaves_out_the_executor():
+    # cross_validate imports concurrent.futures only when it overlaps the fold copies
+    src = Path(qk.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, qkmap.cli; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_parser_not_built_at_import():
     src = Path(qk.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -109,11 +121,13 @@ class TestGen:
     @pytest.mark.parametrize("out, message", [
         ("missing/x.csv", "output directory {dir!r} does not exist"),
         ("isdir", "output path {out!r} is a directory"),
-    ], ids=["missing directory", "directory"])
+        ("F/x.csv", "output path {out!r} lies below 'F', which is a file, not a directory"),
+    ], ids=["missing directory", "directory", "below a file"])
     def test_out_misuse_fails_before_generating(self, tmp_path, capsys, monkeypatch,
                                                 out, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "isdir").mkdir()
+        (tmp_path / "F").write_text("kept\n")
         with mock.patch.object(cli.datasets, "generate") as draws:
             code, stdout, stderr = run(capsys, "gen", "circle", "--n", "10", "--out", out)
         assert code == 1 and stdout == ""
@@ -319,6 +333,14 @@ class TestScreen:
         assert "complex" in stderr and stderr.count("\n") == 1
         assert stdout == ""
 
+    def test_complex_argument_is_a_validation_error(self, capsys):
+        # a negative x1 makes x1^0.5 complex, and math.cos rejects it with a TypeError
+        code, stdout, stderr = run(capsys, "screen", "--generate", "moon", "--n", "20",
+                                   "--custom-phi12", "cos(x1^0.5)")
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: phi12 failed at x=(-")
+        assert "complex" in stderr and stderr.count("\n") == 1
+
     def test_per_axis_needs_one_encoding(self, capsys):
         argv = ("screen", "--generate", "circle", "--n", "20", "--per-axis")
         code, stdout, stderr = run(capsys, *argv)
@@ -428,11 +450,15 @@ class TestTrain:
         (["--tolerance", "0"], "C and tolerance must be positive"),
         (["--model-out", "missing/m.txt"], "output directory 'missing' does not exist"),
         (["--model-out", "isdir"], "output path 'isdir' is a directory"),
-    ], ids=["infinite tolerance", "zero tolerance", "missing directory", "directory"])
+        (["--model-out", "F/m.txt"],
+         "output path 'F/m.txt' lies below 'F', which is a file, not a directory"),
+    ], ids=["infinite tolerance", "zero tolerance", "missing directory", "directory",
+            "below a file"])
     def test_setting_misuse_fails_before_the_gram(self, tmp_path, capsys, monkeypatch,
                                                   argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "isdir").mkdir()
+        (tmp_path / "F").write_text("kept\n")
         with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds, \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -579,9 +605,11 @@ class TestKernel:
     @pytest.mark.parametrize("out, message", [
         ("missing/k.csv", "output directory {dir!r} does not exist"),
         ("isdir", "output path {out!r} is a directory"),
-    ], ids=["missing directory", "directory"])
+        ("F/k.csv", "output path {out!r} lies below {dir!r}, which is a file, not a directory"),
+    ], ids=["missing directory", "directory", "below a file"])
     def test_out_misuse_fails_before_the_gram(self, tmp_path, capsys, out, message):
         (tmp_path / "isdir").mkdir()
+        (tmp_path / "F").write_text("kept\n")
         out = str(tmp_path / out)
         with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds:
             code, stdout, stderr = run(capsys, "kernel", "--generate", "moon", "--n", "10",

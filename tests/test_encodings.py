@@ -242,3 +242,10 @@ class TestExpressionLanguage:
         match = r"phi12 failed at x=\(-0\.25, 0\.5\): complex"
         with pytest.raises(EncodingError, match=match):
             eval_encoding(spec, (-0.25, 0.5))
+
+    def test_complex_argument_names_phase_and_point(self):
+        # a complex power that reaches a math function raises TypeError inside phi12
+        spec = parse_phase_expression("cos(x1^0.5)")
+        assert eval_encoding(spec, (0.25, 0.0))[2] == math.cos(0.5)
+        with pytest.raises(EncodingError, match=r"phi12 failed at x=\(-0\.25, 0\.5\): .*complex"):
+            eval_encoding(spec, (-0.25, 0.5))

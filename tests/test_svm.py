@@ -768,6 +768,39 @@ class TestWarmStart:
         fails = 3 if poison == "failing slice" else 1
         assert batches[:fails + 1] == [5] * fails + [4]
 
+    def test_lane_failing_on_the_last_step_starts_cold(self):
+        # a Cholesky that fails on the final IPM step leaves that lane's point NaN, with
+        # no step after it to find a non-finite measure: _warm_starts' finiteness check
+        # starts the lane cold, and the other lanes keep their bytes
+        g, y = self.cv_lanes("moon", "ef1", 100)
+        cholesky, interior_points, batches, bad, points = (
+            np.linalg.cholesky, svm._interior_points, [], [], [])
+
+        def failing(q):
+            """Cholesky that fails for lane 2 of the third stacked call, the last step."""
+            if q.ndim == 3:
+                batches.append(len(q))
+                if len(batches) == 3:
+                    bad.append(q[2].copy())
+            if any(np.array_equal(lane, b) for lane in q.reshape(-1, *q.shape[-2:]) for b in bad):
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(q)
+
+        def recorded(*args):
+            points.extend(interior_points(*args))
+            return points
+
+        with mock.patch.object(svm, "IPM_STEPS", 3):
+            want = svm._warm_starts(g, y, 100.0)
+            with mock.patch.object(np.linalg, "cholesky", failing), \
+                    mock.patch.object(svm, "_interior_points", recorded):
+                got = svm._warm_starts(g, y, 100.0)
+        assert batches == [5, 5, 5] and len(bad) == 1
+        assert points[2] is not None and np.isnan(points[2][0]).all()
+        assert got[2] is None and want[2] is not None
+        for lane in (0, 1, 3, 4):
+            assert got[lane].tobytes() == want[lane].tobytes()
+
     def test_infinite_C_starts_every_lane_cold(self):
         g, y = self.cv_lanes("moon", "ef1", 100)
         assert svm._warm_starts(g, y, np.inf) == [None] * 5
