@@ -18,7 +18,6 @@ import numpy as np
 from . import datasets, kernels, pauli, screening, svm
 from .encodings import (
     BUILTIN_IDS,
-    EncodingError,
     PhaseFunction,
     builtin,
     parse_phase_expression,
@@ -88,6 +87,8 @@ def _check_out_file(path) -> None:
 
 def _check_out_dir(path) -> None:
     """A directory output's nearest existing path must be a directory, so makedirs can work."""
+    if not path:
+        raise ValueError("output path is empty")
     head = path
     while head and not os.path.exists(head) and os.path.dirname(head) != head:
         head = os.path.dirname(head)
@@ -161,9 +162,9 @@ def cmd_train(args) -> int:
     if not phi12s:
         raise ValueError("at least one encoding required")
     # a fold, setting, output or weight misuse fails before any Gram
-    svm._fold_splits(ds.labels, args.folds, args.seed)
+    svm._fold_order(ds.labels, args.folds, args.seed)
     svm._check_settings(args.C, args.tolerance)
-    if args.model_out:
+    if args.model_out is not None:
         _check_out_file(args.model_out)
     if args.weights is not None:
         if len(args.weights) != len(phi12s):
@@ -182,7 +183,7 @@ def cmd_train(args) -> int:
         print(f"mean,{report.mean_train!r},{report.mean_test!r}")
     else:
         print(report.summary())
-    if args.model_out:
+    if args.model_out is not None:
         model = svm.train(k, ds.labels, C=args.C, tolerance=args.tolerance,
                           points=ds.points, _factor=g)
         with open(args.model_out, "w") as fh:
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # heatmap has no --seed
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
-    except (ValueError, EncodingError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

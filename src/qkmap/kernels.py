@@ -142,4 +142,5 @@ def combine(grams, weights) -> GramMatrix:
     total = np.zeros((size, size))
     for g, v in zip(grams, w):
         total += v * g.values
+    total.setflags(write=False)  # GramMatrix keeps it without a copy, as gram's
     return GramMatrix(total, COMBINED, weights=w)

@@ -40,11 +40,6 @@ class AxisAccuracyReport:
             lines.append(f"{pauli_label(i)},{r!r},{thr!r},{orient}")
         return "\n".join(lines) + "\n"
 
-    def summary(self) -> str:
-        return (f"minimum accuracy {self.minimum_accuracy:.4f} on axis "
-                f"{self.best_axis_label} (threshold {self.best_threshold!r}, "
-                f"{self.best_orientation})")
-
 
 def axis_accuracy(values, labels) -> tuple[float, float, str]:
     """Best single-threshold accuracy on a 1-d value sequence.

@@ -38,14 +38,14 @@ block of kernel rows against the n training points to m decision
 values, and :func:`cross_validate` slices every fold out of one PSD
 matrix and factor, made once from the full-dataset Gram it is given.
 Its folds share their size and the factor's rank, so one lockstep IPM
-over the folds' stacked factor rows starts every fold's SMO.  Each fold
-tests on one contiguous block of a seeded permutation, so the matrix is
-permuted once and every fold's training block and test rows are filled
-by six slice copies, with no per-fold gather.  From ``_OVERLAP_FROM``
-points on, a one-worker ``ThreadPoolExecutor`` makes those copies while
-the calling thread runs the IPM; the same numpy calls fill the same
-buffers, so the results keep their bytes.  Solves and scores stay on the
-calling thread.
+over the folds' stacked factor rows starts every fold's SMO (a lane it
+fails on is NaN and starts cold).  Fold f tests on block f of one seeded
+permutation and trains on the rest, so the matrix is permuted once and
+every fold's training block and test rows are six slice copies of it.
+From ``_OVERLAP_FROM`` points on, a one-worker ``ThreadPoolExecutor``
+makes those copies while the calling thread runs the IPM; the same numpy
+calls fill the same buffers, so the results keep their bytes.  Solves and
+scores stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -228,8 +228,8 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
-    """Per lane, (a, s) or None: Mehrotra predictor-corrector on the dual with Q = V V^T.
+def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
+    """One (a, s) per lane, (L, 2, m): Mehrotra predictor-corrector on the dual with Q = V V^T.
 
     v stacks L problems' factor rows, (L, m, r), and y their labels, (L, m);
     all lanes step together, each numpy call acting on every live lane.
@@ -239,13 +239,13 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
     step, one r x r Cholesky L L^T = I + V^T D^{-1} V and one r x m operator
     p = L^{-1} V^T D^{-1} give (D + V V^T)^{-1} = D^{-1} - p^T p
     (Sherman-Morrison-Woodbury), O(m r^2).  A lane stops when its duality
-    measure is at most 1e-9 * C, or after IPM_STEPS steps, and is None once
-    that measure is not finite; a lane whose Cholesky fails steps to NaN.
-    A stopped lane is dropped from every stack; each product is a per-slice
-    ``np.matmul``, so every lane's bytes are those it would have alone.
+    measure is at most 1e-9 * C, or after IPM_STEPS steps, and keeps its NaN
+    point once that measure is not finite; a lane whose Cholesky fails steps
+    to NaN.  A stopped lane is dropped from every stack; each product is a
+    per-slice ``np.matmul``, so every lane's bytes are those it would have alone.
     """
     lanes, m, r = v.shape
-    points = [None] * lanes
+    points = np.full((lanes, 2, m), np.nan)
     live = np.arange(lanes)
     x = np.empty((lanes, 4, m))  # a, s, z, w of each lane
     x[:, :2], x[:, 2:] = C / 2.0, 1.0
@@ -259,8 +259,8 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
     for _ in range(IPM_STEPS):
         mu = measure(x)
         finite = np.isfinite(mu)
-        for i in np.flatnonzero(finite & (mu <= 1e-9 * C)):
-            points[live[i]] = (x[i, 0], x[i, 1])
+        done = finite & (mu <= 1e-9 * C)
+        points[live[done]] = x[done, :2]
         keep = finite & (mu > 1e-9 * C)
         if not keep.all():
             if not keep.any():
@@ -309,8 +309,7 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> list:
         t = 0.995 * longest(dx)
         x = x + t[:, None, None] * dx
         beta = beta + t * d_beta
-    for i, lane in enumerate(live):
-        points[lane] = (x[i, 0], x[i, 1])
+    points[live] = x[:, :2]
     return points
 
 
@@ -357,15 +356,15 @@ def _warm_starts(g: np.ndarray, y: np.ndarray, C: float) -> list:
     """Per lane, SMO's starting multipliers from the IPM on K ~ G G^T, or None.
 
     g stacks each lane's factor rows, (L, m, r), and y its labels, (L, m).
-    A lane is None, a cold start, when the IPM fails numerically on it, as
-    every lane does at C = inf, whose duality measure is infinite from the
-    first step, or when its projected point is not balanced; SMO then
-    starts from zero.
+    A lane is None, a cold start, when its IPM point is not finite, as when
+    the IPM fails numerically on it (every lane does at C = inf, whose
+    duality measure is infinite from the first step), or when its projected
+    point is not balanced; SMO then starts from zero.
     """
     with np.errstate(all="ignore"):  # a non-finite value means the cold start
         points = _interior_points(y[:, :, None] * g, y, C)
-        return [None if point is None or not np.all(np.isfinite(point))
-                else _project(*point, lane_y, C) for point, lane_y in zip(points, y)]
+        return [_project(*point, lane_y, C) if np.all(np.isfinite(point)) else None
+                for point, lane_y in zip(points, y)]
 
 
 def _psd_factor(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -553,20 +552,19 @@ class CvReport:
                 f"seed={self.seed}")
 
 
-def _fold_splits(labels: np.ndarray, folds: int, seed: int) -> list[tuple]:
-    """(train, test) indices per fold as ``cross_validate`` makes them; misuse raises ValueError."""
+def _fold_order(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
+    """The seeded shuffle whose block f is fold f's test points; misuse raises ValueError."""
     n = len(labels)
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     if n % folds != 0:
         raise ValueError(f"dataset size {n} not divisible by {folds} folds")
-    size = n // folds
     for shuffle_seed in (seed, seed + 1):
         order = np.random.default_rng(shuffle_seed).permutation(n)
-        parts = [order[f * size:(f + 1) * size] for f in range(folds)]
-        splits = [(np.concatenate(parts[:f] + parts[f + 1:]), parts[f]) for f in range(folds)]
-        if all(len(np.unique(labels[tr])) >= 2 for tr, _ in splits):
-            return splits
+        held = np.count_nonzero((labels[order] > 0).reshape(folds, -1), axis=1)
+        trained = held.sum() - held  # each fold's training positives, of n - n // folds
+        if np.all((trained > 0) & (trained < n - n // folds)):
+            return order
     raise ValueError("a fold is missing a class even after re-shuffle")
 
 
@@ -609,16 +607,17 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     seed, then an error is raised.
     """
     n = len(dataset)
-    splits = _fold_splits(dataset.labels, folds, seed)
+    order = _fold_order(dataset.labels, folds, seed)
     _check_settings(C, tolerance)
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
     # every fold has the same size and the factor's rank: one lockstep IPM starts them all
-    fold_rows = np.stack([train_idx for train_idx, _ in splits])
-    lanes = (g[fold_rows], dataset.labels[fold_rows].astype(float), C)
-    order = np.concatenate([te for _, te in splits])
+    tests = order.reshape(folds, -1)
+    fold_rows = np.stack([np.delete(tests, f, 0).ravel() for f in range(folds)])
+    labels = dataset.labels[fold_rows]
+    lanes = (g[fold_rows], labels.astype(float), C)
     if n < _OVERLAP_FROM:
         blocks, starts = _fold_blocks(k, order, folds), _warm_starts(*lanes)
     else:  # the copies read only k, the IPM only the factor rows, so they overlap
@@ -628,10 +627,9 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
             starts = _warm_starts(*lanes)
         blocks = copying.result()  # raises the worker's exception, BaseException included
     train_acc, test_acc = [], []
-    for (train_idx, test_idx), rows, start in zip(splits, blocks, starts):
-        sub, test_rows = rows[:len(train_idx)], rows[len(train_idx):]
-        model = train(sub, dataset.labels[train_idx], C=C, tolerance=tolerance,
-                      _start=start)
-        train_acc.append(accuracy(model, sub, dataset.labels[train_idx]))
-        test_acc.append(accuracy(model, test_rows, dataset.labels[test_idx]))
+    m = fold_rows.shape[1]
+    for rows, start, train_y, test_y in zip(blocks, starts, labels, dataset.labels[tests]):
+        model = train(rows[:m], train_y, C=C, tolerance=tolerance, _start=start)
+        train_acc.append(accuracy(model, rows[:m], train_y))
+        test_acc.append(accuracy(model, rows[m:], test_y))
     return CvReport(tuple(train_acc), tuple(test_acc), seed)

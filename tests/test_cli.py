@@ -122,7 +122,8 @@ class TestGen:
         ("missing/x.csv", "output directory {dir!r} does not exist"),
         ("isdir", "output path {out!r} is a directory"),
         ("F/x.csv", "output path {out!r} lies below 'F', which is a file, not a directory"),
-    ], ids=["missing directory", "directory", "below a file"])
+        ("", "output path is empty"),
+    ], ids=["missing directory", "directory", "below a file", "empty"])
     def test_out_misuse_fails_before_generating(self, tmp_path, capsys, monkeypatch,
                                                 out, message):
         monkeypatch.chdir(tmp_path)
@@ -234,6 +235,14 @@ class TestHeatmap:
         assert grids.call_count == 0
         assert sorted(os.listdir(tmp_path)) == ["F"]
         assert (tmp_path / "F").read_text() == "kept\n"
+
+    def test_empty_out_fails_before_the_grids(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(pauli, "coefficient_grids") as grids:
+            code, stdout, stderr = run(capsys, "heatmap", "--resolution", "3", "--out", "")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: output path is empty\n"
+        assert grids.call_count == 0 and os.listdir(tmp_path) == []
 
     def test_out_made_below_new_directories(self, tmp_path, capsys):
         out = tmp_path / "new" / "dir"
@@ -452,8 +461,9 @@ class TestTrain:
         (["--model-out", "isdir"], "output path 'isdir' is a directory"),
         (["--model-out", "F/m.txt"],
          "output path 'F/m.txt' lies below 'F', which is a file, not a directory"),
+        (["--model-out", ""], "output path is empty"),
     ], ids=["infinite tolerance", "zero tolerance", "missing directory", "directory",
-            "below a file"])
+            "below a file", "empty"])
     def test_setting_misuse_fails_before_the_gram(self, tmp_path, capsys, monkeypatch,
                                                   argv, message):
         monkeypatch.chdir(tmp_path)
@@ -606,11 +616,12 @@ class TestKernel:
         ("missing/k.csv", "output directory {dir!r} does not exist"),
         ("isdir", "output path {out!r} is a directory"),
         ("F/k.csv", "output path {out!r} lies below {dir!r}, which is a file, not a directory"),
-    ], ids=["missing directory", "directory", "below a file"])
+        ("", "output path is empty"),
+    ], ids=["missing directory", "directory", "below a file", "empty"])
     def test_out_misuse_fails_before_the_gram(self, tmp_path, capsys, out, message):
         (tmp_path / "isdir").mkdir()
         (tmp_path / "F").write_text("kept\n")
-        out = str(tmp_path / out)
+        out = str(tmp_path / out) if out else out
         with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds:
             code, stdout, stderr = run(capsys, "kernel", "--generate", "moon", "--n", "10",
                                        "--out", out)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from qkmap.datasets import generate
 from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states
+from qkmap import kernels
 from qkmap.kernels import GramMatrix, combine, gram
 
 HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
@@ -263,3 +266,12 @@ class TestCombine:
         c = combine([self.g1, self.g3], (1.0, 1.0))
         assert c.values.min() >= -1e-9
         assert c.values.max() <= 2.0 + 1e-9
+
+    def test_sum_is_wrapped_without_a_copy(self):
+        # the fresh sum goes to GramMatrix read-only, so __post_init__ keeps it
+        with mock.patch.object(kernels, "GramMatrix", wraps=kernels.GramMatrix) as wraps:
+            c = combine([self.g1, self.g3], (1.5, 0.5))
+        [(args, _)] = wraps.call_args_list
+        assert not args[0].flags.writeable and args[0].flags.owndata
+        assert c.values is args[0]
+        assert c.values.tobytes() == (1.5 * self.g1.values + 0.5 * self.g3.values).tobytes()

@@ -287,16 +287,18 @@ def masked_interior_point(v: np.ndarray, y: np.ndarray, C: float):
 def lanewise(reference):
     """The lane API of svm._interior_points over a single-lane reference IPM.
 
-    Each lane is solved alone; a lane whose Cholesky raises is None, as
-    the solver's failure handling makes it.
+    Each lane is solved alone; a lane on which the reference gives None or
+    its Cholesky raises is NaN, as the solver's failure handling makes it.
     """
     def interior_points(v, y, C):
-        points = []
-        for lane_v, lane_y in zip(v, y):
+        points = np.full((len(v), 2, v.shape[1]), np.nan)
+        for lane, (lane_v, lane_y) in enumerate(zip(v, y)):
             try:
-                points.append(reference(lane_v, lane_y, C))
+                point = reference(lane_v, lane_y, C)
             except np.linalg.LinAlgError:
-                points.append(None)
+                continue
+            if point is not None:
+                points[lane] = point
         return points
 
     return interior_points
@@ -757,10 +759,21 @@ class TestWarmStart:
                 raise np.linalg.LinAlgError("forced")
             return cholesky(q)
 
-        with mock.patch.object(np.linalg, "cholesky", failing):
+        interior_points, points = svm._interior_points, []
+
+        def recorded(*args):
+            points.append(interior_points(*args))
+            return points[-1]
+
+        with mock.patch.object(np.linalg, "cholesky", failing), \
+                mock.patch.object(svm, "_interior_points", recorded):
             got = svm._warm_starts(g, y, 100.0)
             if poison != "failing slice":
                 assert warm_start(g[2], y[2], 100.0, masked_interior_point) is None
+        # one float array of (a, s) per lane; the poisoned lane's is all NaN
+        assert points[0].shape == (5, 2, g.shape[1]) and points[0].dtype == float
+        assert np.isnan(points[0][2]).all()
+        assert np.isfinite(np.delete(points[0], 2, 0)).all()
         assert got[2] is None and want[2] is not None
         for lane in (0, 1, 3, 4):
             assert got[lane].tobytes() == want[lane].tobytes()
@@ -1059,6 +1072,28 @@ class TestCrossValidate:
         assert report.seed == 0 and len(report.fold_test_accuracies) == 3
         with pytest.raises(ValueError, match="missing a class even after re-shuffle"):
             cross_validate(ds, full, folds=3, seed=36)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_fold_order_is_the_reference_permutation(self, data):
+        # few minority labels make the re-shuffle and the "missing a class" error
+        # likely; folds from 2 to n, every divisor of n
+        n = data.draw(st.integers(2, 40), label="n")
+        folds = data.draw(st.sampled_from([f for f in range(2, n + 1) if n % f == 0]),
+                          label="folds")
+        minority = data.draw(st.integers(1, 3) | st.integers(0, n // 2), label="minority")
+        sign = data.draw(st.sampled_from([1, -1]), label="sign")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        labels = np.full(n, -sign)
+        labels[np.random.default_rng(seed).permutation(n)[:minority]] = sign
+        try:
+            splits = reference_splits(labels, folds, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                svm._fold_order(labels, folds, seed)
+        else:
+            order = svm._fold_order(labels, folds, seed)
+            assert order.tobytes() == np.concatenate([te for _, te in splits]).tobytes()
 
     @pytest.mark.parametrize("folds", (2, 5))
     @pytest.mark.parametrize("route", ("exact", "pauli", "shots", "combined"))
