@@ -25,7 +25,7 @@ TWO_QUBIT_LABELS = tuple(q1 + q2 for q2 in _LETTERS for q1 in _LETTERS)
 def pauli_label(index: int) -> str:
     """Label for a coefficient index, qubit-1 letter leftmost (e.g. 7 -> "ZX")."""
     if not 0 <= index < 16:
-        raise ValueError(f"index {index} out of range for n=2")
+        raise ValueError(f"pauli index {index} out of range [0, 16)")
     return TWO_QUBIT_LABELS[index]
 
 

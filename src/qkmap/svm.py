@@ -7,17 +7,19 @@ Phi Phi^T with Phi of width 16 (a combination of m encodings: at most
 most n // 4 columns.  When every row of R = K - G G^T sums to at most
 1e-6 in absolute value, Gershgorin gives lambda_min(K) >= -1e-6, which
 certifies K as PSD at O(n^2 r).  Any other Gram (shot Grams, full-rank or
-non-PSD matrices, rank above n // 4) goes through the PSD check, one
+non-PSD matrices, rank above n // 4) must be symmetric within 1e-6, as
+eigh reads one triangle, and goes through the PSD check, one
 eigendecomposition that clamps eigenvalues below -1e-6 to zero with a
 RuntimeWarning naming the minimum eigenvalue, and whose eigenvectors
 factor the clamped matrix.  A Mehrotra predictor-corrector
 interior-point method then solves the dual in the factor's r-dimensional
 space, one r x r Cholesky and one r x n operator per step (Fine &
 Scheinberg, JMLR 2, 243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783
-(2002)); its point, put on the box and on y^T alpha = 0, starts SMO,
-which starts from alpha = 0 only when C is infinite or the IPM fails.
-The IPM steps a stack of same-sized problems (lanes) in lockstep, each
-numpy call acting on every live lane; ``train`` is its one-lane case.
+(2002)).  It steps a stack of same-sized problems (lanes) in lockstep,
+each numpy call acting on every live lane; ``train`` is its one-lane
+case.  Its points, put on the box and on y^T alpha = 0, start SMO as one
+float array, a row per lane: a lane it fails on (NaN, as at C = inf) or
+left off balance is a zero row, SMO's cold start.
 
 SMO's working pair is the maximal violating pair in Keerthi's sense:
 with g_i = sum_j alpha_j y_j K_ij and c_i = y_i - g_i, feasibility of the
@@ -38,10 +40,10 @@ block of kernel rows against the n training points to m decision
 values, and :func:`cross_validate` slices every fold out of one PSD
 matrix and factor, made once from the full-dataset Gram it is given.
 Its folds share their size and the factor's rank, so one lockstep IPM
-over the folds' stacked factor rows starts every fold's SMO (a lane it
-fails on is NaN and starts cold).  Fold f tests on block f of one seeded
-permutation and trains on the rest, so the matrix is permuted once and
-every fold's training block and test rows are six slice copies of it.
+over the folds' stacked factor rows starts every fold's SMO.  Fold f
+tests on block f of one seeded permutation and trains on the rest, so
+the matrix is permuted once and every fold's training block and test
+rows are six slice copies of it.
 From ``_OVERLAP_FROM`` points on, a one-worker ``ThreadPoolExecutor``
 makes those copies while the calling thread runs the IPM; the same numpy
 calls fill the same buffers, so the results keep their bytes.  Solves and
@@ -59,7 +61,6 @@ from .kernels import GramMatrix
 
 MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
 IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
-_OWN_START = object()  # train's default start: its own one-lane IPM
 # From this many points cross_validate copies the fold blocks on a worker thread
 # while the IPM runs; below it the thread costs more than it saves.  5-fold CV,
 # C = 100, moon ef1, 2 CPUs, medians of 21-41 alternating calls, inline against
@@ -333,42 +334,31 @@ def _inverse_factors(q: np.ndarray) -> np.ndarray:
     return factors
 
 
-def _project(a: np.ndarray, s: np.ndarray, y: np.ndarray, C: float) -> np.ndarray | None:
-    """Put the IPM point on the box [0, C] and on y^T a = 0, or None.
-
-    A multiplier within 1e-6 * C of a bound, read from a or from the
-    carried slack s, is set to the bound, so that SMO does not spend a
-    pair update on each one.  The others take their Euclidean projection
-    onto y^T a = 0, clipped to the box; None when the clipping leaves
-    |y^T a| above 1e-9 * C.
-    """
-    at_zero = a <= 1e-6 * C
-    at_c = ~at_zero & (s <= 1e-6 * C)
-    free = ~(at_zero | at_c)
-    a = np.where(at_zero, 0.0, np.where(at_c, C, a))
-    if free.any():
-        shifted = a[free] - (y @ a) / np.count_nonzero(free) * y[free]
-        a[free] = np.clip(shifted, 0.0, C)
-    return a if abs(y @ a) <= 1e-9 * C else None
-
-
-def _warm_starts(g: np.ndarray, y: np.ndarray, C: float) -> list:
-    """Per lane, SMO's starting multipliers from the IPM on K ~ G G^T, or None.
+def _warm_starts(g: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
+    """SMO's starting multipliers per lane, (L, m), from the IPM on K ~ G G^T.
 
     g stacks each lane's factor rows, (L, m, r), and y its labels, (L, m).
-    A lane is None, a cold start, when its IPM point is not finite, as when
-    the IPM fails numerically on it (every lane does at C = inf, whose
-    duality measure is infinite from the first step), or when its projected
-    point is not balanced; SMO then starts from zero.
+    A multiplier within 1e-6 * C of a bound, read from the IPM point's a or
+    its carried slack s, is set to the bound, so that SMO does not spend a
+    pair update on each one; the others take their Euclidean projection
+    onto y^T a = 0, clipped to the box.  A lane then more than 1e-9 * C off
+    y^T a = 0 is a zero row, SMO's cold start.  So is a NaN lane, on which
+    the IPM failed (every lane at C = inf, whose duality measure is
+    infinite from the first step), as NaN fails that comparison.
     """
-    with np.errstate(all="ignore"):  # a non-finite value means the cold start
-        points = _interior_points(y[:, :, None] * g, y, C)
-        return [_project(*point, lane_y, C) if np.all(np.isfinite(point)) else None
-                for point, lane_y in zip(points, y)]
+    with np.errstate(all="ignore"):  # NaN lanes, and lanes with no free multiplier
+        a, s = _interior_points(y[:, :, None] * g, y, C).transpose(1, 0, 2)
+        at_zero = a <= 1e-6 * C
+        at_c = ~at_zero & (s <= 1e-6 * C)
+        free = ~(at_zero | at_c)
+        a = np.where(at_zero, 0.0, np.where(at_c, C, a))
+        shift = _dots(y, a) / np.count_nonzero(free, axis=1)
+        a = np.where(free, np.clip(a - shift[:, None] * y, 0.0, C), a)
+        return np.where((np.abs(_dots(y, a)) <= 1e-9 * C)[:, None], a, 0.0)
 
 
 def _psd_factor(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, G): the certified pivoted Cholesky of K, or else the PSD check's clamp.
+    """(k, G): K's certified pivoted Cholesky, or else the PSD check's clamp of a symmetric K.
 
     G G^T factors the returned matrix, and the rows G[idx] factor its
     principal sub-block k[idx][:, idx]: each row of a sub-block of |R|
@@ -378,6 +368,9 @@ def _psd_factor(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("gram has non-finite entries")
     with np.errstate(all="ignore"):  # a non-finite residual fails the certificate
         g = _certified_factor(k)
+    # eigh reads one triangle; a certified factor bounds |K - K^T| by 2e-6 per entry
+    if g is None and (skew := np.max(np.abs(k - k.T))) > 1e-6:
+        raise ValueError(f"gram is not symmetric: max |K - K^T| is {skew:.3e} > 1e-6")
     return _clamp_psd(k) if g is None else (k, g)
 
 
@@ -390,7 +383,7 @@ def _check_settings(C: float, tolerance: float) -> None:
 
 
 def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
-          _factor: np.ndarray | None = None, _start=_OWN_START) -> SvmModel:
+          _factor: np.ndarray | None = None, _start: np.ndarray | None = None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
     Deterministic: the Gram is factored (certified pivoted Cholesky, or
@@ -402,8 +395,8 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
     ``final_gap`` say the same.  The private keywords take what
     :func:`cross_validate` has already computed: ``_factor`` a G with G G^T
     factoring ``gram`` (a PSD matrix), as :func:`_psd_factor` returns it,
-    and ``_start`` SMO's start on ``gram`` (a PSD matrix), one lane of
-    :func:`_warm_starts`, None for a cold start; given a start, train
+    and ``_start`` SMO's start on ``gram`` (a PSD matrix), one row of
+    :func:`_warm_starts`, zeros for a cold start; given a start, train
     neither factors nor runs the IPM.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
@@ -418,7 +411,7 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
     _check_settings(C, tolerance)
     if points is not None and np.shape(points) != (n, 2):  # as from_text reads them
         raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
-    if _start is _OWN_START:  # train is the IPM's one-lane case
+    if _start is None:  # train is the IPM's one-lane case
         k, g = _psd_factor(k) if _factor is None else (k, _factor)
         _start = _warm_starts(g[None], y[None], C)[0]
     return _smo(k, labels, C, tolerance, points, _start)
@@ -427,17 +420,17 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
 def _bound_eps(C: float) -> float:
     """How near 0 or C a multiplier is at that bound: 1e-12, or 8 ulps of C >= 1024.
 
-    A pair update next to a multiplier near C resolves no finer than C's ulp.
+    A pair update next to a multiplier near C resolves no finer than C's ulp;
+    below C = 4e-12 the slack is C / 4, so that no multiplier is at both bounds.
     """
-    return float(np.fmax(1e-12, 8.0 * np.spacing(C)))  # fmax drops inf's NaN spacing
+    return min(float(np.fmax(1e-12, 8.0 * np.spacing(C))), C / 4)  # fmax drops inf's NaN
 
 
-def _smo(k: np.ndarray, labels, C: float, tolerance: float, points=None,
-         start: np.ndarray | None = None) -> SvmModel:
-    """The SMO loop over a PSD Gram k, from ``start`` or from alpha = 0."""
+def _smo(k: np.ndarray, labels, C: float, tolerance: float, points, start) -> SvmModel:
+    """The SMO loop over a PSD Gram k from the multipliers ``start`` (zeros: a cold start)."""
     y = np.asarray(labels, dtype=float)
-    alphas = np.zeros(len(y)) if start is None else start.copy()
-    g = np.zeros(len(y)) if start is None else k @ (start * y)  # sum_j alpha_j y_j K_ij
+    alphas = start.copy()
+    g = k @ (start * y)  # sum_j alpha_j y_j K_ij
     eps = _bound_eps(C)
     pos, neg = y > 0, y < 0
 
@@ -559,6 +552,8 @@ def _fold_order(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
         raise ValueError(f"folds must be at least 2, got {folds}")
     if n % folds != 0:
         raise ValueError(f"dataset size {n} not divisible by {folds} folds")
+    if not (np.any(labels > 0) and np.any(labels < 0)):  # no shuffle can help
+        raise ValueError("both classes must be present for training")
     for shuffle_seed in (seed, seed + 1):
         order = np.random.default_rng(shuffle_seed).permutation(n)
         held = np.count_nonzero((labels[order] > 0).reshape(folds, -1), axis=1)
@@ -604,7 +599,7 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     on that matrix too.  The clamp sees test points' kernel entries but
     not their labels.  Folds are contiguous blocks of one seeded shuffle.
     If a fold misses a class the shuffle is retried once with a derived
-    seed, then an error is raised.
+    seed, then an error is raised; a one-class dataset raises at once.
     """
     n = len(dataset)
     order = _fold_order(dataset.labels, folds, seed)

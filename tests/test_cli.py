@@ -454,6 +454,17 @@ class TestTrain:
         assert caught == []
         assert (builds.call_count, eigh.call_count) == (0, 0)
 
+    def test_one_class_dataset_fails_before_the_gram(self, tmp_path, capsys):
+        # no re-shuffle can give a fold both classes, so train's own message is reported
+        path = tmp_path / "one.csv"
+        path.write_text("x1,x2,label\n" + "0.1,0.2,1\n" * 10)
+        with mock.patch.object(kernels, "gram", wraps=kernels.gram) as builds:
+            code, stdout, stderr = run(capsys, "train", "--dataset", str(path),
+                                       "--encodings", "ef1", "--folds", "5")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: both classes must be present for training\n"
+        assert builds.call_count == 0
+
     @pytest.mark.parametrize("argv, message", [
         (["--tolerance", "inf"], "tolerance must be finite, got inf"),
         (["--tolerance", "0"], "C and tolerance must be positive"),

@@ -304,6 +304,81 @@ def lanewise(reference):
     return interior_points
 
 
+def reference_project(a, s, y, C):
+    """Reference: the solver's projection of one lane's IPM point, its code kept verbatim.
+
+    Put the IPM point on the box [0, C] and on y^T a = 0, or None.  A
+    multiplier within 1e-6 * C of a bound, read from a or from the
+    carried slack s, is set to the bound; the others take their
+    Euclidean projection onto y^T a = 0, clipped to the box; None when
+    the clipping leaves |y^T a| above 1e-9 * C.
+    """
+    at_zero = a <= 1e-6 * C
+    at_c = ~at_zero & (s <= 1e-6 * C)
+    free = ~(at_zero | at_c)
+    a = np.where(at_zero, 0.0, np.where(at_c, C, a))
+    if free.any():
+        shifted = a[free] - (y @ a) / np.count_nonzero(free) * y[free]
+        a[free] = np.clip(shifted, 0.0, C)
+    return a if abs(y @ a) <= 1e-9 * C else None
+
+
+def reference_warm_starts(points, y, C):
+    """Reference: the solver's per-lane start rule over an (L, 2, m) IPM stack, verbatim.
+
+    A lane whose point is not finite, or whose projection is None, was a
+    cold start (None); here it is a zero row, as the solver now gives it.
+    """
+    with np.errstate(all="ignore"):
+        starts = [reference_project(*point, lane_y, C) if np.all(np.isfinite(point)) else None
+                  for point, lane_y in zip(points, y)]
+    return np.array([np.zeros(len(lane_y)) if start is None else start
+                     for start, lane_y in zip(starts, y)])
+
+
+@st.composite
+def ipm_stacks(draw):
+    """Faked svm._interior_points results: ((L, 2, m) points, (L, m) labels, C).
+
+    Each lane is all NaN, as a failed lane is; has no free multiplier
+    (every a or s within 1e-6 * C of zero); is a box point balanced on
+    y^T a = 0; mixes multipliers on either side of both snap thresholds
+    with free ones, which the clip often leaves off balance; or has two
+    free multipliers of one class whose projection the clip leaves up to
+    2e-9 * C off balance, either side of the 1e-9 * C cut.
+    """
+    lanes, m = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    c = draw(st.sampled_from([1e-12, 1.0, 100.0, 1e5, np.inf]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = c if np.isfinite(c) else 10.0
+    y = rng.choice([-1.0, 1.0], size=(lanes, m))
+    points = np.empty((lanes, 2, m))
+    for lane, kind in enumerate(draw(st.lists(
+            st.sampled_from(["nan", "no free", "balanced", "mixed", "edge"]),
+            min_size=lanes, max_size=lanes))):
+        a = rng.uniform(0.0, scale, m)
+        near = rng.uniform(0.0, 2e-6 * scale, m)  # straddles the 1e-6 * C snap
+        if kind == "nan":
+            a = np.full(m, np.nan)
+        elif kind == "no free":
+            a = np.where(rng.random(m) < 0.5, near / 2, scale - near / 2)
+        elif kind == "balanced":
+            pos, neg = a[y[lane] > 0].sum(), a[y[lane] < 0].sum()
+            a[y[lane] > 0] *= min(1.0, neg / pos) if pos else 0.0
+            a[y[lane] < 0] *= min(1.0, pos / neg) if neg else 0.0
+        elif kind == "mixed" or m == 1:
+            pick = rng.integers(0, 3, m)
+            a = np.where(pick == 0, near, np.where(pick == 1, scale - near, a))
+        else:  # the shift moves a_j and a_k to -+(a_k - a_j) / 2; the clip drops one
+            j, k = rng.choice(m, 2, replace=False)
+            y[lane, k] = y[lane, j]
+            a = near / 2
+            a[j] = rng.uniform(0.1, 0.9) * scale
+            a[k] = a[j] + rng.uniform(0.0, 4e-9) * scale
+        points[lane] = a, scale - a
+    return points, y, c
+
+
 def warm_start(factor, y, C, reference=None):
     """One lane's start from svm._warm_starts, or from a reference IPM when one is given."""
     if reference is None:
@@ -313,7 +388,7 @@ def warm_start(factor, y, C, reference=None):
 
 
 def train_and_start(gram, labels, C):
-    """train's model and the IPM start it handed to SMO (None: SMO from zero)."""
+    """train's model and the IPM start it handed to SMO (zeros: SMO from zero)."""
     starts = []
     warm_starts = svm._warm_starts
 
@@ -435,6 +510,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
             train(g, [1, -1], C=np.inf, tolerance=np.inf)
 
+    def test_non_symmetric_gram_rejected(self):
+        # eigh reads one triangle: this matrix used to train "converged" on another one,
+        # with KKT residuals of 0.93 on the matrix given
+        k = [[1, .9, 0, 0], [-.5, 1, 0, 0], [0, 0, 1, .2], [0, 0, .2, 1]]
+        with pytest.raises(ValueError, match=re.escape("max |K - K^T| is 1.400e+00 > 1e-6")):
+            train(k, [1, -1, 1, -1], C=10.0)
+
     def test_infinite_C_is_hard_margin(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
         g = gram(builtin("ef1"), pts)
@@ -450,7 +532,7 @@ class TestSolverStats:
     # SMO from alpha = 0, which still takes pair updates on these inputs
     def test_converged_stats(self):
         g, labels = self.problem()
-        model = svm._smo(_clamp_psd(g.values)[0], labels, 1.0, 1e-3)
+        model = svm._smo(_clamp_psd(g.values)[0], labels, 1.0, 1e-3, None, np.zeros(60))
         assert model.converged is True
         assert model.iterations > 0
         assert model.final_gap <= 2.0 * model.tolerance
@@ -459,7 +541,7 @@ class TestSolverStats:
         g, labels = self.problem()
         with mock.patch.object(svm, "MAX_PASSES", 3), \
                 pytest.warns(RuntimeWarning, match="max_passes=3") as caught:
-            model = svm._smo(_clamp_psd(g.values)[0], labels, 100.0, 1e-3)
+            model = svm._smo(_clamp_psd(g.values)[0], labels, 100.0, 1e-3, None, np.zeros(60))
         message = str(caught[0].message)
         assert "gap" in message and "tolerance" in message
         assert "clamp" not in message
@@ -510,7 +592,7 @@ class TestSolverProperties:
             want_alphas, want_bias = mvp_train(k, labels, C=c, max_passes=max_passes)
             psd = _clamp_psd(k)[0]
             with mock.patch.object(svm, "MAX_PASSES", max_passes):
-                model = svm._smo(psd, labels, c, 1e-3)
+                model = svm._smo(psd, labels, c, 1e-3, None, np.zeros(len(labels)))
         assert model.alphas.tobytes() == want_alphas.tobytes()
         assert repr(model.bias) == repr(want_bias)
         if model.converged:
@@ -526,7 +608,7 @@ class TestSolverProperties:
         pos, neg = a[y > 0].sum(), a[y < 0].sum()
         a[y > 0] *= min(1.0, neg / pos)
         a[y < 0] *= min(1.0, pos / neg)
-        start = svm._project(a, c - a, y, c)
+        start = reference_project(a, c - a, y, c)
         assert start is not None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -600,6 +682,20 @@ class TestWarmStart:
         assert model.converged
         assert np.max(kkt_residuals(model, g.values)) <= model.tolerance + 1e-9
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-13, 1e-20])
+    def test_tiny_C_converges(self, c):
+        # below C = 4e-12 the bound slack is C / 4; a slack of 1e-12 >= C / 2 put every
+        # multiplier at zero and at C at once, and each solve stopped with a gap of 2
+        assert svm._bound_eps(c) == c / 4
+        ds = generate("moon", 60, seed=7)
+        g = gram(builtin("ef1"), ds.points)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="SMO stopped")
+            cross_validate(ds, g, C=c, seed=7)
+            model = train(g, ds.labels, C=c)
+        assert model.converged
+        assert np.max(kkt_residuals(model, g.values)) <= model.tolerance + 1e-9
+
     def test_large_C_converges(self):
         # next to a multiplier near C = 1e5 a partner at 1.4e-12 must count as at zero
         assert [svm._bound_eps(c) for c in (0.5, 1000.0, np.inf)] == [1e-12] * 3
@@ -619,11 +715,11 @@ class TestWarmStart:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             psd = _clamp_psd(k)[0]
-            cold = svm._smo(psd, labels, c, 1e-3)
+            cold = svm._smo(psd, labels, c, 1e-3, None, np.zeros(len(labels)))
             warnings.filterwarnings("error", message="SMO stopped")
             model, start = train_and_start(g, labels, c)
             again = train(k, labels, C=c)
-        assert start is not None
+        assert start.any()
         assert_beats_cold(model, psd, cold)
         assert again.alphas.tobytes() == model.alphas.tobytes()
         assert repr(again.bias) == repr(model.bias)
@@ -640,8 +736,8 @@ class TestWarmStart:
                 factor = _clamp_psd(g.values)[1]
         start = warm_start(factor, y, c)
         want = warm_start(factor, y, c, mvp_interior_point)
-        assert (start is None) == (want is None)
-        if want is not None:
+        assert start.any() == want.any()
+        if want.any():
             assert np.array_equal(start == 0.0, want == 0.0)
             assert np.array_equal(start == c, want == c)
             # the IPM stops at a duality measure of 1e-9 * C; on random labels at
@@ -653,9 +749,7 @@ class TestWarmStart:
     def assert_start_byte_equal_to_masked(factor, y, c):
         start = warm_start(factor, y, c)
         want = warm_start(factor, y, c, masked_interior_point)
-        assert (start is None) == (want is None)
-        if want is not None:
-            assert start.tobytes() == want.tobytes()
+        assert start.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(warm_problems(), st.sampled_from([1.0, 100.0, 1e5, np.inf]))
@@ -688,7 +782,7 @@ class TestWarmStart:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             psd = mvp_clamp_psd(bent)
-        assert_beats_cold(model, psd, svm._smo(psd, labels, 10.0, 1e-3))
+        assert_beats_cold(model, psd, svm._smo(psd, labels, 10.0, 1e-3, None, np.zeros(80)))
 
     @pytest.mark.parametrize("method, c", [("shots", 10.0), ("exact", np.inf)])
     def test_cold_path_byte_equal_to_reference_loop(self, method, c):
@@ -700,15 +794,15 @@ class TestWarmStart:
             model, start = train_and_start(k, labels, c)
             want_alphas, want_bias = mvp_train(k, labels, C=c)
             psd = _clamp_psd(k)[0]
-            cold = svm._smo(psd, labels, c, 1e-3)
+            cold = svm._smo(psd, labels, c, 1e-3, None, np.zeros(80))
         assert cold.alphas.tobytes() == want_alphas.tobytes()
         assert repr(cold.bias) == repr(want_bias)
         if np.isinf(c):
-            assert start is None
+            assert not start.any()
             assert model.alphas.tobytes() == want_alphas.tobytes()
             assert repr(model.bias) == repr(want_bias)
         else:
-            assert start is not None
+            assert start.any()
             assert_beats_cold(model, psd, cold)
 
     @staticmethod
@@ -735,7 +829,7 @@ class TestWarmStart:
         assert len(starts) == 5
         for lane_g, lane_y, start in zip(g, y, starts):
             want = warm_start(lane_g, lane_y, c, masked_interior_point)
-            assert want is not None and start.tobytes() == want.tobytes()
+            assert want.any() and start.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("poison", ["nan row", "inf row", "failing slice"])
     def test_failed_lane_leaves_the_other_lanes(self, poison):
@@ -769,12 +863,12 @@ class TestWarmStart:
                 mock.patch.object(svm, "_interior_points", recorded):
             got = svm._warm_starts(g, y, 100.0)
             if poison != "failing slice":
-                assert warm_start(g[2], y[2], 100.0, masked_interior_point) is None
+                assert not warm_start(g[2], y[2], 100.0, masked_interior_point).any()
         # one float array of (a, s) per lane; the poisoned lane's is all NaN
         assert points[0].shape == (5, 2, g.shape[1]) and points[0].dtype == float
         assert np.isnan(points[0][2]).all()
         assert np.isfinite(np.delete(points[0], 2, 0)).all()
-        assert got[2] is None and want[2] is not None
+        assert not got[2].any() and want[2].any()
         for lane in (0, 1, 3, 4):
             assert got[lane].tobytes() == want[lane].tobytes()
         # the failed lane leaves the stack at once; the others step on together
@@ -800,8 +894,8 @@ class TestWarmStart:
             return cholesky(q)
 
         def recorded(*args):
-            points.extend(interior_points(*args))
-            return points
+            points.append(interior_points(*args))
+            return points[-1]
 
         with mock.patch.object(svm, "IPM_STEPS", 3):
             want = svm._warm_starts(g, y, 100.0)
@@ -809,14 +903,25 @@ class TestWarmStart:
                     mock.patch.object(svm, "_interior_points", recorded):
                 got = svm._warm_starts(g, y, 100.0)
         assert batches == [5, 5, 5] and len(bad) == 1
-        assert points[2] is not None and np.isnan(points[2][0]).all()
-        assert got[2] is None and want[2] is not None
+        assert np.isnan(points[0][2, 0]).all()
+        assert not got[2].any() and want[2].any()
         for lane in (0, 1, 3, 4):
             assert got[lane].tobytes() == want[lane].tobytes()
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ipm_stacks())
+    def test_lockstep_projection_byte_equal_to_per_lane_reference(self, stack):
+        # every lane of one IPM stack is projected at once, byte for byte as the
+        # per-lane rule projected it alone; a lane it started cold is a zero row
+        points, y, c = stack
+        with mock.patch.object(svm, "_interior_points", lambda *args: points.copy()):
+            got = svm._warm_starts(np.zeros((*y.shape, 1)), y, c)
+        assert got.shape == y.shape and got.dtype == float
+        assert got.tobytes() == reference_warm_starts(points, y, c).tobytes()
+
     def test_infinite_C_starts_every_lane_cold(self):
         g, y = self.cv_lanes("moon", "ef1", 100)
-        assert svm._warm_starts(g, y, np.inf) == [None] * 5
+        assert svm._warm_starts(g, y, np.inf).tobytes() == np.zeros(g.shape[:2]).tobytes()
 
     @pytest.mark.parametrize("inner", ["raise", "nan"])
     def test_ipm_failure_falls_back_to_cold(self, inner):
@@ -829,11 +934,11 @@ class TestWarmStart:
                 raise np.linalg.LinAlgError("forced")
             return np.full_like(m, np.nan)
 
-        assert warm_start(g, y, 10.0) is not None
-        want = svm._smo(_clamp_psd(k)[0], labels, 10.0, 1e-3)
+        assert warm_start(g, y, 10.0).any()
+        want = svm._smo(_clamp_psd(k)[0], labels, 10.0, 1e-3, None, np.zeros(80))
         with warnings.catch_warnings(), mock.patch.object(np.linalg, "cholesky", failing):
             warnings.simplefilter("error")
-            assert warm_start(g, y, 10.0) is None
+            assert not warm_start(g, y, 10.0).any()
             model = train(k, labels, C=10.0)
         assert model.alphas.tobytes() == want.alphas.tobytes()
         assert repr(model.bias) == repr(want.bias)
@@ -983,6 +1088,8 @@ class TestSerialization:
 def reference_splits(labels, folds, seed):
     """(train, test) indices of cross_validate's folds: one seeded shuffle, retried once."""
     n = len(labels)
+    if len(np.unique(labels)) < 2:
+        raise ValueError("both classes must be present for training")
 
     def fold_splits(shuffle_seed):
         order = np.random.default_rng(shuffle_seed).permutation(n)
@@ -1072,6 +1179,19 @@ class TestCrossValidate:
         assert report.seed == 0 and len(report.fold_test_accuracies) == 3
         with pytest.raises(ValueError, match="missing a class even after re-shuffle"):
             cross_validate(ds, full, folds=3, seed=36)
+
+    @pytest.mark.parametrize("label", (1, -1))
+    def test_one_class_rejected_before_the_shuffle(self, label):
+        # no re-shuffle can give a fold both classes
+        ds = LabeledDataset(np.zeros((10, 2)), np.full(10, label))
+        with pytest.raises(ValueError, match="^both classes must be present for training$"):
+            cross_validate(ds, np.eye(10), folds=5)
+
+    def test_non_symmetric_gram_rejected(self):
+        k = [[1, .9, 0, 0], [-.5, 1, 0, 0], [0, 0, 1, .2], [0, 0, .2, 1]]
+        ds = LabeledDataset(np.zeros((4, 2)), [1, -1, 1, -1])
+        with pytest.raises(ValueError, match=re.escape("max |K - K^T| is 1.400e+00 > 1e-6")):
+            cross_validate(ds, k, folds=2, C=10.0)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
@@ -1305,7 +1425,7 @@ class TestCrossValidate:
 
         with mock.patch.object(svm, "train", recording):
             report = cross_validate(ds, full, 5, np.inf, 1e-3, 7)
-        assert starts == [None] * 5
+        assert [start.tobytes() for start in starts] == [np.zeros(32).tobytes()] * 5
         assert report == reference_cross_validate(ds, full, 5, np.inf, 1e-3, 7)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
