@@ -52,33 +52,40 @@ def builtin(encoding_id: str) -> PhaseFunction:
 
 
 def eval_encoding(phi12: PhaseFunction, x) -> tuple[float, float, float]:
-    """The phases (phi1, phi2, phi12) = (x1, x2, phi12(x1, x2)), checking finiteness."""
-    x1, x2 = float(x[0]), float(x[1])
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise EncodingError("input point is not finite")
-    try:
-        v = phi12(x1, x2)
-        if isinstance(v, complex):
-            raise ValueError(f"complex value {v}")
-        v = float(v)
-    except (ArithmeticError, TypeError, ValueError) as exc:  # TypeError: math.cos(complex)
-        raise EncodingError(f"phi12 failed at x=({x1}, {x2}): {exc}") from exc
-    if not math.isfinite(v):
-        raise EncodingError(f"phi12 is not finite at x=({x1}, {x2}): {v}")
+    """(x1, x2, phi12(x1, x2)) of one point: :func:`encoding_phases`'s one-point case."""
+    x1, x2, v = encoding_phases(phi12, [(float(x[0]), float(x[1]))]).tolist()[0]
     return x1, x2, v
 
 
 def encoding_phases(phi12: PhaseFunction, points) -> np.ndarray:
-    """(N, 3) array of (phi1, phi2, phi12), one :func:`eval_encoding` per point.
+    """(N, 3) array of (phi1, phi2, phi12), one scalar ``phi12`` call per point.
 
     Phases stay scalar Python evaluations: ``math.exp`` and ``np.exp`` do
-    not always agree to the last bit, and evaluating point by point makes
-    the EncodingError name the first bad point.  Points must be (N, 2).
+    not always agree to the last bit.  The points are checked in order, so
+    the EncodingError names the first bad one: a non-finite point, a phi12
+    that raises or returns a complex number, or a non-finite phase.  Points
+    must be (N, 2).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
-    return np.array([eval_encoding(phi12, x) for x in pts], dtype=float).reshape(-1, 3)
+    isfinite, phases = math.isfinite, []
+    for x1, x2 in pts.tolist():
+        if not (isfinite(x1) and isfinite(x2)):
+            raise EncodingError("input point is not finite")
+        try:
+            v = phi12(x1, x2)
+            if isinstance(v, complex):
+                raise ValueError(f"complex value {v}")
+            v = float(v)
+        except (ArithmeticError, TypeError, ValueError) as exc:  # TypeError: math.cos(complex)
+            raise EncodingError(f"phi12 failed at x=({x1}, {x2}): {exc}") from exc
+        if not isfinite(v):
+            raise EncodingError(f"phi12 is not finite at x=({x1}, {x2}): {v}")
+        phases.append(v)
+    out = np.empty((len(pts), 3))
+    out[:, :2], out[:, 2] = pts, phases
+    return out
 
 
 def phase_states(phases) -> np.ndarray:

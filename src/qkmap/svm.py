@@ -6,9 +6,10 @@ Phi Phi^T with Phi of width 16 (a combination of m encodings: at most
 16m), so ``train`` first takes a pivoted Cholesky factor K ~ G G^T of at
 most n // 4 columns.  When every row of R = K - G G^T sums to at most
 1e-6 in absolute value, Gershgorin gives lambda_min(K) >= -1e-6, which
-certifies K as PSD at O(n^2 r).  Any other Gram (shot Grams, full-rank or
-non-PSD matrices, rank above n // 4) must be symmetric within 1e-6, as
-eigh reads one triangle, and goes through the PSD check, one
+certifies K as PSD at O(n^2 r); a K with a non-finite entry never
+certifies.  Any other Gram (shot Grams, full-rank or non-PSD matrices,
+rank above n // 4) must be finite, and symmetric within 1e-6 as eigh
+reads one triangle, and goes through the PSD check, one
 eigendecomposition that clamps eigenvalues below -1e-6 to zero with a
 RuntimeWarning naming the minimum eigenvalue, and whose eigenvectors
 factor the clamped matrix.  A Mehrotra predictor-corrector
@@ -32,7 +33,8 @@ makes every KKT residual at most the tolerance by construction.
 
 Each model records ``iterations`` (SMO pair updates), ``converged`` and
 ``final_gap``; stopping after ``MAX_PASSES`` pair updates or on a stalled
-step with the gap still above 2 * tolerance raises a RuntimeWarning
+step (below 1e-14, or below 1e-14 * C / 4e-12 under C = 4e-12, as no step
+exceeds C) with the gap still above 2 * tolerance raises a RuntimeWarning
 naming the gap and the tolerance.
 
 Everything after training is batched: :func:`decide` maps an (m, n)
@@ -42,8 +44,9 @@ matrix and factor, made once from the full-dataset Gram it is given.
 Its folds share their size and the factor's rank, so one lockstep IPM
 over the folds' stacked factor rows starts every fold's SMO.  Fold f
 tests on block f of one seeded permutation and trains on the rest, so
-the matrix is permuted once and every fold's training block and test
-rows are six slice copies of it.
+every fold's training block and test rows are slices of the permuted
+matrix, copied into the fold's buffer from row chunks of about 512 KB;
+the permuted matrix is never held whole.
 From ``_OVERLAP_FROM`` points on, a one-worker ``ThreadPoolExecutor``
 makes those copies while the calling thread runs the IPM; the same numpy
 calls fill the same buffers, so the results keep their bytes.  Solves and
@@ -218,7 +221,8 @@ def _certified_factor(k: np.ndarray) -> np.ndarray | None:
         r += 1
     g = rows[:r].T
     for i in range(0, n, 128):  # row blocks keep R out of main memory
-        block = k[i:i + 128] - g[i:i + 128] @ g.T
+        block = g[i:i + 128] @ g.T
+        np.subtract(k[i:i + 128], block, out=block)
         if not np.abs(block, out=block).sum(axis=1).max() <= 1e-6:  # NaN fails too
             return None
     return g
@@ -363,15 +367,19 @@ def _psd_factor(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     G G^T factors the returned matrix, and the rows G[idx] factor its
     principal sub-block k[idx][:, idx]: each row of a sub-block of |R|
     sums to no more than the full row, so the certificate carries over.
+    Only an uncertified K is scanned for non-finite entries and asymmetry:
+    a non-finite entry leaves its residual row non-finite, which fails the
+    certificate, and a certified factor bounds |K - K^T| by 2e-6 per entry.
     """
-    if not np.all(np.isfinite(k)):
-        raise ValueError("gram has non-finite entries")
     with np.errstate(all="ignore"):  # a non-finite residual fails the certificate
         g = _certified_factor(k)
-    # eigh reads one triangle; a certified factor bounds |K - K^T| by 2e-6 per entry
-    if g is None and (skew := np.max(np.abs(k - k.T))) > 1e-6:
+    if g is not None:
+        return k, g
+    if not np.all(np.isfinite(k)):
+        raise ValueError("gram has non-finite entries")
+    if (skew := np.max(np.abs(k - k.T))) > 1e-6:  # eigh reads one triangle
         raise ValueError(f"gram is not symmetric: max |K - K^T| is {skew:.3e} > 1e-6")
-    return _clamp_psd(k) if g is None else (k, g)
+    return _clamp_psd(k)
 
 
 def _check_settings(C: float, tolerance: float) -> None:
@@ -432,6 +440,7 @@ def _smo(k: np.ndarray, labels, C: float, tolerance: float, points, start) -> Sv
     alphas = start.copy()
     g = k @ (start * y)  # sum_j alpha_j y_j K_ij
     eps = _bound_eps(C)
+    stall = 1e-14 * min(1.0, C / 4e-12)  # every step is at most C
     pos, neg = y > 0, y < 0
 
     def feasibility():
@@ -464,7 +473,7 @@ def _smo(k: np.ndarray, labels, C: float, tolerance: float, points, start) -> Sv
         e_i = g.item(i) - y_i
         e_j = g.item(j) - y_j
         d_j = min(max(a_j + y_j * (e_i - e_j) / eta, lo), hi) - a_j
-        if abs(d_j) < 1e-14:
+        if abs(d_j) < stall:
             break  # numerically stuck; bias midpoint still minimizes residuals
         d_i = -y_i * y_j * d_j
         alphas[i] += d_i
@@ -474,7 +483,7 @@ def _smo(k: np.ndarray, labels, C: float, tolerance: float, points, start) -> Sv
     converged = gap <= 2.0 * tolerance
     if not converged:
         why = (f"max_passes={MAX_PASSES} reached" if iterations == MAX_PASSES
-               else "step stalled below 1e-14")
+               else f"step stalled below {stall:g}")
         warnings.warn(f"SMO stopped unconverged after {iterations} iterations ({why}): "
                       f"gap {gap:.3e} > 2*tolerance {2.0 * tolerance:.3e}", RuntimeWarning)
     return SvmModel(alphas, float(b), np.asarray(labels, dtype=int), C,
@@ -566,22 +575,29 @@ def _fold_order(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
 def _fold_blocks(k: np.ndarray, order: np.ndarray, folds: int) -> list[np.ndarray]:
     """Per fold, a new (n, n - size) buffer: its training rows, then its test rows.
 
-    Fold f tests on block f of ``order``, so k is permuted once and each
-    buffer is filled by six slice copies of it; the columns are the
-    fold's training points, in fold order.  Pure numpy: it may run on a
-    worker thread.
+    Fold f tests on block f of ``order``: in the permuted matrix
+    P = k[order][:, order], its training rows are P's rows [0, lo) and
+    [hi, n), its test rows P's rows [lo, hi), and its columns P's columns
+    [0, lo) and [hi, n), the fold's training points in fold order.  P is
+    never held whole: each chunk of about 512 KB of its rows is taken from
+    k and copied into every buffer it reaches.  Pure numpy: it may run on
+    a worker thread.
     """
     n = len(order)
     size, m = n // folds, n - n // folds
-    p = k.take(order, 0).take(order, 1)
-    blocks = []
-    for f in range(folds):
-        lo, hi = f * size, (f + 1) * size
-        rows = np.empty((n, m))  # training rows in fold order, then test rows
-        for dst, src in ((slice(0, lo), slice(0, lo)), (slice(lo, m), slice(hi, n)),
-                         (slice(m, n), slice(lo, hi))):
-            rows[dst, :lo], rows[dst, lo:] = p[src, :lo], p[src, hi:]
-        blocks.append(rows)
+    blocks = [np.empty((n, m)) for _ in range(folds)]
+    step = max(1, 65536 // n)  # rows of P per chunk
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        chunk = k.take(order[i:j], 0).take(order, 1)  # P[i:j]
+        for f, rows in enumerate(blocks):
+            lo, hi = f * size, (f + 1) * size
+            # P's rows [start, stop) go to the buffer's rows from start + shift
+            for start, stop, shift in ((0, lo, 0), (hi, n, -size), (lo, hi, m - lo)):
+                start, stop = max(start, i), min(stop, j)
+                if start < stop:
+                    src, dst = chunk[start - i:stop - i], rows[start + shift:stop + shift]
+                    dst[:, :lo], dst[:, lo:] = src[:, :lo], src[:, hi:]
     return blocks
 
 

@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkmap.datasets import generate
 from qkmap.encodings import (
     BUILTIN_IDS,
     EncodingError,
     builtin,
+    encoding_phases,
     eval_encoding,
     feature_states,
     parse_phase_expression,
@@ -150,6 +154,131 @@ class TestFirstBadPoint:
         # rows run x2 = 1, 0, -1 and columns x1 = -1, 0, 1
         with pytest.raises(EncodingError, match=r"x=\(1\.0, 1\.0\)"):
             coefficient_grids(_bad_right_half, [0], (-1, 1), 3)
+
+
+def reference_eval_encoding(phi12, x):
+    """The earlier eval_encoding, verbatim: the byte oracle of encoding_phases's checks."""
+    x1, x2 = float(x[0]), float(x[1])
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise EncodingError("input point is not finite")
+    try:
+        v = phi12(x1, x2)
+        if isinstance(v, complex):
+            raise ValueError(f"complex value {v}")
+        v = float(v)
+    except (ArithmeticError, TypeError, ValueError) as exc:  # TypeError: math.cos(complex)
+        raise EncodingError(f"phi12 failed at x=({x1}, {x2}): {exc}") from exc
+    if not math.isfinite(v):
+        raise EncodingError(f"phi12 is not finite at x=({x1}, {x2}): {v}")
+    return x1, x2, v
+
+
+def reference_encoding_phases(phi12, points):
+    """The earlier encoding_phases, verbatim: one eval_encoding per point."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (N, 2), got {pts.shape}")
+    return np.array([reference_eval_encoding(phi12, x) for x in pts],
+                    dtype=float).reshape(-1, 3)
+
+
+# What phi12 returns at a point, given its float value there: accepted types, then faults
+RETURNS = {"float": float, "np.float64": np.float64, "int": lambda v: int(10 * v),
+           "bool": lambda v: v > 0, "numeric string": repr}
+FAULTS = {
+    "ArithmeticError": ZeroDivisionError("float division by zero"),
+    "OverflowError": OverflowError("math range error"),
+    "TypeError": TypeError("must be real number, not complex"),
+    "ValueError": ValueError("math domain error"),
+    "complex": lambda v: complex(v, 1.0), "np.complex128": lambda v: np.complex128(v),
+    "nan": lambda v: math.nan, "inf": lambda v: math.inf, "-inf": lambda v: -np.inf,
+    "np.float64 nan": lambda v: np.float64("nan"), "text": lambda v: "phase",
+}
+
+
+@st.composite
+def phase_batches(draw):
+    """(phi12 factory, points): up to 300 points with up to two faults among them."""
+    n = draw(st.integers(0, 300))
+    scale = draw(st.sampled_from([1.0, 1e6]))
+    pts = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-scale, scale, (n, 2))
+    if n and draw(st.booleans()):
+        pts[draw(st.integers(0, n - 1))] *= -0.0  # signed zeros
+    faults = {}
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(["input"] + sorted(FAULTS)))
+        if fault == "input":  # a non-finite coordinate: phi12 must not see this point
+            pts[i, draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf,
+                                                                    -math.inf]))
+        else:
+            faults[i] = FAULTS[fault]
+    base = builtin(draw(st.sampled_from(BUILTIN_IDS)))
+    kind = RETURNS[draw(st.sampled_from(sorted(RETURNS)))]
+
+    def make_phi12():
+        """A fresh phi12 that counts its calls: call i is point i's."""
+        calls = iter(range(n))
+
+        def phi12(x1, x2):
+            fault = faults.get(next(calls))
+            if isinstance(fault, Exception):
+                raise type(fault)(*fault.args)
+            v = base(x1, x2)
+            return kind(v) if fault is None else fault(v)
+
+        return phi12
+
+    return make_phi12, pts
+
+
+def phases_outcome(phases, phi12, pts):
+    """The bytes and shape of the phases, or the exception's type, message and cause type."""
+    try:
+        out = phases(phi12, pts)
+    except Exception as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+    return out.tobytes(), out.shape
+
+
+class TestPhasesByteOracle:
+    """encoding_phases, with its checks inline, against the earlier per-point loop."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(phase_batches())
+    def test_equal_bytes_or_equal_error(self, batch):
+        make_phi12, pts = batch
+        want = phases_outcome(reference_encoding_phases, make_phi12(), pts)
+        assert phases_outcome(encoding_phases, make_phi12(), pts) == want
+
+    @pytest.mark.parametrize("x", [(0.25, -0.5), [-0.0, 3], np.array([0.1, 0.2, 9.0]),
+                                   ("0.5", 1), (math.nan, 0.0), (0.0, -math.inf)])
+    @pytest.mark.parametrize("fault", [None, "ValueError", "complex", "inf", "text"])
+    def test_eval_encoding_is_the_one_point_case(self, x, fault):
+        def phi12(x1, x2):
+            v = builtin("ef3")(x1, x2)
+            if fault is None:
+                return v
+            if isinstance(FAULTS[fault], Exception):
+                raise type(FAULTS[fault])(*FAULTS[fault].args)
+            return FAULTS[fault](v)
+
+        try:
+            want = reference_eval_encoding(phi12, x)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                eval_encoding(phi12, x)
+        else:
+            got = eval_encoding(phi12, x)
+            assert got == want and all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("eid", BUILTIN_IDS + ("custom",))
+    def test_moon_1600(self, eid):
+        spec = (parse_phase_expression("exp(x1) * cos(x2) - x1^2 / (1 + abs(x2))")
+                if eid == "custom" else builtin(eid))
+        pts = generate("moon", 1600, seed=7).points
+        assert encoding_phases(spec, pts).tobytes() == \
+            reference_encoding_phases(spec, pts).tobytes()
 
 
 class TestPointShape:

@@ -415,6 +415,29 @@ def assert_beats_cold(model, psd, cold):
     assert dual_objective(model, psd) >= want - 1e-9 * abs(want)
 
 
+NON_FINITE_PLACES = ("diagonal", "off-diagonal", "one-sided", "low-rank diagonal",
+                     "low-rank off-diagonal", "low-rank one-sided")
+
+
+def non_finite_gram(bad, where, n=40):
+    """(K, labels): a full-rank or certifiable rank-3 PSD K with ``bad`` put in."""
+    if where.startswith("low-rank"):
+        x = np.random.default_rng(2).normal(size=(n, 3))
+        k = x @ x.T
+        assert svm._certified_factor(k) is not None
+    else:
+        k = np.eye(n) + 0.1
+        assert svm._certified_factor(k) is None
+    i, j = 5, n - 3
+    if where.endswith("diagonal") and "off" not in where:
+        k[i, i] = bad
+    else:
+        k[i, j] = bad
+        if not where.endswith("one-sided"):
+            k[j, i] = bad
+    return k, np.where(np.arange(n) % 2, 1, -1)
+
+
 class TestTrain:
     def test_two_point_separable(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
@@ -491,6 +514,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-finite"):
             train(k, [1, -1, 1, -1])
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("where", NON_FINITE_PLACES)
+    def test_non_finite_gram_rejected_without_clamp(self, bad, where):
+        # only an uncertified K is scanned: a non-finite entry must fail the certificate
+        k, labels = non_finite_gram(bad, where)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="gram has non-finite"):
+            warnings.simplefilter("error")  # no clamp warning on the way
+            train(k, labels)
+
     @pytest.mark.parametrize("c, tolerance", [(np.nan, 1e-3), (1.0, np.nan),
                                               (0.0, 1e-3), (1.0, -1e-3)])
     def test_nan_or_nonpositive_settings_rejected(self, c, tolerance):
@@ -554,6 +586,15 @@ class TestSolverStats:
             model = train(np.diag([1e15, 1e15]), [1, -1])
         assert "clamp" not in str(caught[0].message)
         assert model.converged is False and model.iterations == 0
+
+    @pytest.mark.parametrize("kind", ("circle", "exp", "moon", "xor"))
+    def test_no_stall_at_tiny_C(self, kind):
+        # every step is at most C: an absolute 1e-14 floor stalled every cold fold at
+        # C = 1e-300, where the fold IPMs fail, with "step stalled below 1e-14"
+        ds = generate(kind, 100, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cross_validate(ds, gram(builtin("ef1"), ds.points), 5, C=1e-300, seed=7)
 
     def test_stats_not_serialised(self):
         g, labels = self.problem()
@@ -1126,7 +1167,40 @@ def reference_cross_validate(dataset, k, folds, C, tolerance, seed):
     return CvReport(tuple(train_acc), tuple(test_acc), seed)
 
 
+def reference_fold_blocks(k, order, folds):
+    """The earlier _fold_blocks, verbatim: k permuted whole, then six slice copies per fold."""
+    n = len(order)
+    size, m = n // folds, n - n // folds
+    p = k.take(order, 0).take(order, 1)
+    blocks = []
+    for f in range(folds):
+        lo, hi = f * size, (f + 1) * size
+        rows = np.empty((n, m))  # training rows in fold order, then test rows
+        for dst, src in ((slice(0, lo), slice(0, lo)), (slice(lo, m), slice(hi, n)),
+                         (slice(m, n), slice(lo, hi))):
+            rows[dst, :lo], rows[dst, lo:] = p[src, :lo], p[src, hi:]
+        blocks.append(rows)
+    return blocks
+
+
 class TestCrossValidate:
+    # n = 30 is one chunk; 270 is two, of 242 rows and 28, the first across every
+    # fold boundary below 242; 1600 is 40 chunks of 40 rows.  Leave-one-out is taken
+    # at n = 30 only: at 270 points its 270 buffers would hold 157 MB
+    @pytest.mark.parametrize("n, folds", [(30, 2), (30, 3), (30, 5), (30, 10), (30, 30),
+                                          (270, 2), (270, 3), (270, 5), (270, 10), (270, 90),
+                                          (1600, 2), (1600, 5)])
+    def test_fold_blocks_byte_equal_to_reference(self, n, folds):
+        rng = np.random.default_rng(n + folds)
+        k = rng.normal(size=(n, n))  # not symmetric: a transposed copy would show
+        order = rng.permutation(n)
+        got = svm._fold_blocks(k, order, folds)
+        want = reference_fold_blocks(k, order, folds)
+        assert len(got) == len(want) == folds
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (n, n - n // folds) and g.flags.c_contiguous
+            assert g.tobytes() == w.tobytes()
+
     def make_separable(self, n=40):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, (3 * n, 2))
@@ -1438,6 +1512,15 @@ class TestCrossValidate:
         full[i, j] = full[j, i] = bad
         with pytest.raises(ValueError, match="gram has non-finite entries"):
             cross_validate(ds, full, folds=2)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("where", NON_FINITE_PLACES)
+    def test_non_finite_gram_rejected_without_clamp(self, bad, where):
+        k, labels = non_finite_gram(bad, where)
+        ds = LabeledDataset(np.zeros((len(labels), 2)), labels)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="gram has non-finite"):
+            warnings.simplefilter("error")  # no clamp warning on the way
+            cross_validate(ds, k, folds=2)
 
     @pytest.mark.parametrize("full", [GramMatrix(np.eye(10)), np.eye(40), np.ones((20, 40))],
                              ids=["smaller", "larger", "non-square"])
