@@ -13,6 +13,7 @@ encoding is its phase function phi12(x1, x2).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +91,14 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     appended: an exact overlap may move in the last bit, and one changed draw
     shifts the rest of its row.  The result is read-only and not copied.
     """
-    if method == SHOTS and not 1 <= shots < 2 ** 63:  # the sampler's count is a C long
-        raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+    if method == SHOTS:  # the sampler's count is a C long
+        try:
+            shots = operator.index(shots)
+        except TypeError:  # 2.9 would sample Binomial(2, p) and divide by 2.9
+            raise ValueError(f"shots must be an integer in [1, 2**63 - 1], "
+                             f"got {shots!r}") from None
+        if not 1 <= shots < 2 ** 63:
+            raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 1:

@@ -43,14 +43,14 @@ values, and :func:`cross_validate` slices every fold out of one PSD
 matrix and factor, made once from the full-dataset Gram it is given.
 Its folds share their size and the factor's rank, so one lockstep IPM
 over the folds' stacked factor rows starts every fold's SMO.  Fold f
-tests on block f of one seeded permutation and trains on the rest, so
-every fold's training block and test rows are slices of the permuted
-matrix, copied into the fold's buffer from row chunks of about 512 KB;
-the permuted matrix is never held whole.
-From ``_OVERLAP_FROM`` points on, a one-worker ``ThreadPoolExecutor``
-makes those copies while the calling thread runs the IPM; the same numpy
-calls fill the same buffers, so the results keep their bytes.  Solves and
-scores stay on the calling thread.
+tests on block f of one seeded permutation and trains on the blocks
+after it in cyclic order, f + 1, ..., f - 1, so its test and training
+points are one window of the permutation followed by its own head, and
+every fold's training block and test rows are views of one matrix over
+that doubled order.  From ``_OVERLAP_FROM`` points on, a one-worker
+``ThreadPoolExecutor`` builds that matrix while the calling thread runs
+the IPM; the same numpy calls fill it, so the results keep their bytes.
+Solves and scores stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ from .kernels import GramMatrix
 
 MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
 IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
-# From this many points cross_validate copies the fold blocks on a worker thread
-# while the IPM runs; below it the thread costs more than it saves.  5-fold CV,
-# C = 100, moon ef1, 2 CPUs, medians of 21-41 alternating calls, inline against
-# overlapped: n = 150 8.3 / 8.8 ms, 200 10.0 / 10.3, 250 11.2 / 11.0, 300 13.4 / 12.5,
-# 400 18.0 / 15.3, 800 50.3 / 33.5, 1600 115 / 78.
+# From this many points cross_validate builds its folds' matrix on a worker thread
+# while the IPM runs; below it the thread gains too little to tell.  5-fold CV,
+# C = 100, moon ef1, 2 CPUs, medians of 21 alternating calls, inline against
+# overlapped: n = 200 13.1 / 12.5 ms, 300 13.8 / 14.2, 400 16.7 / 16.2,
+# 800 35.9 / 31.6, 1600 108 / 79.
 _OVERLAP_FROM = 300
 
 
@@ -161,9 +161,11 @@ class SvmModel:
             try:
                 labels.append(int(r[1]))
                 values.append([float(v) for v in r[:1] + r[2:]])
+                if not np.isfinite(values[-1][1:]).all():  # gram would name no row
+                    raise ValueError("non-finite coordinate")
             except ValueError:
-                raise ValueError(f"model row {i} {','.join(r)!r} is malformed; expected a "
-                                 "numeric alpha and coordinates and an integer label") from None
+                raise ValueError(f"model row {i} {','.join(r)!r} is malformed; expected a numeric "
+                                 "alpha, finite coordinates and an integer label") from None
             if labels[-1] not in (-1, 1):
                 raise ValueError(f"model row {i} {','.join(r)!r} has label {labels[-1]}; "
                                  "expected -1 or +1")
@@ -572,33 +574,18 @@ def _fold_order(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     raise ValueError("a fold is missing a class even after re-shuffle")
 
 
-def _fold_blocks(k: np.ndarray, order: np.ndarray, folds: int) -> list[np.ndarray]:
-    """Per fold, a new (n, n - size) buffer: its training rows, then its test rows.
+def _cyclic_gram(k: np.ndarray, ext: np.ndarray, size: int) -> np.ndarray:
+    """D = k[ext][:, ext[size:]], taken in chunks of 65536 // n rows (512 KB of k).
 
-    Fold f tests on block f of ``order``: in the permuted matrix
-    P = k[order][:, order], its training rows are P's rows [0, lo) and
-    [hi, n), its test rows P's rows [lo, hi), and its columns P's columns
-    [0, lo) and [hi, n), the fold's training points in fold order.  P is
-    never held whole: each chunk of about 512 KB of its rows is taken from
-    k and copied into every buffer it reaches.  Pure numpy: it may run on
-    a worker thread.
+    With ``ext`` the fold order followed by its first n - size points, fold
+    f's test block and its training points in cyclic order are the window
+    ext[f * size:f * size + n].  Pure numpy: it may run on a worker thread.
     """
-    n = len(order)
-    size, m = n // folds, n - n // folds
-    blocks = [np.empty((n, m)) for _ in range(folds)]
-    step = max(1, 65536 // n)  # rows of P per chunk
-    for i in range(0, n, step):
-        j = min(i + step, n)
-        chunk = k.take(order[i:j], 0).take(order, 1)  # P[i:j]
-        for f, rows in enumerate(blocks):
-            lo, hi = f * size, (f + 1) * size
-            # P's rows [start, stop) go to the buffer's rows from start + shift
-            for start, stop, shift in ((0, lo, 0), (hi, n, -size), (lo, hi, m - lo)):
-                start, stop = max(start, i), min(stop, j)
-                if start < stop:
-                    src, dst = chunk[start - i:stop - i], rows[start + shift:stop + shift]
-                    dst[:, :lo], dst[:, lo:] = src[:, :lo], src[:, hi:]
-    return blocks
+    d = np.empty((len(ext), len(ext) - size))
+    step = max(1, 65536 // len(k))  # rows of D per chunk
+    for i in range(0, len(ext), step):
+        d[i:i + step] = k.take(ext[i:i + step], 0).take(ext[size:], 1)
+    return d
 
 
 def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
@@ -613,9 +600,11 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     principal sub-block of that one matrix, started by its lane of one
     lockstep IPM on the factor's rows, and scores training and test points
     on that matrix too.  The clamp sees test points' kernel entries but
-    not their labels.  Folds are contiguous blocks of one seeded shuffle.
-    If a fold misses a class the shuffle is retried once with a derived
-    seed, then an error is raised; a one-class dataset raises at once.
+    not their labels.  Folds are contiguous blocks of one seeded shuffle;
+    fold f trains on blocks f + 1, ..., f - 1 in cyclic order, on views of
+    one (2n - n/folds) x (2n - 2n/folds) matrix.  If a fold misses a class
+    the shuffle is retried once with a derived seed, then an error is
+    raised; a one-class dataset raises at once.
     """
     n = len(dataset)
     order = _fold_order(dataset.labels, folds, seed)
@@ -624,23 +613,26 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
-    # every fold has the same size and the factor's rank: one lockstep IPM starts them all
-    tests = order.reshape(folds, -1)
-    fold_rows = np.stack([np.delete(tests, f, 0).ravel() for f in range(folds)])
+    size, m = n // folds, n - n // folds
+    ext = np.concatenate((order, order[:m]))
+    # fold f trains on the m points after its test block, in cyclic order
+    fold_rows = ext[size * np.arange(1, folds + 1)[:, None] + np.arange(m)]
     labels = dataset.labels[fold_rows]
+    # every fold has the same size and the factor's rank: one lockstep IPM starts them all
     lanes = (g[fold_rows], labels.astype(float), C)
     if n < _OVERLAP_FROM:
-        blocks, starts = _fold_blocks(k, order, folds), _warm_starts(*lanes)
-    else:  # the copies read only k, the IPM only the factor rows, so they overlap
+        d, starts = _cyclic_gram(k, ext, size), _warm_starts(*lanes)
+    else:  # the builder reads only k, the IPM only the factor rows, so they overlap
         from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
         with ThreadPoolExecutor(1) as pool:  # leaving the block joins the worker
-            copying = pool.submit(_fold_blocks, k, order, folds)
+            building = pool.submit(_cyclic_gram, k, ext, size)
             starts = _warm_starts(*lanes)
-        blocks = copying.result()  # raises the worker's exception, BaseException included
+        d = building.result()  # raises the worker's exception, BaseException included
     train_acc, test_acc = [], []
-    m = fold_rows.shape[1]
-    for rows, start, train_y, test_y in zip(blocks, starts, labels, dataset.labels[tests]):
-        model = train(rows[:m], train_y, C=C, tolerance=tolerance, _start=start)
-        train_acc.append(accuracy(model, rows[:m], train_y))
-        test_acc.append(accuracy(model, rows[m:], test_y))
+    test_labels = dataset.labels[order].reshape(folds, -1)
+    for f, (start, train_y, test_y) in enumerate(zip(starts, labels, test_labels)):
+        view = d[f * size:f * size + n, f * size:f * size + m]  # test rows, then training
+        model = train(view[size:], train_y, C=C, tolerance=tolerance, _start=start)
+        train_acc.append(accuracy(model, view[size:], train_y))
+        test_acc.append(accuracy(model, view[:size], test_y))
     return CvReport(tuple(train_acc), tuple(test_acc), seed)

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,21 @@ class TestKernelShots:
             pair_kernel(builtin("ef1"), (0, 0), (1, 1), "shots", shots=2 ** 63, seed=0)
         assert 0.0 <= pair_kernel(builtin("ef1"), (0, 0), (1, 1), "shots",
                                   shots=2 ** 63 - 1, seed=0) <= 1.0
+
+    @pytest.mark.parametrize("shots", [2.9, 1000.0, np.float64(1000), "1000", None],
+                             ids=["fraction", "whole float", "numpy float", "string", "None"])
+    def test_non_integer_shots_rejected(self, shots):
+        # 2.9 used to draw Binomial(2, p) and divide by 2.9, and write shots=2.9
+        with pytest.raises(ValueError, match=re.escape(
+                f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")):
+            gram(builtin("ef1"), [(0, 0), (1, 1)], method="shots", shots=shots)
+
+    def test_numpy_integer_shots_accepted(self):
+        pts = [(0.1, 0.2), (0.9, -0.3), (-0.4, 0.5)]
+        got = gram(builtin("ef1"), pts, method="shots", shots=np.int64(300), seed=2)
+        want = gram(builtin("ef1"), pts, method="shots", shots=300, seed=2)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.shots == 300 and type(got.shots) is int
 
 
 class TestGram:

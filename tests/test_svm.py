@@ -2,6 +2,7 @@ import itertools
 import re
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -1079,6 +1080,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"model row 2 {row!r} is malformed")):
             SvmModel.from_text(text)
 
+    @pytest.mark.parametrize("rows, bad", [
+        (["0.5,1,nan,0.1", "0.5,-1,inf,0.2"], 1),
+        (["0.5,1,0.3,0.1", "0.5,-1,0.2,-inf"], 2),
+    ])
+    def test_non_finite_coordinates_name_row(self, rows, bad):
+        # such points used to be read, and a later gram named no row
+        text = "C=1\ntolerance=0.001\nbias=0\n" + "\n".join(rows) + "\n"
+        row = rows[bad - 1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"model row {bad} {row!r} is malformed; expected a numeric alpha, finite "
+                "coordinates and an integer label")):
+            SvmModel.from_text(text)
+
     def test_header_only_rejected(self):
         with pytest.raises(ValueError, match="no alpha,label rows"):
             SvmModel.from_text("C=1.0\ntolerance=0.001\nbias=0.5\n")
@@ -1167,40 +1181,14 @@ def reference_cross_validate(dataset, k, folds, C, tolerance, seed):
     return CvReport(tuple(train_acc), tuple(test_acc), seed)
 
 
-def reference_fold_blocks(k, order, folds):
-    """The earlier _fold_blocks, verbatim: k permuted whole, then six slice copies per fold."""
-    n = len(order)
-    size, m = n // folds, n - n // folds
-    p = k.take(order, 0).take(order, 1)
-    blocks = []
-    for f in range(folds):
-        lo, hi = f * size, (f + 1) * size
-        rows = np.empty((n, m))  # training rows in fold order, then test rows
-        for dst, src in ((slice(0, lo), slice(0, lo)), (slice(lo, m), slice(hi, n)),
-                         (slice(m, n), slice(lo, hi))):
-            rows[dst, :lo], rows[dst, lo:] = p[src, :lo], p[src, hi:]
-        blocks.append(rows)
-    return blocks
+def cyclic_splits(labels, folds, seed):
+    """(train, test) of each fold in cross_validate's order: fold f trains on the
+    reference blocks f + 1, ..., folds - 1, 0, ..., f - 1, in that order."""
+    tests = [te for _, te in reference_splits(labels, folds, seed)]
+    return [(np.concatenate(tests[f + 1:] + tests[:f]), te) for f, te in enumerate(tests)]
 
 
 class TestCrossValidate:
-    # n = 30 is one chunk; 270 is two, of 242 rows and 28, the first across every
-    # fold boundary below 242; 1600 is 40 chunks of 40 rows.  Leave-one-out is taken
-    # at n = 30 only: at 270 points its 270 buffers would hold 157 MB
-    @pytest.mark.parametrize("n, folds", [(30, 2), (30, 3), (30, 5), (30, 10), (30, 30),
-                                          (270, 2), (270, 3), (270, 5), (270, 10), (270, 90),
-                                          (1600, 2), (1600, 5)])
-    def test_fold_blocks_byte_equal_to_reference(self, n, folds):
-        rng = np.random.default_rng(n + folds)
-        k = rng.normal(size=(n, n))  # not symmetric: a transposed copy would show
-        order = rng.permutation(n)
-        got = svm._fold_blocks(k, order, folds)
-        want = reference_fold_blocks(k, order, folds)
-        assert len(got) == len(want) == folds
-        for g, w in zip(got, want):
-            assert g.shape == w.shape == (n, n - n // folds) and g.flags.c_contiguous
-            assert g.tobytes() == w.tobytes()
-
     def make_separable(self, n=40):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, (3 * n, 2))
@@ -1306,35 +1294,45 @@ class TestCrossValidate:
             reports.append((report, [str(w.message) for w in caught]))
         assert reports[0] == reports[1]
 
-    @pytest.mark.parametrize("case", ["2 folds", "3 folds", "4 folds", "5 folds",
-                                      "leave one out", "non-symmetric", "re-shuffle",
-                                      "moon 1600", "below the cutoff", "at the cutoff"])
+    # (n, folds, a non-symmetric k): D's rows come in chunks of 65536 // n, which at
+    # n = 270 is 242 rows, so chunks cross fold windows; 1600 is 40-row chunks.  Leave-
+    # one-out at 270 is one (539, 538) matrix, 2.3 MB; a buffer per fold would be 157 MB
+    FOLD_CASES = {"2 folds": (60, 2, False), "3 folds": (60, 3, False),
+                  "4 folds": (60, 4, False), "5 folds": (60, 5, False),
+                  "10 folds": (60, 10, False), "leave one out": (60, 60, False),
+                  "leave one out 270": (270, 270, False), "non-symmetric": (60, 5, True),
+                  "non-symmetric 270, 2 folds": (270, 2, True),
+                  "non-symmetric 270, 3 folds": (270, 3, True),
+                  "non-symmetric 270, 10 folds": (270, 10, True),
+                  "non-symmetric 270, 90 folds": (270, 90, True),
+                  "non-symmetric 1600, 2 folds": (1600, 2, True),
+                  "non-symmetric 1600, 5 folds": (1600, 5, True),
+                  "moon 1600": (1600, 5, False),
+                  "below the cutoff": (svm._OVERLAP_FROM - 10, 5, False),
+                  "at the cutoff": (svm._OVERLAP_FROM, 5, False)}
+
+    @pytest.mark.parametrize("case", [*FOLD_CASES, "re-shuffle"])
     def test_folds_receive_reference_blocks(self, case):
         # every fold trains on k[tr, tr] and scores on it and on k[te, tr], byte for
-        # byte and C-contiguous, from its own lane's start; the solves and starts are
-        # stubbed, as only their inputs matter.  The blocks are copied on a worker
-        # thread from the cutoff on; the solves, scores and starts stay on this thread
-        folds, seed = 5, 7
+        # byte, with tr its training points in cyclic block order, from its own lane's
+        # start; all folds' arrays are views of one matrix.  The solves and starts are
+        # stubbed, as only their inputs matter.  The matrix is built on a worker thread
+        # from the cutoff on; the solves, scores and starts stay on this thread
         if case == "re-shuffle":  # fold seed 0 leaves a fold one class; seed 1 serves
             ds = LabeledDataset(np.random.default_rng(0).uniform(-1, 1, (6, 2)),
                                 np.array([1, 1, -1, -1, -1, -1]))
-            folds, seed = 3, 0
+            folds, seed, skew = 3, 0, False
         else:
-            n = {"moon 1600": 1600, "below the cutoff": svm._OVERLAP_FROM - 10,
-                 "at the cutoff": svm._OVERLAP_FROM}.get(case, 60)
-            ds = generate("moon", n, seed=7)
+            n, folds, skew = self.FOLD_CASES[case]
+            ds, seed = generate("moon", n, seed=7), 7
         n = len(ds)
-        if case.endswith("folds"):
-            folds = int(case.split()[0])
-        elif case == "leave one out":
-            folds = n
-        if case == "non-symmetric":
-            k = np.random.default_rng(3).normal(size=(n, n))
+        if skew:  # a transposed block would show
+            k = np.random.default_rng(n + folds).normal(size=(n, n))
         else:
             k = gram(builtin("ef1"), ds.points).values
         factor = np.random.default_rng(4).normal(size=(n, 3))
         trained, scored, threads = [], [], {}
-        fold_blocks = svm._fold_blocks
+        cyclic_gram = svm._cyclic_gram
 
         def fake_train(sub, labels, **kwargs):
             threads.setdefault("train", set()).add(threading.current_thread())
@@ -1352,21 +1350,21 @@ class TestCrossValidate:
             assert g.shape[0] == y.shape[0] == folds
             return [(lane_g, lane_y) for lane_g, lane_y in zip(g, y)]
 
-        def blocks(*args):
-            threads.setdefault("blocks", set()).add(threading.current_thread())
-            return fold_blocks(*args)
+        def builder(*args):
+            threads.setdefault("builder", set()).add(threading.current_thread())
+            return cyclic_gram(*args)
 
         with mock.patch.object(svm, "train", fake_train), \
                 mock.patch.object(svm, "accuracy", fake_accuracy), \
                 mock.patch.object(svm, "_warm_starts", lane_starts), \
-                mock.patch.object(svm, "_fold_blocks", blocks):
+                mock.patch.object(svm, "_cyclic_gram", builder):
             report = cross_validate(ds, k, folds=folds, seed=seed, _factor=factor)
         here = threading.current_thread()
         assert threads["train"] == threads["accuracy"] == threads["starts"] == {here}
-        assert (threads["blocks"] == {here}) == (n < svm._OVERLAP_FROM)
-        splits = reference_splits(ds.labels, folds, seed)
+        assert (threads["builder"] == {here}) == (n < svm._OVERLAP_FROM)
         assert len(report.fold_test_accuracies) == len(trained) == folds
-        for f, (tr, te) in enumerate(splits):
+        bases = set()
+        for f, (tr, te) in enumerate(cyclic_splits(ds.labels, folds, seed)):
             sub, labels, kwargs = trained[f]
             want_sub, want_test = k[np.ix_(tr, tr)], k[np.ix_(te, tr)]
             g, lane_y = kwargs["_start"]
@@ -1375,9 +1373,11 @@ class TestCrossValidate:
             for got, want in ((sub, want_sub), (scored[2 * f][0], want_sub),
                               (scored[2 * f + 1][0], want_test)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                assert got.flags.c_contiguous
+                bases.add(id(got.base))
+                assert got.base is not None and got.base.flags.owndata
             assert scored[2 * f][1].tolist() == ds.labels[tr].tolist()
             assert scored[2 * f + 1][1].tolist() == ds.labels[te].tolist()
+        assert len(bases) == 1
 
     @pytest.mark.parametrize("side", ("below", "at"))
     def test_block_builder_error_raised_and_joined(self, side):
@@ -1387,41 +1387,41 @@ class TestCrossValidate:
         full = gram(builtin("ef1"), ds.points)
 
         def no_memory(*args):
-            raise MemoryError("Unable to allocate the fold blocks")
+            raise MemoryError("Unable to allocate the cyclic Gram")
 
         before = threading.active_count()
-        with mock.patch.object(svm, "_fold_blocks", no_memory), \
-                pytest.raises(MemoryError, match="^Unable to allocate the fold blocks$"):
+        with mock.patch.object(svm, "_cyclic_gram", no_memory), \
+                pytest.raises(MemoryError, match="^Unable to allocate the cyclic Gram$"):
             cross_validate(ds, full, folds=5, C=100.0, seed=7)
         assert threading.active_count() == before
 
     def test_ipm_error_joins_the_worker(self):
-        # the IPM fails while the blocks are still being copied: the copy finishes,
+        # the IPM fails while the matrix is still being built: the build finishes,
         # and its thread is joined, before the error leaves cross_validate
         ds = generate("moon", svm._OVERLAP_FROM, seed=7)
         full = gram(builtin("ef1"), ds.points)
-        fold_blocks, copied = svm._fold_blocks, []
+        cyclic_gram, built = svm._cyclic_gram, []
 
-        def slow_blocks(*args):
+        def slow_builder(*args):
             time.sleep(0.2)
-            copied.append(fold_blocks(*args))
-            return copied[-1]
+            built.append(cyclic_gram(*args))
+            return built[-1]
 
         def failing_ipm(*args):
             raise MemoryError("Unable to allocate the IPM stack")
 
         before = threading.active_count()
-        with mock.patch.object(svm, "_fold_blocks", slow_blocks), \
+        with mock.patch.object(svm, "_cyclic_gram", slow_builder), \
                 mock.patch.object(svm, "_warm_starts", failing_ipm), \
                 pytest.raises(MemoryError, match="^Unable to allocate the IPM stack$"):
             cross_validate(ds, full, folds=5, C=100.0, seed=7)
         assert threading.active_count() == before
-        assert len(copied) == 1
+        assert len(built) == 1
 
     @pytest.mark.parametrize("route", ("exact", "pauli", "shots"))
     @pytest.mark.parametrize("side", ("below", "above"))
     def test_overlap_keeps_reports_and_fold_bytes(self, route, side):
-        # the worker copies the same bytes: both paths give the same reports, warnings
+        # the worker builds the same matrix: both paths give the same reports, warnings
         # and fold models, and the reports equal the reference fold loop's
         n = svm._OVERLAP_FROM + (-100 if side == "below" else 100)
         ds = generate("moon", n, seed=7)
@@ -1447,6 +1447,52 @@ class TestCrossValidate:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
             assert runs[0][0] == reference_cross_validate(ds, full, 5, 100.0, 1e-3, 7)
+
+    @pytest.mark.parametrize("route", ("exact", "pauli", "shots"))
+    @pytest.mark.parametrize("n", (60, 400, 1600))
+    def test_views_solve_and_score_as_copies(self, route, n):
+        # each fold trains and scores on strided windows of one matrix: on C-contiguous
+        # copies of its windows every fold gives the same model and decision bytes,
+        # from its warm start and, at n = 60, from a cold one, where SMO takes updates
+        ds = generate("moon", n, seed=7)
+        full = gram(builtin("ef1"), ds.points, method=route, shots=1000, seed=7).values
+        folds, C = 5, 100.0
+        size, m = n // folds, n - n // folds
+        order = svm._fold_order(ds.labels, folds, 7)
+        ext = np.concatenate((order, order[:m]))
+        rows = np.stack([ext[(f + 1) * size:(f + 1) * size + m] for f in range(folds)])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+            k, g = svm._psd_factor(full)
+        starts = svm._warm_starts(g[rows], ds.labels[rows].astype(float), C)
+        d = svm._cyclic_gram(k, ext, size)
+        for f, (start, y) in enumerate(zip(starts, ds.labels[rows])):
+            view = d[f * size:f * size + n, f * size:f * size + m]
+            assert not view.flags.c_contiguous
+            test_y = ds.labels[order[f * size:(f + 1) * size]]
+            for first in (start, np.zeros(m)) if n == 60 else (start,):
+                got = []
+                for fold in (view, np.ascontiguousarray(view)):
+                    model = train(fold[size:], y, C=C, _start=first)
+                    got.append((model.alphas.tobytes(), model.bias, model.iterations,
+                                model.final_gap, decide(model, fold[size:]).tobytes(),
+                                decide(model, fold[:size]).tobytes(),
+                                accuracy(model, fold[size:], y),
+                                accuracy(model, fold[:size], test_y)))
+                assert got[0] == got[1]
+
+    def test_leave_one_out_memory_is_quadratic(self):
+        # leave-one-out at n = 270 holds one (539, 538) matrix for all its folds; a
+        # buffer per fold would hold 270 x 270 x 269 entries, 157 MB
+        ds = generate("moon", 270, seed=7)
+        full = gram(builtin("ef1"), ds.points)
+        tracemalloc.start()
+        try:
+            cross_validate(ds, full, folds=270, C=100.0, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_shot_route_clamps_once(self):
         # the full Gram is clamped once, not once per fold
