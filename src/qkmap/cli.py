@@ -62,9 +62,11 @@ def _encoding_from_args(args) -> PhaseFunction:
 
 
 def _load_dataset(args) -> svm.LabeledDataset:
-    if args.dataset is not None:
-        return datasets.from_csv(args.dataset)
-    return datasets.generate(args.generate, args.n, args.seed)
+    if args.dataset is None:
+        return datasets.generate(args.generate, 100 if args.n is None else args.n, args.seed)
+    if args.n is not None:  # a file's size is its row count
+        raise ValueError("--n sets the size of a --generate dataset; drop it with --dataset")
+    return datasets.from_csv(args.dataset)
 
 
 def _add_dataset_flags(p):
@@ -72,7 +74,7 @@ def _add_dataset_flags(p):
     group.add_argument("--dataset", help="dataset CSV (x1,x2,label)")
     group.add_argument("--generate", choices=datasets.KINDS,
                        help="generate a benchmark dataset instead of reading one")
-    p.add_argument("--n", type=int, default=100, help="points to generate (default 100)")
+    p.add_argument("--n", type=int, help="points to generate with --generate (default 100)")
 
 
 def _check_out_file(path) -> None:
@@ -146,16 +148,6 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _train_gram(args, phi12s, points):
-    weights = [1.0] * len(phi12s) if args.weights is None else args.weights
-    gs = [kernels.gram(phi12, points, method=args.method,
-                       shots=args.shots, seed=args.seed)
-          for phi12 in phi12s]
-    if args.weights is None and len(gs) == 1:
-        return gs[0]
-    return kernels.combine(gs, weights)
-
-
 def cmd_train(args) -> int:
     ds = _load_dataset(args)
     phi12s = [phi12 for _, phi12 in _encodings_from_args(args.encodings or [], args.custom_phi12)]
@@ -171,8 +163,12 @@ def cmd_train(args) -> int:
             raise ValueError(f"--weights has {len(args.weights)} values for "
                              f"{len(phi12s)} encoding(s)")
         kernels._check_weights(args.weights, len(phi12s))
+    gs = [kernels.gram(phi12, ds.points, method=args.method, shots=args.shots, seed=args.seed)
+          for phi12 in phi12s]
+    if args.weights is not None or len(gs) > 1:
+        gs = [kernels.combine(gs, args.weights or [1.0] * len(gs))]
     # one PSD Gram and its factor serve every fold and the saved model
-    k, g = svm._psd_factor(_train_gram(args, phi12s, ds.points).values)
+    k, g = svm._psd_factor(gs[0].values)
     report = svm.cross_validate(ds, k, folds=args.folds, C=args.C,
                                 tolerance=args.tolerance, seed=args.seed, _factor=g)
     if args.csv:

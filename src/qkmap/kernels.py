@@ -110,14 +110,13 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     else:
         raise ValueError(f"unknown gram method {method!r}")
     k = f @ f.T  # one buffer: numpy's A A^T path fills one triangle and mirrors it
-    if method == EXACT:
+    if method != PAULI:
         np.fill_diagonal(k, 1.0)
-    elif method == SHOTS:
-        p0 = np.minimum(k, 1.0)  # entries j > i only; the diagonal is not sampled
-        k = np.eye(n)
+    if method == SHOTS:  # sampled in place: no earlier row writes row i's k[i, i+1:]
+        np.minimum(k, 1.0, out=k)
         for i in range(n - 1):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            k[i, i + 1:] = k[i + 1:, i] = rng.binomial(shots, p0[i, i + 1:]) / shots
+            k[i, i + 1:] = k[i + 1:, i] = rng.binomial(shots, k[i, i + 1:]) / shots
     k.setflags(write=False)  # GramMatrix keeps a read-only array it owns without a copy
     if method == SHOTS:
         return GramMatrix(k, SHOTS, shots=shots, seed=seed)

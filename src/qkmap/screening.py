@@ -9,6 +9,7 @@ classifier can reach, since an axis threshold is itself such a classifier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,19 +48,27 @@ def axis_accuracy(values, labels) -> tuple[float, float, str]:
     Candidate thresholds are the midpoints between consecutive distinct
     sorted values plus one below the minimum (the all-one-side split);
     both orientations (left side positive or negative) are tried.  Ties
-    in value always fall on the same side of any threshold.
+    in value always fall on the same side of any threshold.  The values
+    must be finite and 1-d, with one label in {-1, +1} each.
     """
     v = np.asarray(values, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = np.asarray(labels)
+    if v.ndim != 1 or y.shape != v.shape:
+        raise ValueError(f"values and labels must be 1-d and of one length, got shapes "
+                         f"{v.shape} and {y.shape}")
     n = len(v)
     if n < 1:
         raise ValueError("at least one value required")
     order = np.argsort(v, kind="stable")
     v_sorted = v[order]
+    if not (math.isfinite(v_sorted[0]) and math.isfinite(v_sorted[-1])):  # -inf first, NaN last
+        raise ValueError("values must be finite")
     y_sorted = y[order]
     pos_prefix = np.concatenate(([0], np.cumsum(y_sorted == 1)))
     n_pos = int(pos_prefix[-1])
-    n_neg = n - n_pos
+    n_neg = int(np.count_nonzero(y == -1))
+    if n_pos + n_neg != n:
+        raise ValueError("labels must be -1 or +1")
 
     # split after t sorted points; t=0 is the below-minimum threshold
     cuts = np.concatenate(([0], np.flatnonzero(v_sorted[1:] > v_sorted[:-1]) + 1))

@@ -72,23 +72,31 @@ IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
 _OVERLAP_FROM = 300
 
 
+def _check_finite(points: np.ndarray) -> None:
+    """Raise naming the first row of an (N, 2) point array with a non-finite coordinate."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ValueError(f"point {bad[0]} {points[bad[0]].tolist()} is not finite")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Points in the plane with binary labels in {-1, +1}."""
+    """Finite points in the plane with binary labels in {-1, +1}."""
 
     points: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        lab = np.asarray(self.labels, dtype=int)
+        lab = np.asarray(self.labels)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != lab.shape[0]:
             raise ValueError(f"points must have shape (N, 2) with one label each, got "
                              f"{pts.shape} points and {lab.shape} labels")
-        if not np.all(np.isin(lab, (-1, 1))):
+        if not np.all(np.isin(lab, (-1, 1))):  # before the cast, which would make 1.9 a 1
             raise ValueError("labels must be -1 or +1")
+        _check_finite(pts)
         pts = pts.copy()
-        lab = lab.copy()
+        lab = lab.astype(int)
         pts.setflags(write=False)
         lab.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -419,8 +427,10 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
     if np.all(y == y[0]):
         raise ValueError("both classes must be present for training")
     _check_settings(C, tolerance)
-    if points is not None and np.shape(points) != (n, 2):  # as from_text reads them
-        raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
+    if points is not None:  # as from_text reads them
+        if np.shape(points) != (n, 2):
+            raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
+        _check_finite(np.asarray(points, dtype=float))
     if _start is None:  # train is the IPM's one-lane case
         k, g = _psd_factor(k) if _factor is None else (k, _factor)
         _start = _warm_starts(g[None], y[None], C)[0]
@@ -615,11 +625,11 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     k, g = _psd_factor(k) if _factor is None else (k, _factor)
     size, m = n // folds, n - n // folds
     ext = np.concatenate((order, order[:m]))
-    # fold f trains on the m points after its test block, in cyclic order
-    fold_rows = ext[size * np.arange(1, folds + 1)[:, None] + np.arange(m)]
-    labels = dataset.labels[fold_rows]
+    # row f: fold f's test block, then the m points after it in cyclic order, its training set
+    windows = ext[size * np.arange(folds)[:, None] + np.arange(n)]
+    labels = dataset.labels[windows]
     # every fold has the same size and the factor's rank: one lockstep IPM starts them all
-    lanes = (g[fold_rows], labels.astype(float), C)
+    lanes = (g[windows[:, size:]], labels[:, size:].astype(float), C)
     if n < _OVERLAP_FROM:
         d, starts = _cyclic_gram(k, ext, size), _warm_starts(*lanes)
     else:  # the builder reads only k, the IPM only the factor rows, so they overlap
@@ -629,10 +639,9 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
             starts = _warm_starts(*lanes)
         d = building.result()  # raises the worker's exception, BaseException included
     train_acc, test_acc = [], []
-    test_labels = dataset.labels[order].reshape(folds, -1)
-    for f, (start, train_y, test_y) in enumerate(zip(starts, labels, test_labels)):
-        view = d[f * size:f * size + n, f * size:f * size + m]  # test rows, then training
-        model = train(view[size:], train_y, C=C, tolerance=tolerance, _start=start)
-        train_acc.append(accuracy(model, view[size:], train_y))
-        test_acc.append(accuracy(model, view[:size], test_y))
+    for f, (start, y) in enumerate(zip(starts, labels)):
+        view = d[f * size:f * size + n, f * size:f * size + m]  # rows in window f's order
+        model = train(view[size:], y[size:], C=C, tolerance=tolerance, _start=start)
+        train_acc.append(accuracy(model, view[size:], y[size:]))
+        test_acc.append(accuracy(model, view[:size], y[:size]))
     return CvReport(tuple(train_acc), tuple(test_acc), seed)

@@ -90,6 +90,30 @@ def test_negative_seed_names_flag(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["screen"], ["train", "--encodings", "ef1"], ["kernel", "--out", "OUT"],
+], ids=["screen", "train", "kernel"])
+def test_n_with_dataset_exit_1(tmp_path, capsys, argv):
+    # --n sizes a generated dataset only; with a file it was ignored and every row read
+    data, out = tmp_path / "c.csv", tmp_path / "out.csv"
+    run(capsys, "gen", "circle", "--n", "20", "--out", str(data))
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    code, stdout, stderr = run(capsys, *argv, "--dataset", str(data), "--n", "4")
+    assert code == 1 and stdout == ""
+    assert stderr == ("error: --n sets the size of a --generate dataset; "
+                      "drop it with --dataset\n")
+    assert not out.exists()
+    code, stdout, _ = run(capsys, *argv, "--dataset", str(data))
+    assert code == 0 and stdout
+
+
+def test_generate_defaults_to_100_points(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    code, _, _ = run(capsys, "kernel", "--generate", "xor", "--out", str(out))
+    assert code == 0
+    assert out.read_text().splitlines()[0] == "# method=exact size=100"
+
+
+@pytest.mark.parametrize("argv", [
     ["train", "--generate", "xor", "--encodings", "ef1"],
     ["kernel", "--generate", "xor", "--out", "OUT"],
 ], ids=["train", "kernel"])

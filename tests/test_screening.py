@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -105,6 +106,28 @@ class TestAxisAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             axis_accuracy([], [])
+
+    @pytest.mark.parametrize("values, labels, message", [
+        # the first two labels were read and the third ignored
+        ([0.1, 0.2], [1, -1, 1], "1-d and of one length, got shapes (2,) and (3,)"),
+        ([0.1, 0.2, 0.3], [1, -1], "1-d and of one length, got shapes (3,) and (2,)"),
+        ([[0.1, 0.2]], [[1, -1]], "1-d and of one length, got shapes (1, 2) and (1, 2)"),
+        # a NaN sorted last and scored 1.0; infinities gave infinite thresholds
+        ([np.nan, 1.0, 2.0], [1, -1, 1], "values must be finite"),
+        ([1.0, np.inf, 2.0], [1, -1, 1], "values must be finite"),
+        ([1.0, -np.inf, 2.0], [1, -1, 1], "values must be finite"),
+        # 0 counted as -1, and 1.9 was cast to 1
+        ([1.0, 2.0, 3.0], [1, 0, -1], "labels must be -1 or +1"),
+        ([1.0, 2.0], [1.9, -1.0], "labels must be -1 or +1"),
+        ([1.0, 2.0], [1.0, np.nan], "labels must be -1 or +1"),
+    ], ids=["short-labels", "short-values", "2-d", "nan", "inf", "-inf", "zero-label",
+            "fractional-label", "nan-label"])
+    def test_malformed_input_rejected(self, values, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            axis_accuracy(values, labels)
+
+    def test_float_labels_at_plus_minus_one_accepted(self):
+        assert axis_accuracy([1, 2, 3], [1.0, -1.0, -1.0]) == axis_accuracy([1, 2, 3], [1, -1, -1])
 
 
 class TestMinimumAccuracy:

@@ -439,6 +439,28 @@ def non_finite_gram(bad, where, n=40):
     return k, np.where(np.arange(n) % 2, 1, -1)
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("label", [1.9, -1.2, 0.5, np.nan])
+    def test_non_integer_label_rejected_as_train_rejects_it(self, label):
+        # the labels were cast to int first, which made 1.9 a 1 and failed on NaN with
+        # numpy's "cannot convert float NaN to integer"
+        labels = [label, -1.0]
+        with pytest.raises(ValueError, match=r"^labels must be -1 or \+1$"):
+            LabeledDataset(np.zeros((2, 2)), labels)
+        with pytest.raises(ValueError, match=r"^labels must be -1 or \+1$"):
+            train(np.eye(2), labels)
+
+    def test_float_labels_at_plus_minus_one_accepted(self):
+        ds = LabeledDataset(np.zeros((2, 2)), [1.0, -1.0])
+        assert ds.labels.tolist() == [1, -1] and ds.labels.dtype == int
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_names_row(self, bad):
+        pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match=re.escape(f"point 2 [0.5, {bad}] is not finite")):
+            LabeledDataset(pts, [1, -1, 1, -1])
+
+
 class TestTrain:
     def test_two_point_separable(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
@@ -1055,6 +1077,17 @@ class TestSerialization:
         assert np.array_equal(back.labels, model.labels)
         assert np.array_equal(back.points, model.points)
         assert back.C == model.C and back.tolerance == model.tolerance
+
+    def test_non_finite_point_rejected_before_the_solve(self):
+        # such a model was returned, and from_text rejected its to_text output
+        pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [np.nan, 0.8]])
+        labels = np.array([1, -1, 1, -1])
+        g = gram(builtin("ef1"), pts[:3].tolist() + [[0.7, 0.8]])
+        with pytest.raises(ValueError, match=re.escape("point 3 [nan, 0.8] is not finite")):
+            train(g, labels, points=pts)
+        pts[3, 0] = 0.7
+        model = train(g, labels, points=pts)
+        assert np.array_equal(SvmModel.from_text(model.to_text()).points, pts)
 
     @pytest.mark.parametrize("key", ("C", "tolerance", "bias"))
     def test_missing_header_named(self, key):
