@@ -3,11 +3,17 @@
 The published benchmarks exist only as scatter plots, so these are
 documented reconstructions: each boundary carries a small margin band so
 the classes are cleanly separable.  The shape constants are below.
+
+A dataset is the points a sequential rejection loop keeps from one
+``default_rng(seed)`` stream, then shuffled by that stream.  Each draw
+reads two uniform doubles; the sampler works in batches, and the doubles
+read and their order, not the calls that read them, are the format.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -27,66 +33,72 @@ MOON_Y_OFFSET = 0.35
 
 
 def _balanced_rejection(rng, n_points, draw):
-    """Draws kept until each class holds n/2 points, then shuffled.
+    """The draws a sequential rejection loop keeps, n/2 per class, then shuffled.
 
-    ``draw(rng, next_label)`` returns a point and its label, or None to
-    reject it; ``next_label`` is the first class still short of n/2.
+    The loop draws under ``next_label``, the first class still short of n/2,
+    keeps a draw whose class is short, and stops once both are full or after
+    ``_MAX_DRAWS`` draws, raising.  ``draw(rng, count)`` returns ``count``
+    draws' candidate points ``(2, count, 2)`` and labels ``(2, count)``, row 0
+    under next_label +1 and row 1 under -1, label 0 if rejected.  Batches,
+    doubling from n, find the draws the loop keeps; then the generator goes
+    back to its entry state and redraws exactly the loop's draws, so the
+    shuffle reads the same stream.
     """
     per_class = n_points // 2
-    kept = {1: [], -1: []}
-    for _ in range(_MAX_DRAWS):
-        if len(kept[1]) == per_class and len(kept[-1]) == per_class:
-            break
-        x, label = draw(rng, 1 if len(kept[1]) < per_class else -1)
-        if label is not None and len(kept[label]) < per_class:
-            kept[label].append(x)
-    else:
-        raise RuntimeError("rejection sampling exceeded the draw budget")
-    points = np.array(kept[1] + kept[-1])
-    labels = np.array([1] * per_class + [-1] * per_class)
+    start = rng.bit_generator.state
+    found = np.empty((2, 0), dtype=int)  # candidate labels of every draw so far
+    while True:
+        # the loop succeeds only when it fills within _MAX_DRAWS - 1 draws
+        count = min(_MAX_DRAWS - 1 - found.shape[1], n_points + found.shape[1])
+        if count <= 0:
+            raise RuntimeError("rejection sampling exceeded the draw budget")
+        found = np.concatenate((found, draw(rng, count)[1]), axis=1)
+        pos = np.flatnonzero(found[0] == 1)[:per_class]
+        if len(pos) == per_class:  # every later draw is made under next_label -1
+            later = np.arange(found.shape[1]) > pos[-1]
+            neg = np.flatnonzero(np.where(later, found[1], found[0]) == -1)[:per_class]
+            if len(neg) == per_class:
+                break
+    keep = np.concatenate((pos, neg))
+    rng.bit_generator.state = start
+    points = draw(rng, max(pos[-1], neg[-1]) + 1)[0][(keep > pos[-1]).astype(int), keep]
+    labels = np.repeat(np.array([1, -1]), per_class)
     order = rng.permutation(n_points)
     return LabeledDataset(points[order], labels[order])
 
 
-def _uniform(labeler):
-    """Draw function for uniform points on [-1,1]^2 labelled by ``labeler``."""
-    def draw(rng, next_label):
-        x = rng.uniform(-1.0, 1.0, 2)
-        return x, labeler(x)
+def _uniform(gap):
+    """Draw function for uniform points on [-1,1]^2 labelled by the sign of ``gap(x)``."""
+    def draw(rng, count):
+        x = rng.uniform(-1.0, 1.0, (count, 2))
+        g = gap(x)  # rejected within MARGIN of the boundary, where it is 0
+        label = np.where(np.abs(g) <= MARGIN, 0, np.where(g > 0, 1, -1))
+        return np.broadcast_to(x, (2, count, 2)), np.broadcast_to(label, (2, count))
 
     return draw
 
 
 def _circle(x):
-    r = float(np.linalg.norm(x))
-    if abs(r - CIRCLE_RADIUS) <= MARGIN:
-        return None
-    return 1 if r < CIRCLE_RADIUS else -1
+    # np.linalg.norm's one BLAS dot per row, bit for bit (x0*x0 + x1*x1 is not)
+    return CIRCLE_RADIUS - np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def _exp(x):
-    boundary = EXP_SCALE * np.exp(EXP_RATE * x[0]) + EXP_OFFSET
-    if abs(x[1] - boundary) <= MARGIN:
-        return None
-    return 1 if x[1] > boundary else -1
+    return x[:, 1] - (EXP_SCALE * np.exp(EXP_RATE * x[:, 0]) + EXP_OFFSET)
 
 
 def _xor(x):
-    prod = x[0] * x[1]
-    if abs(prod) <= MARGIN:
-        return None
-    return 1 if prod > 0 else -1
+    return x[:, 0] * x[:, 1]
 
 
-def _moon(rng, label):
+def _moon(rng, count):
     """Two interleaved half-annuli; points outside the square are redrawn."""
-    theta = rng.uniform(0.0, np.pi)
-    radius = MOON_RADIUS + rng.uniform(-0.5, 0.5) * MOON_WIDTH
-    if label == 1:
-        x = (radius * np.cos(theta) - MOON_X_OFFSET, radius * np.sin(theta) - MOON_Y_OFFSET)
-    else:
-        x = (radius * np.cos(theta) + MOON_X_OFFSET, -radius * np.sin(theta) + MOON_Y_OFFSET)
-    return x, label if abs(x[0]) <= 1.0 and abs(x[1]) <= 1.0 else None
+    theta, u = rng.uniform((0.0, -0.5), (np.pi, 0.5), (count, 2)).T
+    radius = MOON_RADIUS + u * MOON_WIDTH
+    c, s = radius * np.cos(theta), radius * np.sin(theta)
+    x = np.stack([np.stack((c - MOON_X_OFFSET, s - MOON_Y_OFFSET), axis=1),
+                  np.stack((c + MOON_X_OFFSET, -s + MOON_Y_OFFSET), axis=1)])
+    return x, np.where(np.all(np.abs(x) <= 1.0, axis=2), np.array([[1], [-1]]), 0)
 
 
 _GENERATORS = {"circle": _uniform(_circle), "exp": _uniform(_exp), "moon": _moon,
@@ -100,6 +112,10 @@ def generate(kind: str, n_points: int = 100, seed: int = 0) -> LabeledDataset:
     key = kind.lower()
     if key not in _GENERATORS:
         raise ValueError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:  # 100.0 would fail deep in the sampler
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if n_points < 2 or n_points % 2 != 0:
         raise ValueError("n_points must be an even number >= 2")
     rng = np.random.default_rng(seed)

@@ -59,7 +59,7 @@ def axis_accuracy(values, labels) -> tuple[float, float, str]:
     n = len(v)
     if n < 1:
         raise ValueError("at least one value required")
-    order = np.argsort(v, kind="stable")
+    order = np.argsort(v)  # no stable sort: cuts fall between distinct values only
     v_sorted = v[order]
     if not (math.isfinite(v_sorted[0]) and math.isfinite(v_sorted[-1])):  # -inf first, NaN last
         raise ValueError("values must be finite")

@@ -16,8 +16,6 @@ from qkmap.datasets import (
     MOON_WIDTH,
     MOON_X_OFFSET,
     MOON_Y_OFFSET,
-    _balanced_rejection,
-    _uniform,
     from_csv,
     generate,
     to_csv,
@@ -27,56 +25,86 @@ from qkmap.svm import LabeledDataset
 ALL_KINDS = ("circle", "exp", "moon", "xor")
 
 
-# The four generators as they were written before each dataset kind became
-# its draw function: ``generate`` must match them bit for bit.
-def _gen_circle(rng, n_points):
-    def labeler(x):
-        r = float(np.linalg.norm(x))
-        if abs(r - CIRCLE_RADIUS) <= MARGIN:
-            return None
-        return 1 if r < CIRCLE_RADIUS else -1
-
-    return _balanced_rejection(rng, n_points, _uniform(labeler))
-
-
-def _gen_exp(rng, n_points):
-    def labeler(x):
-        boundary = EXP_SCALE * np.exp(EXP_RATE * x[0]) + EXP_OFFSET
-        if abs(x[1] - boundary) <= MARGIN:
-            return None
-        return 1 if x[1] > boundary else -1
-
-    return _balanced_rejection(rng, n_points, _uniform(labeler))
-
-
-def _gen_xor(rng, n_points):
-    def labeler(x):
-        prod = x[0] * x[1]
-        if abs(prod) <= MARGIN:
-            return None
-        return 1 if prod > 0 else -1
-
-    return _balanced_rejection(rng, n_points, _uniform(labeler))
+# The sequential rejection loop and the scalar draw functions as they were
+# before the batched sampler: ``generate`` must match them bit for bit.  The
+# loop reads ``D._MAX_DRAWS`` when called, so a test that patches the budget
+# patches both sides.
+def reference_balanced_rejection(rng, n_points, draw):
+    per_class = n_points // 2
+    kept = {1: [], -1: []}
+    for _ in range(D._MAX_DRAWS):
+        if len(kept[1]) == per_class and len(kept[-1]) == per_class:
+            break
+        x, label = draw(rng, 1 if len(kept[1]) < per_class else -1)
+        if label is not None and len(kept[label]) < per_class:
+            kept[label].append(x)
+    else:
+        raise RuntimeError("rejection sampling exceeded the draw budget")
+    points = np.array(kept[1] + kept[-1])
+    labels = np.array([1] * per_class + [-1] * per_class)
+    order = rng.permutation(n_points)
+    return LabeledDataset(points[order], labels[order])
 
 
-def _gen_moon(rng, n_points):
-    """Two interleaved half-annuli; points outside the square are redrawn."""
-    def draw(rng, label):
-        theta = rng.uniform(0.0, np.pi)
-        radius = MOON_RADIUS + rng.uniform(-0.5, 0.5) * MOON_WIDTH
-        if label == 1:
-            x = np.array([radius * np.cos(theta) - MOON_X_OFFSET,
-                          radius * np.sin(theta) - MOON_Y_OFFSET])
-        else:
-            x = np.array([radius * np.cos(theta) + MOON_X_OFFSET,
-                          -radius * np.sin(theta) + MOON_Y_OFFSET])
-        return x, label if np.all(np.abs(x) <= 1.0) else None
+def reference_uniform(labeler):
+    def draw(rng, next_label):
+        x = rng.uniform(-1.0, 1.0, 2)
+        return x, labeler(x)
 
-    return _balanced_rejection(rng, n_points, draw)
+    return draw
 
 
-REFERENCE_GENERATORS = {"circle": _gen_circle, "exp": _gen_exp, "moon": _gen_moon,
-                        "xor": _gen_xor}
+def reference_circle(x):
+    r = float(np.linalg.norm(x))
+    if abs(r - CIRCLE_RADIUS) <= MARGIN:
+        return None
+    return 1 if r < CIRCLE_RADIUS else -1
+
+
+def reference_exp(x):
+    boundary = EXP_SCALE * np.exp(EXP_RATE * x[0]) + EXP_OFFSET
+    if abs(x[1] - boundary) <= MARGIN:
+        return None
+    return 1 if x[1] > boundary else -1
+
+
+def reference_xor(x):
+    prod = x[0] * x[1]
+    if abs(prod) <= MARGIN:
+        return None
+    return 1 if prod > 0 else -1
+
+
+def reference_moon_draw(rng, label):
+    theta = rng.uniform(0.0, np.pi)
+    radius = MOON_RADIUS + rng.uniform(-0.5, 0.5) * MOON_WIDTH
+    if label == 1:
+        x = (radius * np.cos(theta) - MOON_X_OFFSET, radius * np.sin(theta) - MOON_Y_OFFSET)
+    else:
+        x = (radius * np.cos(theta) + MOON_X_OFFSET, -radius * np.sin(theta) + MOON_Y_OFFSET)
+    return x, label if abs(x[0]) <= 1.0 and abs(x[1]) <= 1.0 else None
+
+
+REFERENCE_DRAWS = {"circle": reference_uniform(reference_circle),
+                   "exp": reference_uniform(reference_exp), "moon": reference_moon_draw,
+                   "xor": reference_uniform(reference_xor)}
+
+
+def reference_generate(kind, n_points, seed, draw=None):
+    return reference_balanced_rejection(np.random.default_rng(seed), n_points,
+                                        draw or REFERENCE_DRAWS[kind])
+
+
+def reference_draws_made(kind, n_points, seed):
+    """How many draws the reference loop makes before both classes are full."""
+    calls = []
+
+    def counted(rng, label):
+        calls.append(label)
+        return REFERENCE_DRAWS[kind](rng, label)
+
+    reference_generate(kind, n_points, seed, counted)
+    return len(calls)
 
 
 def reference_moon(rng, n_points):
@@ -103,6 +131,19 @@ def reference_moon(rng, n_points):
     labels = np.array([1] * per_class + [-1] * per_class)
     order = rng.permutation(n_points)
     return LabeledDataset(points[order], labels[order])
+
+
+def recording_batches(monkeypatch, kind):
+    """Patch ``kind``'s draw function to record the size of every batch it draws."""
+    counts = []
+    draw = D._GENERATORS[kind]
+
+    def recorded(rng, count):
+        counts.append(count)
+        return draw(rng, count)
+
+    monkeypatch.setitem(D._GENERATORS, kind, recorded)
+    return counts
 
 
 class TestGenerate:
@@ -167,15 +208,81 @@ class TestGenerate:
             assert got.points.tobytes() == want.points.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
 
-    @pytest.mark.parametrize("n", (2, 20, 100, 800, 1600))
+    @pytest.mark.parametrize("n", (2, 4, 20, 100, 800, 1600, 5000))
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_reference_generators(self, kind, n):
         for seed in (0, 1, 3, 7, 11, 42):
             got = generate(kind, n, seed=seed)
-            want = REFERENCE_GENERATORS[kind](np.random.default_rng(seed), n)
+            want = reference_generate(kind, n, seed)
             assert got.points.dtype == want.points.dtype and got.points.shape == (n, 2)
             assert got.points.tobytes() == want.points.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_batched_gaps_match_scalar_arithmetic(self):
+        # a label moves only when a gap lands within an ulp of a margin edge,
+        # which the byte tests never meet, so the gaps themselves are pinned:
+        # the per-row BLAS dot of np.linalg.norm and the scalar np.exp
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, (20000, 2))
+        radius = np.array([np.linalg.norm(row) for row in x])
+        boundary = np.array([EXP_SCALE * np.exp(EXP_RATE * row[0]) + EXP_OFFSET for row in x])
+        assert D._circle(x).tobytes() == (CIRCLE_RADIUS - radius).tobytes()
+        assert D._exp(x).tobytes() == (x[:, 1] - boundary).tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_draw_budget_parity(self, kind, monkeypatch):
+        # the loop needs `stop` draws; with exactly `stop` budgeted it still
+        # raises, since `for ... else` never reaches the full check again
+        cases = [(n, seed, reference_draws_made(kind, n, seed))
+                 for n, seed in ((2, 0), (4, 5), (20, 3), (100, 7), (1600, 1))]
+        for n, seed, stop in cases:
+            for budget, fills in ((stop - 1, False), (stop, False), (stop + 1, True)):
+                monkeypatch.setattr(D, "_MAX_DRAWS", budget)
+                counts = recording_batches(monkeypatch, kind)
+                if not fills:
+                    for sampler in (lambda: reference_generate(kind, n, seed),
+                                    lambda: generate(kind, n, seed)):
+                        with pytest.raises(RuntimeError, match="exceeded the draw budget"):
+                            sampler()
+                    assert sum(counts) <= budget
+                    continue
+                want = reference_generate(kind, n, seed)
+                got = generate(kind, n, seed)
+                assert got.points.tobytes() == want.points.tobytes()
+                assert got.labels.tobytes() == want.labels.tobytes()
+                # the search's batches stay inside the budget; the last call
+                # redraws exactly the loop's draws from the entry state
+                assert sum(counts[:-1]) <= budget and counts[-1] == stop
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_unfillable_request_draws_at_most_the_budget(self, kind, monkeypatch):
+        monkeypatch.setattr(D, "_MAX_DRAWS", 1000)
+        counts = recording_batches(monkeypatch, kind)
+        with pytest.raises(RuntimeError, match="exceeded the draw budget"):
+            generate(kind, 2 ** 70, seed=0)
+        assert 0 < sum(counts) <= 1000
+
+    def test_unfillable_request_raises_after_one_batch(self, monkeypatch):
+        counts = recording_batches(monkeypatch, "moon")
+        with pytest.raises(RuntimeError, match="exceeded the draw budget"):
+            generate("moon", 2 ** 70, seed=0)
+        assert counts == [_MAX_DRAWS - 1]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_large_request_takes_several_batches(self, kind, monkeypatch):
+        counts = recording_batches(monkeypatch, kind)
+        generate(kind, 5000, seed=0)
+        assert len(counts) >= 3  # at least two search batches and the redraw
+
+    @pytest.mark.parametrize("n", [100.0, 2.5, "100", None])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, got {n!r}")):
+            generate("moon", n, seed=0)
+
+    def test_numpy_integer_count_accepted(self):
+        got = generate("moon", np.int64(10), seed=2)
+        want = generate("moon", 10, seed=2)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError, match="even"):

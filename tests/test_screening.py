@@ -1,12 +1,15 @@
+import math
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkmap.datasets import generate
+from qkmap.datasets import KINDS, generate
 from qkmap.encodings import BUILTIN_IDS, builtin
-from qkmap.pauli import closed_form_table, pauli_index
+from qkmap.pauli import closed_form_table, coefficients, pauli_index
 from qkmap.screening import (
     LEFT_NEGATIVE,
     LEFT_POSITIVE,
@@ -36,6 +39,50 @@ def exhaustive_axis_accuracy(values, labels):
             if correct > best[0]:
                 best = (correct, float(thr), orient)
     return best[0] / len(v), best[1], best[2]
+
+
+def reference_axis_accuracy(values, labels):
+    """``axis_accuracy`` as it was with a stable sort, kept verbatim."""
+    v = np.asarray(values, dtype=float)
+    y = np.asarray(labels)
+    if v.ndim != 1 or y.shape != v.shape:
+        raise ValueError(f"values and labels must be 1-d and of one length, got shapes "
+                         f"{v.shape} and {y.shape}")
+    n = len(v)
+    if n < 1:
+        raise ValueError("at least one value required")
+    order = np.argsort(v, kind="stable")
+    v_sorted = v[order]
+    if not (math.isfinite(v_sorted[0]) and math.isfinite(v_sorted[-1])):  # -inf first, NaN last
+        raise ValueError("values must be finite")
+    y_sorted = y[order]
+    pos_prefix = np.concatenate(([0], np.cumsum(y_sorted == 1)))
+    n_pos = int(pos_prefix[-1])
+    n_neg = int(np.count_nonzero(y == -1))
+    if n_pos + n_neg != n:
+        raise ValueError("labels must be -1 or +1")
+
+    # split after t sorted points; t=0 is the below-minimum threshold
+    cuts = np.concatenate(([0], np.flatnonzero(v_sorted[1:] > v_sorted[:-1]) + 1))
+    pos, neg = pos_prefix[cuts], cuts - pos_prefix[cuts]
+    # candidates ordered by cut, left-positive before left-negative, so the
+    # first maximum is the same tie-break as a strict-improvement scan
+    correct = np.stack([pos + (n_neg - neg), neg + (n_pos - pos)], axis=1).ravel()
+    best = int(np.argmax(correct))
+    best_correct = int(correct[best])
+    best_t = int(cuts[best // 2])
+    best_orient = (LEFT_POSITIVE, LEFT_NEGATIVE)[best % 2]
+    if best_t == 0:
+        threshold = float(v_sorted[0] - 1.0)
+    else:
+        threshold = float((v_sorted[best_t - 1] + v_sorted[best_t]) / 2.0)
+    return best_correct / n, threshold, best_orient
+
+
+# tie-heavy values: signed zeros and subnormals, tiny values of both signs, repeats
+TIED_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-17, -1e-17, 5e-324, -5e-324, 0.25, -0.25, 1.0, -1.0]),
+    st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False))
 
 
 class TestAxisAccuracy:
@@ -80,6 +127,23 @@ class TestAxisAccuracy:
         for labels in ([1] * 6 + [-1] * 4, [-1] * 5 + [1] * 5, [1, 1, 1]):
             values = np.full(len(labels), 0.25)  # a constant column
             assert axis_accuracy(values, labels) == exhaustive_axis_accuracy(values, labels)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(TIED_VALUES, st.sampled_from([-1, 1])), min_size=1, max_size=200))
+    def test_matches_stable_sort_reference(self, rows):
+        # the order within a group of tied values must not reach the report,
+        # signed zeros included: thresholds are compared by repr
+        values, labels = (np.array(col) for col in zip(*rows))
+        assert repr(axis_accuracy(values, labels)) == repr(reference_axis_accuracy(values, labels))
+
+    def test_matches_stable_sort_reference_on_every_screen_axis(self):
+        for kind in KINDS:
+            ds = generate(kind, 1600, seed=7)
+            for eid in BUILTIN_IDS:
+                coeffs = coefficients(builtin(eid), ds.points)
+                for i in range(16):
+                    got = axis_accuracy(coeffs[:, i], ds.labels)
+                    assert repr(got) == repr(reference_axis_accuracy(coeffs[:, i], ds.labels))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
