@@ -37,20 +37,20 @@ def _balanced_rejection(rng, n_points, draw):
 
     The loop draws under ``next_label``, the first class still short of n/2,
     keeps a draw whose class is short, and stops once both are full or after
-    ``_MAX_DRAWS`` draws, raising.  ``draw(rng, count)`` returns ``count``
-    draws' candidate points ``(2, count, 2)`` and labels ``(2, count)``, row 0
-    under next_label +1 and row 1 under -1, label 0 if rejected.  Batches,
-    doubling from n, find the draws the loop keeps; then the generator goes
-    back to its entry state and redraws exactly the loop's draws, so the
-    shuffle reads the same stream.
+    ``_MAX_DRAWS`` draws, raising (before any draw for n >= ``_MAX_DRAWS``).
+    ``draw(rng, count)`` returns ``count`` draws' candidate points
+    ``(2, count, 2)`` and labels ``(2, count)``, row 0 under next_label +1 and
+    row 1 under -1, label 0 if rejected.  Batches, doubling from n, find the
+    draws the loop keeps; then the generator goes back to its entry state and
+    redraws exactly the loop's draws, so the shuffle reads the same stream.
     """
     per_class = n_points // 2
     start = rng.bit_generator.state
     found = np.empty((2, 0), dtype=int)  # candidate labels of every draw so far
     while True:
-        # the loop succeeds only when it fills within _MAX_DRAWS - 1 draws
+        # the loop fills only within _MAX_DRAWS - 1 draws, each keeping at most one point
         count = min(_MAX_DRAWS - 1 - found.shape[1], n_points + found.shape[1])
-        if count <= 0:
+        if count <= 0 or n_points >= _MAX_DRAWS:
             raise RuntimeError("rejection sampling exceeded the draw budget")
         found = np.concatenate((found, draw(rng, count)[1]), axis=1)
         pos = np.flatnonzero(found[0] == 1)[:per_class]

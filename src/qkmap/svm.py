@@ -258,72 +258,70 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
     point once that measure is not finite; a lane whose Cholesky fails steps
     to NaN.  A stopped lane is dropped from every stack; each product is a
     per-slice ``np.matmul``, so every lane's bytes are those it would have alone.
+    A step makes the plain step's IEEE operations, operands and order, each
+    once: w / s, -x, a z and s w are shared, the Newton steps fill one reused
+    buffer, x steps in place, and sigma is a float64 scalar power per lane.
     """
     lanes, m, r = v.shape
-    points = np.full((lanes, 2, m), np.nan)
-    live = np.arange(lanes)
-    x = np.empty((lanes, 4, m))  # a, s, z, w of each lane
+    points, live = np.full((lanes, 2, m), np.nan), np.arange(lanes)
+    x = np.empty((lanes, 4, m))  # a, s, z, w of each lane, stepped in place
     x[:, :2], x[:, 2:] = C / 2.0, 1.0
-    beta = np.zeros(lanes)
-    eye = np.eye(r)
+    beta, eye = np.zeros(lanes), np.eye(r)
 
     def measure(x):
-        """The duality measure (a.z + s.w) / 2m of each lane."""
-        return (_dots(x[:, 0], x[:, 2]) + _dots(x[:, 1], x[:, 3])) / (2.0 * m)
+        """The duality measure (a.z + s.w) / 2m of each lane, both dots from one np.matmul."""
+        dots = np.matmul(x[:, :2, None, :], x[:, 2:, :, None])
+        return (dots[:, 0, 0, 0] + dots[:, 1, 0, 0]) / (2.0 * m)
 
-    for _ in range(IPM_STEPS):
-        mu = measure(x)
-        finite = np.isfinite(mu)
-        done = finite & (mu <= 1e-9 * C)
-        points[live[done]] = x[done, :2]
-        keep = finite & (mu > 1e-9 * C)
-        if not keep.all():
+    def solve(rhs):
+        """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury, per lane."""
+        return rhs / d - np.matmul(np.matmul(p, rhs[:, :, None])[:, None, :, 0], p)[:, 0]
+
+    def newton(r_az, r_sw):
+        """The step of beta, writing those of a, s, z, w into dx: d_z = -(r_az + z d_a) / a."""
+        m_rho = solve(neg_r_d - r_az / a + r_sw / s - w_s_r_u)
+        d_beta = (_dots(y, m_rho) + r_e) / y_m_y
+        np.subtract(m_rho, d_beta[:, None] * m_y, out=d_a)
+        np.subtract(neg_r_u, d_a, out=d_s)
+        np.divide(-(r_az + z * d_a), a, out=d_z)
+        np.divide(-(r_sw + w * d_s), s, out=d_w)
+        return d_beta
+
+    def longest():
+        """Largest step in (0, 1] per lane along dx keeping a, s, z, w nonnegative: the
+        quotients of entries with dx >= 0, divisions by zero among them, are dropped."""
+        return np.minimum.reduce(np.where(dx < 0.0, neg_x / dx, 1.0), axis=(1, 2), initial=1.0)
+
+    mu = measure(x)
+    for step in range(IPM_STEPS):
+        keep = (finite := np.isfinite(mu)) & (mu > 1e-9 * C)
+        if not step or not keep.all():  # the first step, or a lane stopped: bind the stack
+            points[live[finite & ~keep]] = x[finite & ~keep, :2]
             if not keep.any():
                 return points
             live, x, beta, v, y, mu = (t[keep] for t in (live, x, beta, v, y, mu))
-        a, s, z, w = x.transpose(1, 0, 2)
-        d = z / a + w / s
+            vt, dx = v.transpose(0, 2, 1), np.empty_like(x)  # dx: both Newton steps in turn
+            a, s, z, w = x.transpose(1, 0, 2)
+            d_a, d_s, d_z, d_w = dx.transpose(1, 0, 2)
+        w_s, neg_x, az, sw = w / s, -x, a * z, s * w
+        d = z / a + w_s
         vd = v / d[:, :, None]
-        vt = v.transpose(0, 2, 1)
-        p = np.matmul(_inverse_factors(eye + np.matmul(vt, vd)), vd.transpose(0, 2, 1))
-        r_d = np.matmul(v, np.matmul(vt, a[:, :, None]))[:, :, 0] - 1.0 \
-            + beta[:, None] * y - z + w
-        r_e = _dots(y, a)
-        r_u = a + s - C
-
-        def solve(rhs):
-            """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury, per lane."""
-            return rhs / d - np.matmul(np.matmul(p, rhs[:, :, None])[:, None, :, 0], p)[:, 0]
-
-        m_y = solve(y)
-        y_m_y = _dots(y, m_y)
-
-        def newton(r_az, r_sw):
-            """(dx, d_beta): the stacked steps of a, s, z, w and the step of beta."""
-            rho = -r_d - r_az / a + r_sw / s - (w / s) * r_u
-            m_rho = solve(rho)
-            d_beta = (_dots(y, m_rho) + r_e) / y_m_y
-            d_a = m_rho - d_beta[:, None] * m_y
-            d_s = -r_u - d_a
-            return np.stack((d_a, d_s, -(r_az + z * d_a) / a, -(r_sw + w * d_s) / s),
-                            axis=1), d_beta
-
-        def longest(dx):
-            """Largest step in (0, 1] per lane keeping a, s, z, w nonnegative."""
-            # the quotients of entries with dx >= 0, divisions by zero among them, are dropped
-            return np.min(np.where(dx < 0.0, -x / dx, 1.0), axis=(1, 2), initial=1.0)
-
+        p = np.matmul(_inverse_factors(np.matmul(vt, vd) + eye), vd.transpose(0, 2, 1))
+        neg_r_d = -(np.matmul(v, np.matmul(vt, a[:, :, None]))[:, :, 0] - 1.0
+                    + beta[:, None] * y - z + w)
+        r_u, r_e, m_y = a + s - C, _dots(y, a), solve(y)
+        neg_r_u, w_s_r_u, y_m_y = -r_u, w_s * r_u, _dots(y, m_y)
         # predictor: the affine-scaling step, which sets the centering sigma
-        aff, _ = newton(a * z, s * w)
-        mu_aff = measure(x + longest(aff)[:, None, None] * aff)
+        newton(az, sw)
+        mu_aff = measure(x + longest()[:, None, None] * dx)
         sigma = np.array([q ** 3 for q in mu_aff / mu])  # scalar powers: an array's moves bits
-        # corrector: centred, with the predictor's second-order term
+        # corrector: centred, with the predictor's second-order term, formed before dx is reused
         centre = (sigma * mu)[:, None]
-        dx, d_beta = newton(a * z + aff[:, 0] * aff[:, 2] - centre,
-                            s * w + aff[:, 1] * aff[:, 3] - centre)
-        t = 0.995 * longest(dx)
-        x = x + t[:, None, None] * dx
+        d_beta = newton(az + d_a * d_z - centre, sw + d_s * d_w - centre)
+        t = 0.995 * longest()
+        x += t[:, None, None] * dx
         beta = beta + t * d_beta
+        mu = measure(x)
     points[live] = x[:, :2]
     return points
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,13 +260,28 @@ class TestGenerate:
         counts = recording_batches(monkeypatch, kind)
         with pytest.raises(RuntimeError, match="exceeded the draw budget"):
             generate(kind, 2 ** 70, seed=0)
-        assert 0 < sum(counts) <= 1000
+        assert counts == []  # each draw keeps at most one point, so none is made
 
-    def test_unfillable_request_raises_after_one_batch(self, monkeypatch):
+    def test_unfillable_request_raises_before_drawing(self, monkeypatch):
+        # a request of _MAX_DRAWS points or more cannot fill within _MAX_DRAWS - 1
+        # draws; the one just below it is still searched
         counts = recording_batches(monkeypatch, "moon")
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="exceeded the draw budget"):
+                generate("moon", 2 ** 70, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [] and peak < 2 ** 20
+        monkeypatch.setattr(D, "_MAX_DRAWS", 1000)
+        for n in (1000, 1002):
+            with pytest.raises(RuntimeError, match="exceeded the draw budget"):
+                generate("moon", n, seed=0)
+        assert counts == []
         with pytest.raises(RuntimeError, match="exceeded the draw budget"):
-            generate("moon", 2 ** 70, seed=0)
-        assert counts == [_MAX_DRAWS - 1]
+            generate("moon", 998, seed=0)
+        assert counts == [998, 1]  # the loop's whole budget of _MAX_DRAWS - 1 draws
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_large_request_takes_several_batches(self, kind, monkeypatch):

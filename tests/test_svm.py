@@ -380,6 +380,20 @@ def ipm_stacks(draw):
     return points, y, c
 
 
+@st.composite
+def lane_stacks(draw):
+    """Random IPM lane stacks: ((L, m, r) factor rows, (L, m) labels, C).
+
+    L is 1-6, m 4-40 and the rank 1-8; every lane holds both classes, and C
+    runs from 1e-3 to 1e5, so the lanes of one stack stop at different steps.
+    """
+    lanes, m, rank = draw(st.integers(1, 6)), draw(st.integers(4, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.choice([-1.0, 1.0], size=(lanes, m))
+    y[:, :2] = 1.0, -1.0
+    return rng.normal(size=(lanes, m, rank)), y, draw(st.sampled_from([1e-3, 1.0, 100.0, 1e5]))
+
+
 def warm_start(factor, y, C, reference=None):
     """One lane's start from svm._warm_starts, or from a reference IPM when one is given."""
     if reference is None:
@@ -895,6 +909,47 @@ class TestWarmStart:
             want = warm_start(lane_g, lane_y, c, masked_interior_point)
             assert want.any() and start.tobytes() == want.tobytes()
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lane_stacks())
+    def test_random_lanes_byte_equal_to_masked_reference(self, stack):
+        # stacks of any size, rank and C, whose lanes stop at different steps:
+        # every lane keeps the start its problem gets alone, byte for byte
+        g, y, c = stack
+        starts = svm._warm_starts(g, y, c)
+        for lane_g, lane_y, start in zip(g, y, starts):
+            want = warm_start(lane_g, lane_y, c, masked_interior_point)
+            assert start.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, eid, c", [
+        ("moon", "ef1", 100.0), ("exp", "ef1", 100.0), ("xor", "ef3", 1e5)])
+    def test_one_batched_cholesky_and_inverse_per_step(self, kind, eid, c):
+        # each step factors the live stack once and inverts that factor once; a lane
+        # that stops leaves the next step's batch, and no call is made per lane
+        g, y = self.cv_lanes(kind, eid, 100)
+        cholesky, inv, factors, inverted = np.linalg.cholesky, np.linalg.inv, [], []
+
+        def counted(q):
+            factors.append(cholesky(q))
+            return factors[-1]
+
+        def steps_alone(lane_g, lane_y):
+            """The steps the lane's IPM takes alone: one Cholesky each."""
+            factors.clear()
+            with mock.patch.object(np.linalg, "cholesky", counted):
+                warm_start(lane_g, lane_y, c, masked_interior_point)
+            return len(factors)
+
+        steps = [steps_alone(lane_g, lane_y) for lane_g, lane_y in zip(g, y)]
+        assert len(set(steps)) > 1
+        factors.clear()
+        with mock.patch.object(np.linalg, "cholesky", counted), \
+                mock.patch.object(np.linalg, "inv", lambda a: inverted.append(a) or inv(a)):
+            svm._warm_starts(g, y, c)
+        live = [sum(n > step for n in steps) for step in range(max(steps))]
+        assert [f.shape for f in factors] == [(n, g.shape[2], g.shape[2]) for n in live]
+        assert len(inverted) == len(factors)
+        assert all(a is f for a, f in zip(inverted, factors))
+
     @pytest.mark.parametrize("poison", ["nan row", "inf row", "failing slice"])
     def test_failed_lane_leaves_the_other_lanes(self, poison):
         # a poisoned lane starts cold and leaves the other lanes' bytes: a NaN or inf
@@ -986,6 +1041,14 @@ class TestWarmStart:
     def test_infinite_C_starts_every_lane_cold(self):
         g, y = self.cv_lanes("moon", "ef1", 100)
         assert svm._warm_starts(g, y, np.inf).tobytes() == np.zeros(g.shape[:2]).tobytes()
+
+    def test_overflowing_measure_starts_every_lane_cold(self):
+        # at C = 1e308 the first duality measure a.z + s.w overflows to +inf, above
+        # 1e-9 * C: a lane steps only while its measure is finite, so none is factored
+        g, y = self.cv_lanes("moon", "ef1", 100)
+        with mock.patch.object(np.linalg, "cholesky", side_effect=AssertionError("factored")):
+            got = svm._warm_starts(g, y, 1e308)
+        assert got.tobytes() == np.zeros(g.shape[:2]).tobytes()
 
     @pytest.mark.parametrize("inner", ["raise", "nan"])
     def test_ipm_failure_falls_back_to_cold(self, inner):
