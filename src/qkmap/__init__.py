@@ -11,7 +11,6 @@ from .encodings import (
 from .pauli import (
     coefficient_grids,
     coefficients,
-    decompose,
     grid_to_csv,
     grid_to_pgm,
     pauli_index,
@@ -25,7 +24,6 @@ from .svm import (
     accuracy,
     cross_validate,
     decide,
-    kkt_residuals,
     train,
 )
 from .screening import AxisAccuracyReport, axis_accuracy, minimum_accuracy

@@ -68,23 +68,6 @@ def _pauli_map() -> np.ndarray:
     return m
 
 
-def decompose(amps) -> np.ndarray:
-    """All 16 coefficients a_i = <psi|sigma_i|psi> / 4 of one two-qubit state.
-
-    ``amps`` is a (4,) amplitude vector whose norm must be 1 within 1e-9.
-    Returns a read-only (16,) array in the module's index order.
-    """
-    a = np.asarray(amps, dtype=np.complex128)
-    if a.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {a.shape}")
-    norm = np.linalg.norm(a)
-    if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
-        raise ValueError(f"state not normalized: |psi| = {float(norm)!r}")
-    coeffs = (_density_reals(a[None]) @ _pauli_map())[0]
-    coeffs.setflags(write=False)
-    return coeffs
-
-
 def closed_form_table(phases) -> np.ndarray:
     """Closed-form coefficients of the two-qubit feature circuit, (..., 16).
 

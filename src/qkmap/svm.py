@@ -522,22 +522,6 @@ def accuracy(model: SvmModel, kernel_rows: np.ndarray, labels) -> float:
     return float(np.mean(np.where(values >= 0.0, 1, -1) == labels))
 
 
-def kkt_residuals(model: SvmModel, gram_values: np.ndarray) -> np.ndarray:
-    """Per-point violation of the KKT conditions (0 when satisfied)."""
-    y = model.labels.astype(float)
-    u = (model.alphas * y) @ gram_values + model.bias
-    margin = y * u
-    res = np.zeros(len(y))
-    eps = _bound_eps(model.C)
-    at_zero = model.alphas <= eps
-    at_c = model.alphas >= model.C - eps
-    free = ~at_zero & ~at_c
-    res[at_zero] = np.maximum(0.0, 1.0 - margin[at_zero])
-    res[at_c] = np.maximum(0.0, margin[at_c] - 1.0)
-    res[free] = np.abs(margin[free] - 1.0)
-    return res
-
-
 @dataclass(frozen=True)
 class CvReport:
     """Per-fold and mean accuracies of a k-fold cross validation."""

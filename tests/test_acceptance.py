@@ -2,6 +2,7 @@
 PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import qkmap as qk
 from qkmap.encodings import phase_states
-from qkmap.pauli import closed_form_table
+from qkmap.pauli import _density_reals, _pauli_map, closed_form_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATASET_SEED = 7
@@ -33,6 +34,11 @@ def pair_kernel(spec, x, z, method="exact", **shot_args):
     return qk.gram(spec, [x, z], method=method, **shot_args).values[0, 1]
 
 
+def pauli_vector(state):
+    """The 16 coefficients of one state by the projection coefficient_grids runs."""
+    return (_density_reals(state[None]) @ _pauli_map())[0]
+
+
 def all_datasets():
     return {kind: qk.generate(kind, 100, seed=DATASET_SEED)
             for kind in ("circle", "exp", "moon", "xor")}
@@ -45,7 +51,7 @@ def test_criterion_1_closed_form_equivalence():
     worst = 0.0
     for _ in range(1000):
         p1, p2, p12 = rng.uniform(-np.pi, np.pi, 3)
-        got = qk.decompose(phase_states([p1, p2, p12]))
+        got = pauli_vector(phase_states([p1, p2, p12]))
         want = closed_form_table((p1, p2, p12))
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0
@@ -79,7 +85,7 @@ def test_criterion_3_purity_and_normalization():
         eid = qk.BUILTIN_IDS[rng.integers(5)]
         spec = qk.builtin(eid)
         x = rng.uniform(-1, 1, 2)
-        vec = qk.decompose(qk.feature_states(spec, [x])[0])
+        vec = pauli_vector(qk.feature_states(spec, [x])[0])
         worst_ii = max(worst_ii, abs(vec[0] - 0.25))
         worst_purity = max(worst_purity, abs(np.sum(vec ** 2) - 0.25))
         if _ % 10 == 0:
@@ -156,6 +162,23 @@ def dual_objective(model, k):
     return float(model.alphas.sum() - 0.5 * ay @ k @ ay)
 
 
+def bound_slack(C):
+    """README's at-bound slack: 1e-12, 8 ulps of C for C >= 1024, C / 4 below C = 4e-12."""
+    if C < 4e-12:
+        return C / 4
+    return 8 * math.ulp(C) if 1024 <= C < math.inf else 1e-12
+
+
+def kkt_residuals(model, k):
+    """Per-point KKT violation of a model on the Gram k (0 when satisfied)."""
+    y = model.labels.astype(float)
+    margin = y * ((model.alphas * y) @ k + model.bias)
+    eps = bound_slack(model.C)
+    return np.where(model.alphas <= eps, np.maximum(0.0, 1.0 - margin),
+                    np.where(model.alphas >= model.C - eps, np.maximum(0.0, margin - 1.0),
+                             np.abs(margin - 1.0)))
+
+
 def test_criterion_5_smo_correctness():
     """Dual optimum matches brute force; KKT residuals within tolerance."""
     rng = np.random.default_rng(105)
@@ -174,7 +197,7 @@ def test_criterion_5_smo_correctness():
         got = dual_objective(model, g.values)
         want = brute_force_dual(g.values, labels.astype(float), c)
         worst_gap = max(worst_gap, abs(got - want))
-        worst_kkt = max(worst_kkt, float(np.max(qk.kkt_residuals(model, g.values))))
+        worst_kkt = max(worst_kkt, float(np.max(kkt_residuals(model, g.values))))
 
     # separable two-point problems classify perfectly
     two_point_ok = True

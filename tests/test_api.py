@@ -9,13 +9,13 @@ PUBLIC_NAMES = {
     "BUILTIN_IDS", "EncodingError", "builtin", "eval_encoding", "feature_states",
     "parse_phase_expression",
     # pauli
-    "coefficient_grids", "coefficients", "decompose", "grid_to_csv",
-    "grid_to_pgm", "pauli_index", "pauli_label",
+    "coefficient_grids", "coefficients", "grid_to_csv", "grid_to_pgm",
+    "pauli_index", "pauli_label",
     # kernels
     "GramMatrix", "combine", "gram",
     # svm
     "CvReport", "LabeledDataset", "SvmModel", "accuracy", "cross_validate", "decide",
-    "kkt_residuals", "train",
+    "train",
     # screening
     "AxisAccuracyReport", "axis_accuracy", "minimum_accuracy",
     # datasets
@@ -26,5 +26,5 @@ PUBLIC_NAMES = {
 def test_top_level_names_are_pinned():
     names = {name for name, value in vars(qkmap).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 30
+    assert len(PUBLIC_NAMES) == 28
     assert names == PUBLIC_NAMES

@@ -3,7 +3,6 @@ import pytest
 
 from qkmap.encodings import feature_states, phase_states
 from qkmap.kernels import gram
-from qkmap.pauli import decompose, pauli_index
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 HH = np.kron(H, H)
@@ -37,11 +36,6 @@ def on_qubit2(U):
     return np.kron(U, np.eye(2))
 
 
-def random_state(rng, n=2):
-    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    return amps / np.linalg.norm(amps)
-
-
 def dense_circuit(p1, p2, p12):
     """U_phi (H x H) U_phi (H x H) |00> from dense 4 x 4 matrices."""
     z1, z2 = np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1])
@@ -57,20 +51,6 @@ class TestStateVector:
         assert np.all(st[1:] == 0.0)
         assert abs(st[0] - 1.0) <= 4 * np.finfo(float).eps
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            decompose(np.array([1.0, 1.0, 0.0, 0.0]))
-        # the bound is 1e-9 on |psi|
-        with pytest.raises(ValueError, match="normalized"):
-            decompose(np.array([1.0 + 1e-8, 0.0, 0.0, 0.0]))
-        assert decompose(np.array([1.0 + 1e-10, 0.0, 0.0, 0.0]))[pauli_index("ZI")] > 0.0
-
-    def test_rejects_bad_length(self):
-        for amps in ([1.0], [1.0, 0.0], [1.0, 0.0, 0.0], np.eye(8)[0], [[1.0, 0.0]],
-                     [[1.0, 0.0, 0.0, 0.0]], np.zeros(0)):
-            with pytest.raises(ValueError, match="expected 4 amplitudes"):
-                decompose(np.array(amps))
-
     def test_amplitudes_immutable(self):
         # the circuit returns a new array and never writes into its phases
         phases = np.random.default_rng(4).uniform(-np.pi, np.pi, (5, 3))
@@ -78,8 +58,6 @@ class TestStateVector:
         before = phases.copy()
         phase_states(phases)
         assert np.array_equal(phases, before)
-        with pytest.raises(ValueError):
-            decompose(random_state(np.random.default_rng(4)))[0] = 0.5
 
 
 class TestHadamard:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import threading
 import time
@@ -25,7 +26,6 @@ from qkmap.svm import (
     cross_validate,
     decide,
     _clamp_psd,
-    kkt_residuals,
     train,
 )
 
@@ -422,6 +422,27 @@ def dual_objective(model, gram_values):
     return float(model.alphas.sum() - 0.5 * ay @ gram_values @ ay)
 
 
+def bound_slack(C):
+    """README's at-bound slack: 1e-12, 8 ulps of C for C >= 1024, C / 4 below C = 4e-12."""
+    if C < 4e-12:
+        return C / 4
+    return 8 * math.ulp(C) if 1024 <= C < math.inf else 1e-12
+
+
+def kkt_residuals(model, gram_values):
+    """Per-point KKT violation of a model on gram_values (0 when satisfied).
+
+    The test oracle: u = (alpha * y) @ K + b from the model's own fields, and a
+    multiplier at a bound within bound_slack(C), not within the solver's slack.
+    """
+    y = model.labels.astype(float)
+    margin = y * ((model.alphas * y) @ gram_values + model.bias)
+    eps = bound_slack(model.C)
+    return np.where(model.alphas <= eps, np.maximum(0.0, 1.0 - margin),
+                    np.where(model.alphas >= model.C - eps, np.maximum(0.0, margin - 1.0),
+                             np.abs(margin - 1.0)))
+
+
 def assert_beats_cold(model, psd, cold):
     """Converged, KKT within tolerance on psd, and a dual objective no lower than cold's."""
     assert model.converged
@@ -764,7 +785,7 @@ class TestWarmStart:
     def test_tiny_C_converges(self, c):
         # below C = 4e-12 the bound slack is C / 4; a slack of 1e-12 >= C / 2 put every
         # multiplier at zero and at C at once, and each solve stopped with a gap of 2
-        assert svm._bound_eps(c) == c / 4
+        assert svm._bound_eps(c) == bound_slack(c) == c / 4
         ds = generate("moon", 60, seed=7)
         g = gram(builtin("ef1"), ds.points)
         with warnings.catch_warnings():
@@ -777,6 +798,9 @@ class TestWarmStart:
     def test_large_C_converges(self):
         # next to a multiplier near C = 1e5 a partner at 1.4e-12 must count as at zero
         assert [svm._bound_eps(c) for c in (0.5, 1000.0, np.inf)] == [1e-12] * 3
+        # the tests' oracle reads README's definition; the solver's slack must not drift from it
+        cs = (1e-300, 4e-12, 0.5, 1023.0, 1024.0, 1e5, 1e300, np.inf)
+        assert [svm._bound_eps(c) for c in cs] == [bound_slack(c) for c in cs]
         ds = generate("moon", 200, seed=3)
         g = gram(builtin("ef1"), ds.points)
         with warnings.catch_warnings():
