@@ -1,12 +1,14 @@
 """Gram matrices over point sets by three routes, plus weighted combination.
 
 Routes: exact (tr(rho_x rho_z) as a real product of density-matrix rows of
-the simulated states), pauli (4 * dot product of coefficient vectors, the
-real-feature-space identity), and shots (fraction of all-zero outcomes when
-measuring the inversion-test circuit U_Phi(x)^dagger U_Phi(z)|00>).  That
-outcome has probability |<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et
-al., Nature 567, 209 (2019)), so the shot route samples counts from the
-exact overlaps.  One kernel value is an entry of a two-point Gram:
+the simulated states), pauli (4 * dot product of the closed-form coefficient
+vectors of :mod:`qkmap.pauli`, the real-feature-space identity), and shots
+(fraction of all-zero outcomes when measuring the inversion-test circuit
+U_Phi(x)^dagger U_Phi(z)|00>).  That outcome has probability
+|<Phi(x)|Phi(z)>|^2, the exact kernel (Havlicek et al., Nature 567, 209
+(2019)), so the shot route samples counts from the exact overlaps.  The
+exact and shot Grams are the package's only use of the simulated states.
+One kernel value is an entry of a two-point Gram:
 ``gram(phi12, [x, z], method, shots, seed).values[0, 1]``, where the
 encoding is its phase function phi12(x1, x2).
 """
@@ -19,12 +21,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import PhaseFunction, feature_states
-from .pauli import _density_reals, coefficients
+from .pauli import coefficients
 
 EXACT = "exact"
 PAULI = "pauli"
 SHOTS = "shots"
 COMBINED = "combined"
+
+
+def _density_reals(states) -> np.ndarray:
+    """(N, 32) rows F of Re and Im of each |psi><psi| of (N, 4) states.
+
+    tr(rho_x rho_z) of Hermitian matrices is the dot product of their reals,
+    so the exact and shot Grams are the one real product F F^T.
+    """
+    s = np.asarray(states, dtype=np.complex128)
+    return (s[:, :, None] * s[:, None, :].conj()).reshape(len(s), -1).view(float)
 
 
 @dataclass(frozen=True)

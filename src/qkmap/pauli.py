@@ -1,32 +1,44 @@
-"""Real-vector representation of feature states via Pauli coefficients.
+"""The analytic Pauli picture of the two-qubit feature states.
 
 A pure two-qubit density matrix expands as rho = sum_i a_i sigma_i over
 the 16 two-qubit Pauli operators; the real vector a is the feature-space
 image used throughout the toolkit.  Index order: i = d_1 + 4 d_2 with
 d_k in {I:0, X:1, Y:2, Z:3} the letter on qubit k, so the qubit-1 letter
-varies fastest (II, XI, YI, ZI, IX, XX, ...).
+varies fastest (II, XI, YI, ZI, IX, XX, ...).  Every coefficient here,
+at points and on heat-map grids, comes from the closed forms in the
+three phases; the simulated states live in :mod:`qkmap.kernels`.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 
 import numpy as np
 
-from .encodings import PhaseFunction, encoding_phases, feature_states
+from .encodings import PhaseFunction, encoding_phases
 
 _LETTERS = "IXYZ"
-_SINGLE = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
 TWO_QUBIT_LABELS = tuple(q1 + q2 for q2 in _LETTERS for q1 in _LETTERS)
 
 
-def pauli_label(index: int) -> str:
-    """Label for a coefficient index, qubit-1 letter leftmost (e.g. 7 -> "ZX")."""
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:  # an index 1.0 would pass the range check, then fail to index
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _index(value) -> int:
+    index = _integer(value, "pauli index")
     if not 0 <= index < 16:
         raise ValueError(f"pauli index {index} out of range [0, 16)")
-    return TWO_QUBIT_LABELS[index]
+    return index
+
+
+def pauli_label(index: int) -> str:
+    """Label for a coefficient index, qubit-1 letter leftmost (e.g. 7 -> "ZX")."""
+    return TWO_QUBIT_LABELS[_index(index)]
 
 
 def pauli_index(label: str) -> int:
@@ -35,37 +47,6 @@ def pauli_index(label: str) -> int:
         raise ValueError(f"invalid Pauli label {label!r}; "
                          f"expected one of: {', '.join(TWO_QUBIT_LABELS)}")
     return TWO_QUBIT_LABELS.index(label.upper())
-
-
-def pauli_matrix(index: int) -> np.ndarray:
-    """Dense 4 x 4 matrix of sigma_index; qubit 1 is the right factor."""
-    m = np.ones((1, 1), dtype=np.complex128)
-    for letter in pauli_label(index):  # from [[1]]: the product sets the signs of zeros
-        m = np.kron(_SINGLE[_LETTERS.index(letter)], m)
-    return m
-
-
-def _density_reals(states) -> np.ndarray:
-    """(N, 32) rows F of Re and Im of each |psi><psi| of (N, 4) states.
-
-    Every simulator-side quantity is F times a real matrix: the exact Gram
-    F F^T, the Pauli coefficients F @ _pauli_map().
-    """
-    s = np.asarray(states, dtype=np.complex128)
-    return (s[:, :, None] * s[:, None, :].conj()).reshape(len(s), -1).view(float)
-
-
-@functools.cache
-def _pauli_map() -> np.ndarray:
-    """Real (32, 16) map M: tr(rho sigma_i) / 4 is (reals of rho) @ M[:, i].
-
-    tr(rho sigma) of Hermitian rho, sigma is the dot product of their reals.
-    Built on first use, so importing the package does not pay for it.
-    """
-    paulis = np.array([pauli_matrix(i).ravel() for i in range(16)])
-    m = paulis.view(float).T / 4
-    m.setflags(write=False)
-    return m
 
 
 def closed_form_table(phases) -> np.ndarray:
@@ -108,18 +89,16 @@ def coefficients(phi12: PhaseFunction, points) -> np.ndarray:
 
 def coefficient_grids(phi12: PhaseFunction, pauli_indices, x_range=(-1.0, 1.0),
                       resolution: int = 101) -> list[np.ndarray]:
-    """Grids of a_i(x) for each index i, sharing one sweep of feature states.
+    """Grids of a_i(x) for each index i, from one closed-form sweep of the lattice.
 
     Each grid samples a uniform resolution x resolution lattice over
     x_range x x_range, row-major with x2 descending down the rows and x1
     ascending along the columns, so printing a grid matches the usual
-    heat-map orientation.  Values come from the simulator (the feature
-    states' density reals times the Pauli map), not the closed forms.
+    heat-map orientation.  Values are :func:`coefficients` at the lattice
+    points, so the II grid is exactly 1/4.
     """
-    indices = list(pauli_indices)
-    for i in indices:
-        if not 0 <= i < 16:
-            raise ValueError(f"pauli index {i} out of range [0, 16)")
+    indices = [_index(i) for i in pauli_indices]
+    resolution = _integer(resolution, "resolution")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     lo, hi = float(x_range[0]), float(x_range[1])
@@ -128,8 +107,7 @@ def coefficient_grids(phi12: PhaseFunction, pauli_indices, x_range=(-1.0, 1.0),
                          "need finite minimum < maximum")
     x1s = np.linspace(lo, hi, resolution)
     x1, x2 = np.meshgrid(x1s, x1s[::-1])
-    states = feature_states(phi12, np.stack([x1.ravel(), x2.ravel()], axis=1))
-    coeffs = _density_reals(states) @ _pauli_map()
+    coeffs = coefficients(phi12, np.stack([x1.ravel(), x2.ravel()], axis=1))
     return [coeffs[:, i].reshape(resolution, resolution) for i in indices]
 
 

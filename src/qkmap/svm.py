@@ -519,6 +519,8 @@ def accuracy(model: SvmModel, kernel_rows: np.ndarray, labels) -> float:
     if labels.shape != values.shape or not len(values):
         raise ValueError(f"{len(values)} kernel rows and {labels.size} labels; accuracy "
                          "needs one label per row and at least one row")
+    if not np.all(np.abs(labels) == 1):  # 0/1 labels would score as if every 0 were wrong
+        raise ValueError("labels must be -1 or +1")
     return float(np.mean(np.where(values >= 0.0, 1, -1) == labels))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import qkmap as qk
 from qkmap.encodings import phase_states
-from qkmap.pauli import _density_reals, _pauli_map, closed_form_table
+from qkmap.pauli import closed_form_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATASET_SEED = 7
@@ -34,9 +34,15 @@ def pair_kernel(spec, x, z, method="exact", **shot_args):
     return qk.gram(spec, [x, z], method=method, **shot_args).values[0, 1]
 
 
+# the 16 dense two-qubit Paulis in index order, qubit 1 the right kron factor
+_SINGLE = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.diag([1.0, -1.0])]
+PAULIS = np.array([np.kron(q2, q1) for q2 in _SINGLE for q1 in _SINGLE])
+
+
 def pauli_vector(state):
-    """The 16 coefficients of one state by the projection coefficient_grids runs."""
-    return (_density_reals(state[None]) @ _pauli_map())[0]
+    """The 16 coefficients <psi|sigma_i|psi> / 4 of one state, from the dense Paulis."""
+    return np.einsum("b,kbc,c->k", state.conj(), PAULIS, state).real / 4
 
 
 def all_datasets():

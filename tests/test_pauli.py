@@ -5,8 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from qkmap import pauli
-from qkmap.encodings import builtin, eval_encoding, feature_states, phase_states
+from qkmap.encodings import (
+    BUILTIN_IDS,
+    builtin,
+    feature_states,
+    parse_phase_expression,
+    phase_states,
+)
 from qkmap.pauli import (
     TWO_QUBIT_LABELS,
     closed_form_table,
@@ -16,7 +21,6 @@ from qkmap.pauli import (
     grid_to_pgm,
     pauli_index,
     pauli_label,
-    pauli_matrix,
 )
 
 I2 = np.eye(2)
@@ -47,12 +51,15 @@ def _simulated_coefficients(amps: np.ndarray) -> np.ndarray:
     return e.real / 4
 
 
-# Reference copy of the earlier n-qubit pauli_matrix: the byte oracle for the
-# signs of the zeros in the Pauli map.
+# Reference copy of the earlier n-qubit pauli_matrix, the kron builder of the
+# Pauli map of the projection below.
+_SINGLE = np.array([I2, X, Y, Z], dtype=np.complex128)
+
+
 def earlier_pauli_matrix(index: int, n_qubits: int = 2) -> np.ndarray:
     m = np.ones((1, 1), dtype=np.complex128)
     for k in range(n_qubits):
-        m = np.kron(pauli._SINGLE[(index >> (2 * k)) & 3], m)
+        m = np.kron(_SINGLE[(index >> (2 * k)) & 3], m)
     return m
 
 
@@ -62,8 +69,15 @@ def random_state(rng):
 
 
 def projected(states) -> np.ndarray:
-    """(N, 16) coefficients of (N, 4) states: the projection coefficient_grids runs."""
-    return pauli._density_reals(states) @ pauli._pauli_map()
+    """(N, 16) coefficients of (N, 4) states by the real projection the heat maps once ran.
+
+    tr(rho sigma_i) / 4 of Hermitian rho and sigma_i is the dot product of their
+    reals over 4, so the coefficients are the density reals times a (32, 16) map.
+    """
+    s = np.asarray(states, dtype=np.complex128)
+    reals = (s[:, :, None] * s[:, None, :].conj()).reshape(len(s), -1).view(float)
+    paulis = np.array([earlier_pauli_matrix(i).ravel() for i in range(16)])
+    return reals @ (paulis.view(float).T / 4)
 
 
 class TestIndexing:
@@ -82,8 +96,11 @@ class TestIndexing:
             message = re.escape(f"pauli index {index} out of range [0, 16)")
             with pytest.raises(ValueError, match=message):
                 pauli_label(index)
+        assert pauli_label(np.int64(7)) == "ZX"
+        for index in (1.0, np.float64(7)):
+            message = re.escape(f"pauli index must be an integer, got {index!r}")
             with pytest.raises(ValueError, match=message):
-                pauli_matrix(index)
+                pauli_label(index)
 
     @pytest.mark.parametrize("label", ("QQ", "Z", "ZZZ", "", "Z1"))
     def test_invalid_label_rejected(self, label):
@@ -96,18 +113,8 @@ class TestIndexing:
             with pytest.raises(ValueError, match="expected one of: II, XI"):
                 pauli_index(label)
 
-    def test_matrices_match_kron_of_letters(self):
-        for i, sigma in enumerate(dense_paulis(2)):
-            assert np.array_equal(pauli_matrix(i), sigma)
-
 
 class TestDecompose:
-    def test_map_bytes_match_earlier_matrices(self):
-        want = np.array([earlier_pauli_matrix(i).ravel() for i in range(16)]).view(float).T / 4
-        assert pauli._pauli_map().tobytes() == want.tobytes()
-        for i in range(16):
-            assert pauli_matrix(i).tobytes() == earlier_pauli_matrix(i).tobytes()
-
     def test_ground_state(self):
         vec = projected(np.array([[1.0, 0.0, 0.0, 0.0]]))[0]
         for label in TWO_QUBIT_LABELS:
@@ -181,8 +188,22 @@ class TestClosedForms:
 
 class TestGrids:
     def test_identity_axis_constant(self):
-        grid = coefficient_grids(builtin("ef2"), [pauli_index("II")], (-1, 1), 5)[0]
-        assert np.max(np.abs(grid - 0.25)) < 1e-12
+        for eid in BUILTIN_IDS:
+            grid = coefficient_grids(builtin(eid), [pauli_index("II")], (-1, 1), 61)[0]
+            assert np.all(grid == 0.25)
+
+    @pytest.mark.parametrize("eid", BUILTIN_IDS + ("custom",))
+    def test_equals_coefficients_on_lattice(self, eid):
+        phi12 = (parse_phase_expression("exp(x1) * cos(x2) - x1^2 / (1 + abs(x2))")
+                 if eid == "custom" else builtin(eid))
+        for lo, hi, res in ((-1.0, 1.0, 61), (-0.3, 2.5, 11), (-1.0, 1.0, 2)):
+            xs = np.linspace(lo, hi, res)
+            x1, x2 = np.meshgrid(xs, xs[::-1])
+            want = coefficients(phi12, np.stack([x1.ravel(), x2.ravel()], axis=1))
+            grids = coefficient_grids(phi12, range(16), (lo, hi), res)
+            for i, grid in enumerate(grids):
+                assert grid.shape == (res, res)
+                assert grid.tobytes() == want[:, i].reshape(res, res).tobytes()
 
     def test_zz_lattice_values(self):
         grid = coefficient_grids(builtin("ef1"), [pauli_index("ZZ")], (-1, 1), 3)[0]
@@ -209,6 +230,25 @@ class TestGrids:
             coefficient_grids(builtin("ef1"), [16], (-1, 1), 3)
         with pytest.raises(ValueError):
             coefficient_grids(builtin("ef1"), [0], (-1, 1), 1)
+
+    @pytest.mark.parametrize("index", [1.0, np.float64(3), "3", None],
+                             ids=["float", "float64", "str", "None"])
+    def test_non_integer_index_rejected(self, index):
+        message = re.escape(f"pauli index must be an integer, got {index!r}")
+        with pytest.raises(ValueError, match=message):
+            coefficient_grids(builtin("ef1"), [0, index], (-1, 1), 3)
+
+    @pytest.mark.parametrize("resolution", [2.5, 3.0, np.float64(3), "3", None],
+                             ids=["fraction", "float", "float64", "str", "None"])
+    def test_non_integer_resolution_rejected(self, resolution):
+        message = re.escape(f"resolution must be an integer, got {resolution!r}")
+        with pytest.raises(ValueError, match=message):
+            coefficient_grids(builtin("ef1"), [0], (-1, 1), resolution)
+
+    def test_numpy_integers_accepted(self):
+        want = coefficient_grids(builtin("ef2"), [3, 15], (-1, 1), 5)
+        got = coefficient_grids(builtin("ef2"), np.array([3, 15]), (-1, 1), np.int64(5))
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
     @pytest.mark.parametrize("x_range", [(1.0, 1.0), (1.0, -1.0), (np.nan, 1.0),
                                          (-1.0, np.nan)])

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from qkmap.datasets import from_csv, to_csv
 from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states, phase_states
 from qkmap.kernels import gram
-from qkmap import pauli
 from qkmap.pauli import coefficients
 from qkmap.svm import LabeledDataset, SvmModel, train
 
@@ -22,6 +21,12 @@ specs = st.sampled_from(BUILTIN_IDS).map(builtin)
 HH = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
 Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # qubit 1 is the least-significant bit
 Z2 = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+# the 16 dense two-qubit Paulis in index order, qubit 1 the right kron factor
+_SINGLE = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.diag([1.0, -1.0])]
+PAULIS = np.array([np.kron(q2, q1) for q2 in _SINGLE for q1 in _SINGLE])
 
 
 def dense_feature_unitary(p1, p2, p12):
@@ -161,8 +166,8 @@ class TestPurity:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(normalised_states())
     def test_decompose_identity_coefficient_and_purity(self, amps):
-        # the projection coefficient_grids runs
-        vec = (pauli._density_reals(amps[None]) @ pauli._pauli_map())[0]
+        # <psi|sigma_i|psi> / 4 from the dense Paulis
+        vec = np.einsum("b,kbc,c->k", amps.conj(), PAULIS, amps).real / 4
         assert abs(vec[0] - 0.25) <= 1e-12
         assert abs(np.sum(vec ** 2) - 0.25) <= 1e-12
 

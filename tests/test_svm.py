@@ -1150,6 +1150,21 @@ class TestDecide:
         with pytest.raises(ValueError, match="0 kernel rows and 0 labels"):
             accuracy(model, np.empty((0, 2)), [])
 
+    @pytest.mark.parametrize("labels", [[0, 1, 0, 1], [2, -2, 2, -2], [1, -1, 1, 0.5],
+                                        [1.0, -1.0, np.nan, 1.0], [1, -1, 1, 3]])
+    def test_accuracy_rejects_labels_outside_pm1(self, labels):
+        # 0/1 labels once scored 0.5 and ±2 labels 0.0, with no error
+        model = SvmModel(np.ones(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            accuracy(model, rows, labels)
+
+    def test_accuracy_accepts_pm1_floats(self):
+        model = SvmModel(np.ones(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        assert accuracy(model, rows, [1, -1, -1, -1]) == 0.75
+        assert accuracy(model, rows, np.array([1.0, -1.0, -1.0, -1.0])) == 0.75
+
 
 class TestSerialization:
     def test_roundtrip(self):
