@@ -18,7 +18,7 @@ def main():
     phi12 = qk.parse_phase_expression("pi * x1 * x2")
 
     x = (0.3, -0.7)
-    print(f"phases at {x}: {qk.eval_encoding(phi12, x)}")
+    print(f"phi12 at {x}: {phi12(*x)}")
     print(f"self-kernel K(x, x) = {qk.gram(phi12, [x, x]).values[0, 1]:.12f}")
     print()
 

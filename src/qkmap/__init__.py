@@ -4,7 +4,6 @@ from .encodings import (
     BUILTIN_IDS,
     EncodingError,
     builtin,
-    eval_encoding,
     feature_states,
     parse_phase_expression,
 )

@@ -51,12 +51,6 @@ def builtin(encoding_id: str) -> PhaseFunction:
     return _BUILTIN_PHI12[key]
 
 
-def eval_encoding(phi12: PhaseFunction, x) -> tuple[float, float, float]:
-    """(x1, x2, phi12(x1, x2)) of one point: :func:`encoding_phases`'s one-point case."""
-    x1, x2, v = encoding_phases(phi12, [(float(x[0]), float(x[1]))]).tolist()[0]
-    return x1, x2, v
-
-
 def encoding_phases(phi12: PhaseFunction, points) -> np.ndarray:
     """(N, 3) array of (phi1, phi2, phi12), one scalar ``phi12`` call per point.
 

@@ -96,7 +96,7 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     matrices set the diagonal to exactly 1 without sampling (the inversion-test
     circuit is the identity there) and mirror each off-diagonal estimate.  Row i
     draws its entries j > i in order, each one Binomial(shots, K_ij) with K_ij
-    the exact entry clipped to at most 1, from one generator seeded by
+    the exact entry clipped to [0, 1], from one generator seeded by
     ``SeedSequence(seed, spawn_key=(i,))``, numpy's spawn idiom, so that no row
     shares its stream with ``default_rng(seed)``.  The matrix is deterministic
     for a given point set and seed, but not promised bit-stable when points are
@@ -125,7 +125,7 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     if method != PAULI:
         np.fill_diagonal(k, 1.0)
     if method == SHOTS:  # sampled in place: no earlier row writes row i's k[i, i+1:]
-        np.minimum(k, 1.0, out=k)
+        np.clip(k, 0.0, 1.0, out=k)  # rounding can put an overlap just below 0
         for i in range(n - 1):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             k[i, i + 1:] = k[i + 1:, i] = rng.binomial(shots, k[i, i + 1:]) / shots
@@ -151,7 +151,7 @@ def _check_weights(weights, m: int) -> tuple:
 
 def combine(grams, weights) -> GramMatrix:
     """PSD-preserving weighted sum of m Gram matrices: m weights in [0, m] summing to m."""
-    grams = list(grams)
+    grams = [GramMatrix(g) if isinstance(g, (np.ndarray, list, tuple)) else g for g in grams]
     w = _check_weights(weights, len(grams))
     size = grams[0].size
     for g in grams:

@@ -55,6 +55,7 @@ Solves and scores stay on the calling thread.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -553,6 +554,10 @@ class CvReport:
 def _fold_order(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """The seeded shuffle whose block f is fold f's test points; misuse raises ValueError."""
     n = len(labels)
+    try:
+        folds = operator.index(folds)
+    except TypeError:  # 2.5 or 5.0 would fail in numpy's reshape
+        raise ValueError(f"folds must be an integer, got {folds!r}") from None
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     if n % folds != 0:

@@ -318,7 +318,7 @@ def test_criterion_9_heat_map_fidelity():
         grid = qk.coefficient_grids(spec, [qk.pauli_index(label)], (-1, 1), res)[0]
         for r, x2 in enumerate(xs[::-1]):
             for c, x1 in enumerate(xs):
-                p1, p2, p12 = qk.eval_encoding(spec, (x1, x2))
+                p1, p2, p12 = x1, x2, spec(x1, x2)
                 want = closed_form_table((p1, p2, p12))[qk.pauli_index(label)]
                 worst = max(worst, abs(grid[r, c] - want))
 

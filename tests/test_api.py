@@ -6,8 +6,7 @@ import qkmap
 
 PUBLIC_NAMES = {
     # encodings
-    "BUILTIN_IDS", "EncodingError", "builtin", "eval_encoding", "feature_states",
-    "parse_phase_expression",
+    "BUILTIN_IDS", "EncodingError", "builtin", "feature_states", "parse_phase_expression",
     # pauli
     "coefficient_grids", "coefficients", "grid_to_csv", "grid_to_pgm",
     "pauli_index", "pauli_label",
@@ -26,5 +25,5 @@ PUBLIC_NAMES = {
 def test_top_level_names_are_pinned():
     names = {name for name, value in vars(qkmap).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 28
+    assert len(PUBLIC_NAMES) == 27
     assert names == PUBLIC_NAMES

@@ -664,6 +664,16 @@ class TestKernel:
         assert stderr == f"error: {message.format(dir=os.path.dirname(out), out=out)}\n"
         assert builds.call_count == 0
 
+    def test_shots_on_an_overlap_rounded_below_zero(self, tmp_path, capsys):
+        # the pair's exact overlap rounds to about -3.6e-19; this exited 1 with numpy's
+        # "p < 0, p > 1 or p contains NaNs"
+        data, out = tmp_path / "d.csv", tmp_path / "k.csv"
+        data.write_text("x1,x2,label\n0.3,-0.2,1\n-0.70833995,-3.03001816,-1\n")
+        code, _, stderr = run(capsys, "kernel", "--dataset", str(data), "--method", "shots",
+                              "--shots", "1000", "--encoding", "ef1", "--out", str(out))
+        assert (code, stderr) == (0, "")
+        assert out.read_text().splitlines()[1:] == ["1.0,0.0", "0.0,1.0"]
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         common = ("kernel", "--generate", "moon", "--n", "12", "--seed", "9",

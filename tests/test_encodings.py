@@ -16,7 +16,6 @@ from qkmap.encodings import (
     EncodingError,
     builtin,
     encoding_phases,
-    eval_encoding,
     feature_states,
     parse_phase_expression,
     phase_states,
@@ -39,23 +38,23 @@ def dense_feature_unitary(p1, p2, p12):
 
 class TestBuiltins:
     def test_ef1_at_origin(self):
-        assert eval_encoding(builtin("ef1"), (0.0, 0.0)) == (0.0, 0.0, 0.0)
+        assert encoding_phases(builtin("ef1"), [(0.0, 0.0)])[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_ef2_vanishing_factor(self):
-        assert eval_encoding(builtin("ef2"), (1.0, 1.0)) == (1.0, 1.0, 0.0)
+        assert encoding_phases(builtin("ef2"), [(1.0, 1.0)])[0].tolist() == [1.0, 1.0, 0.0]
 
     def test_ef4_at_origin(self):
-        p1, p2, p12 = eval_encoding(builtin("ef4"), (0.0, 0.0))
+        p1, p2, p12 = encoding_phases(builtin("ef4"), [(0.0, 0.0)])[0]
         assert (p1, p2) == (0.0, 0.0)
         assert abs(p12 - math.pi / 3) < 1e-15
 
     def test_ef3_formula(self):
         # exp(|x1-x2|^2 * ln(pi) / 8), implemented literally
-        _, _, p12 = eval_encoding(builtin("ef3"), (0.5, -0.5))
+        _, _, p12 = encoding_phases(builtin("ef3"), [(0.5, -0.5)])[0]
         assert abs(p12 - math.exp(1.0 * math.log(math.pi) / 8.0)) < 1e-15
 
     def test_ef5_formula(self):
-        _, _, p12 = eval_encoding(builtin("ef5"), (0.3, 0.4))
+        _, _, p12 = encoding_phases(builtin("ef5"), [(0.3, 0.4)])[0]
         assert abs(p12 - math.pi * math.cos(0.3) * math.cos(0.4)) < 1e-15
 
     def test_unknown_id(self):
@@ -66,26 +65,24 @@ class TestBuiltins:
     def test_phi12_range_within_two_pi(self, eid):
         spec = builtin(eid)
         xs = np.linspace(-1.0, 1.0, 201)
-        values = np.array([[eval_encoding(spec, (a, b))[2] for a in xs] for b in xs])
+        values = encoding_phases(spec, [(a, b) for b in xs for a in xs])[:, 2]
         assert values.max() - values.min() <= 2 * math.pi + 1e-12
 
     def test_ef4_never_divides_by_zero_on_domain(self):
         spec = builtin("ef4")
         xs = np.linspace(-1.0, 1.0, 51)
-        for a in xs:
-            for b in xs:
-                eval_encoding(spec, (a, b))  # must not raise
+        encoding_phases(spec, [(a, b) for a in xs for b in xs])  # must not raise
 
 
 class TestCustom:
     def test_custom_error_names_function(self):
         bad = lambda x1, x2: 1.0 / (x1 - x1)
         with pytest.raises(EncodingError, match="phi12"):
-            eval_encoding(bad, (0.2, 0.4))
+            encoding_phases(bad, [(0.2, 0.4)])
 
     def test_non_finite_input(self):
         with pytest.raises(EncodingError):
-            eval_encoding(builtin("ef1"), (float("nan"), 0.0))
+            encoding_phases(builtin("ef1"), [(float("nan"), 0.0)])
 
 
 class TestFeatureState:
@@ -107,8 +104,8 @@ class TestFeatureState:
         points = np.random.default_rng(13).uniform(-1, 1, (40, 2))
         got = feature_states(spec, points)
         assert got.shape == (40, 4)
-        for x, row in zip(points, got):
-            want = dense_feature_unitary(*eval_encoding(spec, x))[:, 0]
+        for x, p, row in zip(points, encoding_phases(spec, points), got):
+            want = dense_feature_unitary(*p)[:, 0]
             assert np.max(np.abs(row - want)) <= 1e-12
             assert np.array_equal(feature_states(spec, [x])[0], row)
 
@@ -255,6 +252,7 @@ class TestPhasesByteOracle:
                                    ("0.5", 1), (math.nan, 0.0), (0.0, -math.inf)])
     @pytest.mark.parametrize("fault", [None, "ValueError", "complex", "inf", "text"])
     def test_eval_encoding_is_the_one_point_case(self, x, fault):
+        """encoding_phases on x[:2] gives the earlier eval_encoding's floats or its error."""
         def phi12(x1, x2):
             v = builtin("ef3")(x1, x2)
             if fault is None:
@@ -267,9 +265,9 @@ class TestPhasesByteOracle:
             want = reference_eval_encoding(phi12, x)
         except Exception as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                eval_encoding(phi12, x)
+                encoding_phases(phi12, [x[:2]])
         else:
-            got = eval_encoding(phi12, x)
+            got = tuple(encoding_phases(phi12, [x[:2]])[0].tolist())
             assert got == want and all(type(v) is float for v in got)
 
     @pytest.mark.parametrize("eid", BUILTIN_IDS + ("custom",))
@@ -349,10 +347,10 @@ class TestExpressionLanguage:
 
     def test_integer_tower_overflows_instead_of_hanging(self):
         # integer literals evaluated as big ints made this run without end
-        script = ("from qkmap.encodings import EncodingError, eval_encoding, "
+        script = ("from qkmap.encodings import EncodingError, encoding_phases, "
                   "parse_phase_expression\n"
                   "try:\n"
-                  "    eval_encoding(parse_phase_expression('9^9^9'), (0.1, 0.2))\n"
+                  "    encoding_phases(parse_phase_expression('9^9^9'), [(0.1, 0.2)])\n"
                   "except EncodingError as exc:\n"
                   "    print(exc)\n")
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -367,14 +365,14 @@ class TestExpressionLanguage:
 
     def test_complex_value_names_phase_and_point(self):
         spec = parse_phase_expression("x1^0.5")
-        assert eval_encoding(spec, (0.25, 0.0))[2] == 0.5
+        assert encoding_phases(spec, [(0.25, 0.0)])[0, 2] == 0.5
         match = r"phi12 failed at x=\(-0\.25, 0\.5\): complex"
         with pytest.raises(EncodingError, match=match):
-            eval_encoding(spec, (-0.25, 0.5))
+            encoding_phases(spec, [(-0.25, 0.5)])
 
     def test_complex_argument_names_phase_and_point(self):
         # a complex power that reaches a math function raises TypeError inside phi12
         spec = parse_phase_expression("cos(x1^0.5)")
-        assert eval_encoding(spec, (0.25, 0.0))[2] == math.cos(0.5)
+        assert encoding_phases(spec, [(0.25, 0.0)])[0, 2] == math.cos(0.5)
         with pytest.raises(EncodingError, match=r"phi12 failed at x=\(-0\.25, 0\.5\): .*complex"):
-            eval_encoding(spec, (-0.25, 0.5))
+            encoding_phases(spec, [(-0.25, 0.5)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkmap.datasets import generate
-from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states
+from qkmap.encodings import BUILTIN_IDS, builtin, encoding_phases, feature_states
 from qkmap import kernels
 from qkmap.kernels import GramMatrix, combine, gram
 
@@ -27,7 +27,7 @@ def inversion_test_gram(spec, points, shots, seed):
     sequence spawned as child i of ``SeedSequence(seed)``.
     """
     n = len(points)
-    unitaries = [dense_feature_unitary(*eval_encoding(spec, p)) for p in points]
+    unitaries = [dense_feature_unitary(*p) for p in encoding_phases(spec, points)]
     k = np.eye(n)
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(i + 1)[i])
@@ -149,6 +149,33 @@ class TestKernelShots:
         want = gram(builtin("ef1"), pts, method="shots", shots=300, seed=2)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.shots == 300 and type(got.shots) is int
+
+    def test_overlap_rounded_below_zero_samples_zero(self):
+        # this pair's exact overlap rounds to about -3.6e-19, which the sampler refused
+        # as "p < 0, p > 1 or p contains NaNs" while the clip was from above only
+        pts = [(0.3, -0.2), (-0.70833995, -3.03001816)]
+        assert abs(gram(builtin("ef1"), pts).values[0, 1]) < 1e-15
+        k = gram(builtin("ef1"), pts, method="shots", shots=1000, seed=0)
+        assert k.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("n", [2, 50, 300])
+    @pytest.mark.parametrize("eid", BUILTIN_IDS)
+    def test_in_range_overlaps_sample_as_before(self, eid, n):
+        # the clip from below moves no entry in [0, 1]: the earlier sampler's bytes
+        for seed in range(3):
+            pts = np.random.default_rng(seed).uniform(-1, 1, (n, 2))
+            got = gram(builtin(eid), pts, method="shots", shots=1000, seed=seed).values
+            assert got.tobytes() == earlier_shot_gram(builtin(eid), pts, 1000, seed).tobytes()
+
+
+def earlier_shot_gram(spec, points, shots, seed):
+    """The shot route before its clip from below, verbatim on the exact route's product."""
+    k = gram(spec, points).values.copy()
+    np.minimum(k, 1.0, out=k)
+    for i in range(len(k) - 1):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        k[i, i + 1:] = k[i + 1:, i] = rng.binomial(shots, k[i, i + 1:]) / shots
+    return k
 
 
 class TestGram:
@@ -296,6 +323,15 @@ class TestCombine:
         c = combine([self.g1, self.g3], (1.0, 1.0))
         assert c.values.min() >= -1e-9
         assert c.values.max() <= 2.0 + 1e-9
+
+    def test_plain_arrays_combine_as_gram_matrices(self):
+        want = combine([self.g1, self.g3], (1.5, 0.5))
+        for grams in ([self.g1.values, self.g3.values], [self.g1, self.g3.values.tolist()]):
+            got = combine(grams, (1.5, 0.5))
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.method, got.weights) == (want.method, want.weights)
+        with pytest.raises(ValueError, match=re.escape("must be square, got (10, 9)")):
+            combine([self.g1, self.g3.values[:, :9]], (1.0, 1.0))
 
     def test_sum_is_wrapped_without_a_copy(self):
         # the fresh sum goes to GramMatrix read-only, so __post_init__ keeps it

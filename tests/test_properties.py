@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qkmap.datasets import from_csv, to_csv
-from qkmap.encodings import BUILTIN_IDS, builtin, eval_encoding, feature_states, phase_states
+from qkmap.encodings import BUILTIN_IDS, builtin, encoding_phases, feature_states, phase_states
 from qkmap.kernels import gram
 from qkmap.pauli import coefficients
 from qkmap.svm import LabeledDataset, SvmModel, train
@@ -156,7 +156,7 @@ class TestBatchedEqualsScalar:
     def test_exact_gram_matches_kernel_exact(self, spec, pts):
         # the per-pair oracle: |<00| U(x)^dagger U(z) |00>|^2 from dense 4x4 circuits
         k = gram(spec, pts).values
-        states = [dense_feature_unitary(*eval_encoding(spec, x))[:, 0] for x in pts]
+        states = [dense_feature_unitary(*p)[:, 0] for p in encoding_phases(spec, pts)]
         for i, a in enumerate(states):
             for j, b in enumerate(states):
                 assert abs(k[i, j] - abs(np.vdot(a, b)) ** 2) <= 1e-12

@@ -231,9 +231,9 @@ class TestMinimumAccuracy:
         spec = builtin("ef1")
         report = minimum_accuracy(ds, spec)
         # independent route: closed forms + exhaustive threshold search
-        from qkmap.encodings import eval_encoding
+        from qkmap.encodings import encoding_phases
 
-        coeffs = closed_form_table([eval_encoding(spec, p) for p in pts])
+        coeffs = closed_form_table(encoding_phases(spec, pts))
         for i in range(16):
             want = exhaustive_axis_accuracy(coeffs[:, i], labels)
             assert report.axis_accuracies[i][0] == want[0]

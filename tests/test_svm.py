@@ -1361,6 +1361,22 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="at least 2"):
             cross_validate(ds, gram(builtin("ef1"), ds.points), folds=folds)
 
+    @pytest.mark.parametrize("folds", (2.5, 5.0, np.float64(5), "5", None),
+                             ids=["fraction", "whole float", "numpy float", "string", "None"])
+    def test_non_integer_folds_rejected(self, folds):
+        ds = generate("circle", 40, seed=0)
+        message = f"folds must be an integer, got {folds!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cross_validate(ds, gram(builtin("ef1"), ds.points), folds=folds)
+
+    def test_numpy_integer_folds_accepted(self):
+        ds = generate("circle", 40, seed=0)
+        k = gram(builtin("ef1"), ds.points)
+        got = cross_validate(ds, k, folds=np.int64(5), C=10.0)
+        want = cross_validate(ds, k, folds=5, C=10.0)
+        assert (got.fold_train_accuracies, got.fold_test_accuracies) == \
+            (want.fold_train_accuracies, want.fold_test_accuracies)
+
     def test_indivisible_size_rejected(self):
         ds = generate("circle", 42, seed=0)
         with pytest.raises(ValueError, match="divisible"):
