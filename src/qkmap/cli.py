@@ -284,12 +284,12 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # heatmap has no --seed
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     finally:
         warnings.formatwarning = shown
 

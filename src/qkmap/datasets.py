@@ -13,10 +13,10 @@ read and their order, not the calls that read them, are the format.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
+from .pauli import _integer, _seed
 from .svm import LabeledDataset
 
 _MAX_DRAWS = 10 ** 6
@@ -108,17 +108,15 @@ KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, n_points: int = 100, seed: int = 0) -> LabeledDataset:
-    """Deterministic balanced dataset of the given kind (one of ``KINDS``)."""
+    """Deterministic balanced dataset of the given kind (one of ``KINDS``), of an even
+    integer ``n_points`` >= 2 from a non-negative integer ``seed``, or ValueError."""
     key = kind.lower()
     if key not in _GENERATORS:
         raise ValueError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
-    try:
-        n_points = operator.index(n_points)
-    except TypeError:  # 100.0 would fail deep in the sampler
-        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
+    n_points = _integer(n_points, "n_points")  # 100.0 would fail deep in the sampler
     if n_points < 2 or n_points % 2 != 0:
         raise ValueError("n_points must be an even number >= 2")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     return _balanced_rejection(rng, n_points, _GENERATORS[key])
 
 

@@ -15,13 +15,12 @@ encoding is its phase function phi12(x1, x2).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encodings import PhaseFunction, feature_states
-from .pauli import coefficients
+from .pauli import _integer, _seed, coefficients
 
 EXACT = "exact"
 PAULI = "pauli"
@@ -101,16 +100,15 @@ def gram(phi12: PhaseFunction, points, method: str = EXACT,
     shares its stream with ``default_rng(seed)``.  The matrix is deterministic
     for a given point set and seed, but not promised bit-stable when points are
     appended: an exact overlap may move in the last bit, and one changed draw
-    shifts the rest of its row.  The result is read-only and not copied.
+    shifts the rest of its row.  For shots, ``shots`` is an integer in
+    [1, 2**63 - 1] and ``seed`` a non-negative integer, or ValueError.  The
+    result is read-only and not copied.
     """
     if method == SHOTS:  # the sampler's count is a C long
-        try:
-            shots = operator.index(shots)
-        except TypeError:  # 2.9 would sample Binomial(2, p) and divide by 2.9
-            raise ValueError(f"shots must be an integer in [1, 2**63 - 1], "
-                             f"got {shots!r}") from None
+        shots = _integer(shots, "shots")  # 2.9 would sample Binomial(2, p) and divide by 2.9
         if not 1 <= shots < 2 ** 63:
             raise ValueError(f"shots must lie in [1, 2**63 - 1], got {shots}")
+        seed = _seed(seed)
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 1:

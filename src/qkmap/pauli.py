@@ -23,10 +23,19 @@ TWO_QUBIT_LABELS = tuple(q1 + q2 for q2 in _LETTERS for q1 in _LETTERS)
 
 
 def _integer(value, what: str) -> int:
+    """The package's one integer rule, for sizes, indices, folds, shots and seeds."""
     try:
         return operator.index(value)
     except TypeError:  # an index 1.0 would pass the range check, then fail to index
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _seed(value) -> int:
+    """A library seed: None would draw OS entropy, and numpy's own errors name no seed."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _index(value) -> int:

@@ -55,13 +55,13 @@ Solves and scores stay on the calling thread.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import GramMatrix
+from .pauli import _integer, _seed
 
 MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
 IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
@@ -90,7 +90,7 @@ class LabeledDataset:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         lab = np.asarray(self.labels)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != lab.shape[0]:
+        if pts.ndim != 2 or pts.shape[1] != 2 or lab.shape != pts.shape[:1]:
             raise ValueError(f"points must have shape (N, 2) with one label each, got "
                              f"{pts.shape} points and {lab.shape} labels")
         if not np.all(np.isin(lab, (-1, 1))):  # before the cast, which would make 1.9 a 1
@@ -418,6 +418,8 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
+    if y.ndim != 1:  # (n, 1) labels would fail at unpacking in SMO
+        raise ValueError(f"labels must have shape (N,), got {y.shape}")
     n = len(y)
     if k.shape != (n, n):
         raise ValueError("gram size does not match number of labels")
@@ -515,13 +517,17 @@ def decide(model: SvmModel, kernel_rows) -> np.ndarray:
 
 
 def accuracy(model: SvmModel, kernel_rows: np.ndarray, labels) -> float:
-    """Fraction of rows classified with the correct label (zero counts as +1)."""
+    """Fraction of rows classified with the correct label (zero counts as +1);
+    a row whose decision value is not finite has no sign and raises ValueError."""
     values, labels = decide(model, kernel_rows), np.asarray(labels)
     if labels.shape != values.shape or not len(values):
         raise ValueError(f"{len(values)} kernel rows and {labels.size} labels; accuracy "
                          "needs one label per row and at least one row")
     if not np.all(np.abs(labels) == 1):  # 0/1 labels would score as if every 0 were wrong
         raise ValueError("labels must be -1 or +1")
+    bad = np.flatnonzero(~np.isfinite(values))  # NaN >= 0 is False: it would score as -1
+    if len(bad):
+        raise ValueError(f"kernel row {bad[0]} has a non-finite decision value")
     return float(np.mean(np.where(values >= 0.0, 1, -1) == labels))
 
 
@@ -554,10 +560,8 @@ class CvReport:
 def _fold_order(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """The seeded shuffle whose block f is fold f's test points; misuse raises ValueError."""
     n = len(labels)
-    try:
-        folds = operator.index(folds)
-    except TypeError:  # 2.5 or 5.0 would fail in numpy's reshape
-        raise ValueError(f"folds must be an integer, got {folds!r}") from None
+    folds = _integer(folds, "folds")  # 2.5 or 5.0 would fail in numpy's reshape
+    seed = _seed(seed)  # an np.uint64 seed would wrap at seed + 1
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     if n % folds != 0:
@@ -602,8 +606,9 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     not their labels.  Folds are contiguous blocks of one seeded shuffle;
     fold f trains on blocks f + 1, ..., f - 1 in cyclic order, on views of
     one (2n - n/folds) x (2n - 2n/folds) matrix.  If a fold misses a class
-    the shuffle is retried once with a derived seed, then an error is
-    raised; a one-class dataset raises at once.
+    the shuffle is retried once with seed + 1, then an error is raised; a
+    one-class dataset raises at once.  ``folds`` and ``seed`` must be
+    integers, ``seed`` non-negative.
     """
     n = len(dataset)
     order = _fold_order(dataset.labels, folds, seed)

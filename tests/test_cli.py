@@ -394,6 +394,16 @@ class TestScreen:
 
 
 class TestTrain:
+    def test_numerical_failure_exits_2(self, capsys):
+        # a 100-shot Gram is not certified PSD, so the PSD check's eigh runs
+        failure = np.linalg.LinAlgError("Eigenvalues did not converge")
+        with mock.patch.object(np.linalg, "eigh", side_effect=failure) as eigh:
+            code, stdout, stderr = run(capsys, "train", "--generate", "moon", "--n", "20",
+                                       "--encodings", "ef1", "--method", "shots",
+                                       "--shots", "100")
+        assert eigh.called
+        assert (code, stdout, stderr) == (2, "", "numerical failure: Eigenvalues did not converge\n")
+
     def test_single_encoding_report(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "train", "--generate", "circle", "--n", "50",
                               "--seed", "7", "--encodings", "ef2", "--C", "100",

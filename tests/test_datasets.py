@@ -343,6 +343,13 @@ class TestCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed row {row!r}")):
             from_csv(path)
 
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x1,x2,label\n0.1,0.2,1\n\n   \n-0.3,0.4,-1\n\n")
+        back = from_csv(path)
+        assert back.points.tolist() == [[0.1, 0.2], [-0.3, 0.4]]
+        assert back.labels.tolist() == [1, -1]
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x1,x2,label\n")

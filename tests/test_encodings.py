@@ -337,6 +337,18 @@ class TestExpressionLanguage:
         with pytest.raises(ValueError, match="unknown function"):
             parse_phase_expression("tan(x1)")
 
+    @pytest.mark.parametrize("text", ["sin(x1, x2)", "cos()", "exp(x=x1)"])
+    def test_rejects_other_than_one_argument(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"functions take exactly one argument: {text!r}")):
+            parse_phase_expression(text)
+
+    @pytest.mark.parametrize("text", ["x1 * 2j", "x1 + 'a'", "x1 * None"])
+    def test_rejects_non_numeric_constant(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-numeric constant in expression {text!r}")):
+            parse_phase_expression(text)
+
     def test_rejects_attribute_access(self):
         with pytest.raises(ValueError):
             parse_phase_expression("().__class__")

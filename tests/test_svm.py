@@ -495,8 +495,23 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=re.escape(f"point 2 [0.5, {bad}] is not finite")):
             LabeledDataset(pts, [1, -1, 1, -1])
 
+    def test_column_labels_rejected(self):
+        # (10, 1) labels passed, then cross_validate failed broadcasting (5,8,1,1) with (5,8,10)
+        labels = np.resize([1, -1], 10)[:, None]
+        with pytest.raises(ValueError, match=re.escape("got (10, 2) points and (10, 1) labels")):
+            LabeledDataset(np.zeros((10, 2)), labels)
+
 
 class TestTrain:
+    def test_column_labels_rejected(self):
+        # (4, 1) labels failed in SMO with "too many values to unpack (expected 3)"
+        with pytest.raises(ValueError, match=re.escape("labels must have shape (N,), got (4, 1)")):
+            train(np.eye(4), [[1], [-1], [1], [-1]])
+
+    def test_gram_size_must_match_labels(self):
+        with pytest.raises(ValueError, match="^gram size does not match number of labels$"):
+            train(np.eye(3), [1, -1])
+
     def test_two_point_separable(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
         g = gram(builtin("ef1"), pts)
@@ -1159,6 +1174,16 @@ class TestDecide:
         with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
             accuracy(model, rows, labels)
 
+    def test_accuracy_rejects_non_finite_decisions(self):
+        # NaN >= 0 is False, so NaN rows used to score as -1: these gave 0.5
+        model = SvmModel(np.ones(20), 0.0, np.resize([1, -1], 20), 1.0, 1e-3)
+        with pytest.raises(ValueError, match="^kernel row 0 has a non-finite decision value$"):
+            accuracy(model, np.full((2, 20), np.nan), [1, -1])
+        model = SvmModel(np.ones(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
+        rows = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, np.inf]])
+        with pytest.raises(ValueError, match="^kernel row 1 has a non-finite decision value$"):
+            accuracy(model, rows, [1, -1, -1])
+
     def test_accuracy_accepts_pm1_floats(self):
         model = SvmModel(np.ones(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -1726,6 +1751,50 @@ class TestCrossValidate:
         ds = generate("circle", 20, seed=0)
         with pytest.raises(ValueError, match="but the dataset has 20 points"):
             cross_validate(ds, full, folds=5)
+
+
+MOON_20 = generate("moon", 20, 3)
+SEEDED = {  # the library's seeded entry points
+    "generate": lambda seed: generate("moon", 20, seed),
+    "gram shots": lambda seed: gram(builtin("ef1"), MOON_20.points, "shots", 100, seed),
+    "cross_validate": lambda seed: cross_validate(
+        MOON_20, gram(builtin("ef1"), MOON_20.points), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer, got 2.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (None, "seed must be an integer, got None"),
+    (-1, "seed must be a non-negative integer, got -1"),
+], ids=["fraction", "string", "None", "negative"])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_library_seed_rule(entry, seed, message):
+    # 2.5 and "3" raised numpy's bare TypeError, -1 an unnamed ValueError; None drew OS
+    # entropy in generate and gram and failed on seed + 1 in cross_validate
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SEEDED[entry](seed)
+
+
+def as_bytes(result):
+    if isinstance(result, LabeledDataset):
+        return result.points.tobytes() + result.labels.tobytes()
+    if isinstance(result, CvReport):
+        return result.summary().encode()
+    return result.values.tobytes() + f"seed={result.seed}".encode()  # the CSV header's
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+def test_numpy_integer_seed_accepted(entry):
+    assert as_bytes(SEEDED[entry](np.int64(5))) == as_bytes(SEEDED[entry](5))
+
+
+def test_largest_uint64_seed_does_not_wrap():
+    # seed + 1 of np.uint64(2**64 - 1) overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = SEEDED["cross_validate"](np.uint64(2 ** 64 - 1))
+    assert report.seed == 2 ** 64 - 1
 
 
 # (encoding, weight) per component of the paper-bound oracle's sum-of-kernels routes:
