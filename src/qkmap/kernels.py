@@ -40,7 +40,12 @@ def _density_reals(states) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """N x N kernel matrix with its construction method recorded."""
+    """N x N kernel matrix with its construction method recorded.
+
+    ``method`` is one of the four routes (exact, pauli, shots, combined);
+    ``shots`` and ``seed``, when given, are integers, the seed non-negative,
+    as ``to_csv`` writes them into its header.
+    """
 
     values: np.ndarray = field(repr=False)
     method: str = EXACT
@@ -56,6 +61,12 @@ class GramMatrix:
             v = v.copy()
             v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        if self.method not in (EXACT, PAULI, SHOTS, COMBINED):
+            raise ValueError(f"unknown gram method {self.method!r}")
+        if self.shots is not None:
+            object.__setattr__(self, "shots", _integer(self.shots, "shots"))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def size(self) -> int:

@@ -42,7 +42,11 @@ block of kernel rows against the n training points to m decision
 values, and :func:`cross_validate` slices every fold out of one PSD
 matrix and factor, made once from the full-dataset Gram it is given.
 Its folds share their size and the factor's rank, so one lockstep IPM
-over the folds' stacked factor rows starts every fold's SMO.  Fold f
+over the folds' stacked factor rows starts every fold's SMO; for
+``qkmap train --model-out`` the same call starts the full-set model as
+one more lane, each fold lane padded to n by its test rows at label 0,
+which the IPM leaves out of the objective's quadratic term and the
+balance.  Fold f
 tests on block f of one seeded permutation and trains on the blocks
 after it in cyclic order, f + 1, ..., f - 1, so its test and training
 points are one window of the permutation followed by its own head, and
@@ -258,7 +262,9 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
     measure is at most 1e-9 * C, or after IPM_STEPS steps, and keeps its NaN
     point once that measure is not finite; a lane whose Cholesky fails steps
     to NaN.  A stopped lane is dropped from every stack; each product is a
-    per-slice ``np.matmul``, so every lane's bytes are those it would have alone.
+    per-slice ``np.matmul``, so every lane's bytes are those it would have alone
+    on rows of the same memory layout: a stack's rows are C-ordered, F-ordered
+    rows take other BLAS paths, so ``train`` runs its lane on C-ordered rows.
     A step makes the plain step's IEEE operations, operands and order, each
     once: w / s, -x, a z and s w are shared, the Newton steps fill one reused
     buffer, x steps in place, and sigma is a float64 scalar power per lane.
@@ -400,7 +406,7 @@ def _check_settings(C: float, tolerance: float) -> None:
 
 
 def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
-          _factor: np.ndarray | None = None, _start: np.ndarray | None = None) -> SvmModel:
+          _start: np.ndarray | None = None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
     Deterministic: the Gram is factored (certified pivoted Cholesky, or
@@ -409,12 +415,10 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
     lowest-index tie-breaks.  Warns (RuntimeWarning) when the PSD check
     clamps, and when SMO stops at ``MAX_PASSES`` or on a stalled step
     before the gap closes; the model's ``converged``, ``iterations`` and
-    ``final_gap`` say the same.  The private keywords take what
-    :func:`cross_validate` has already computed: ``_factor`` a G with G G^T
-    factoring ``gram`` (a PSD matrix), as :func:`_psd_factor` returns it,
-    and ``_start`` SMO's start on ``gram`` (a PSD matrix), one row of
-    :func:`_warm_starts`, zeros for a cold start; given a start, train
-    neither factors nor runs the IPM.
+    ``final_gap`` say the same.  The private keyword ``_start`` takes SMO's
+    start on ``gram`` (a PSD matrix) that :func:`cross_validate` has already
+    computed, one row of :func:`_warm_starts`, zeros for a cold start; given
+    a start, train neither factors nor runs the IPM.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -433,8 +437,8 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
             raise ValueError(f"points must have shape ({n}, 2), got {np.shape(points)}")
         _check_finite(np.asarray(points, dtype=float))
     if _start is None:  # train is the IPM's one-lane case
-        k, g = _psd_factor(k) if _factor is None else (k, _factor)
-        _start = _warm_starts(g[None], y[None], C)[0]
+        k, g = _psd_factor(k)  # both factors are F-ordered; a stack's rows are C-ordered
+        _start = _warm_starts(np.ascontiguousarray(g)[None], y[None], C)[0]
     return _smo(k, labels, C, tolerance, points, _start)
 
 
@@ -593,7 +597,7 @@ def _cyclic_gram(k: np.ndarray, ext: np.ndarray, size: int) -> np.ndarray:
 
 def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
                    C: float = 1.0, tolerance: float = 1e-3, seed: int = 0, *,
-                   _factor: np.ndarray | None = None) -> CvReport:
+                   _factor: np.ndarray | None = None, _model_start: bool = False):
     """Seeded k-fold cross validation over a full-dataset Gram matrix.
 
     ``gram`` (a GramMatrix or a square array) holds the kernel between
@@ -609,6 +613,13 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     the shuffle is retried once with seed + 1, then an error is raised; a
     one-class dataset raises at once.  ``folds`` and ``seed`` must be
     integers, ``seed`` non-negative.
+
+    For ``qkmap train``: ``_factor`` is a G with G G^T factoring ``gram`` (a
+    PSD matrix), as :func:`_psd_factor` returns it, and ``_model_start=True``
+    returns ``(report, start)``, ``start`` being ``train``'s own start for
+    the full-set model, from one more lane of the folds' IPM; the fold lanes
+    are then padded to n, which may move their starts within the IPM's stop
+    but not the report.
     """
     n = len(dataset)
     order = _fold_order(dataset.labels, folds, seed)
@@ -623,7 +634,11 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     windows = ext[size * np.arange(folds)[:, None] + np.arange(n)]
     labels = dataset.labels[windows]
     # every fold has the same size and the factor's rank: one lockstep IPM starts them all
-    lanes = (g[windows[:, size:]], labels[:, size:].astype(float), C)
+    rows, lane_y = windows[:, size:], labels[:, size:].astype(float)
+    if _model_start:  # lane `folds` is the full set; fold lanes pad with their test rows at y = 0
+        rows = np.vstack((np.hstack((rows, windows[:, :size])), np.arange(n)))
+        lane_y = np.vstack((np.hstack((lane_y, np.zeros((folds, size)))), dataset.labels))
+    lanes = (g[rows], lane_y, C)  # fancy indexing: C-ordered rows, as train's one lane
     if n < _OVERLAP_FROM:
         d, starts = _cyclic_gram(k, ext, size), _warm_starts(*lanes)
     else:  # the builder reads only k, the IPM only the factor rows, so they overlap
@@ -632,10 +647,13 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
             building = pool.submit(_cyclic_gram, k, ext, size)
             starts = _warm_starts(*lanes)
         d = building.result()  # raises the worker's exception, BaseException included
+    if _model_start:  # the pads are cut off
+        model_start, starts = starts[folds], starts[:folds, :m]
     train_acc, test_acc = [], []
     for f, (start, y) in enumerate(zip(starts, labels)):
         view = d[f * size:f * size + n, f * size:f * size + m]  # rows in window f's order
         model = train(view[size:], y[size:], C=C, tolerance=tolerance, _start=start)
         train_acc.append(accuracy(model, view[size:], y[size:]))
         test_acc.append(accuracy(model, view[:size], y[:size]))
-    return CvReport(tuple(train_acc), tuple(test_acc), seed)
+    report = CvReport(tuple(train_acc), tuple(test_acc), seed)
+    return (report, model_start) if _model_start else report

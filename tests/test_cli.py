@@ -462,6 +462,24 @@ class TestTrain:
         assert code == 0
         assert (cf.call_count, cp.call_count, eigh.call_count) == (1, clamps, clamps)
 
+    @pytest.mark.parametrize("method", ("exact", "shots"))
+    def test_one_interior_point_run_per_command(self, tmp_path, capsys, method):
+        # the saved model is the last lane of the folds' IPM: one call with or without
+        # --model-out, and the same CV lines either way
+        argv = ["train", "--generate", "moon", "--n", "100", "--seed", "7", "--encodings",
+                "ef1", "--C", "100", "--method", method, "--shots", "1000", "--csv"]
+        model, out = tmp_path / "m.txt", []
+        for extra in ([], ["--model-out", str(model)]):
+            with mock.patch.object(svm, "_interior_points",
+                                   wraps=svm._interior_points) as ipm, \
+                    warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+                code, stdout, _ = run(capsys, *argv, *extra)
+            assert code == 0 and ipm.call_count == 1
+            out.append(stdout)
+        assert out[1] == out[0] + f"wrote model to {model}\n"
+        assert svm.SvmModel.from_text(model.read_text()).alphas.any()
+
     @pytest.mark.parametrize("folds", ("0", "-1"))
     def test_too_few_folds(self, capsys, folds):
         code, stdout, stderr = run(capsys, "train", "--generate", "xor", "--n", "20",

@@ -143,6 +143,14 @@ class TestKernelShots:
                 f"shots must be an integer, got {shots!r}")):
             gram(builtin("ef1"), [(0, 0), (1, 1)], method="shots", shots=shots)
 
+    def test_one_shot_accepted(self):
+        # one shot is the smallest count: every off-diagonal entry is a single draw, 0 or 1
+        g = gram(builtin("ef1"), [(0.1, 0.2), (0.9, -0.3), (-0.4, 0.5)], method="shots",
+                 shots=1, seed=3)
+        assert g.shots == 1
+        assert set(g.values.ravel().tolist()) <= {0.0, 1.0}
+        assert g.values.diagonal().tolist() == [1.0] * 3
+
     def test_numpy_integer_shots_accepted(self):
         pts = [(0.1, 0.2), (0.9, -0.3), (-0.4, 0.5)]
         got = gram(builtin("ef1"), pts, method="shots", shots=np.int64(300), seed=2)
@@ -256,7 +264,7 @@ class TestGram:
 
     def test_gram_from_kernel(self):
         pts = np.array([(0.5, 0.5), (1.0, 0.5)])
-        g = GramMatrix(pts @ pts.T + 1.0, "linear")
+        g = GramMatrix(pts @ pts.T + 1.0)
         assert g.values[0, 1] == g.values[1, 0] == 1.75
         assert g.values[0, 0] == 1.5
 
@@ -281,6 +289,30 @@ class TestGram:
         g.to_csv(path)
         first = path.read_text().splitlines()[0]
         assert first == "# method=shots size=2 shots=100 seed=5"
+
+    @pytest.mark.parametrize("metadata, message", [
+        ({"method": "bogus"}, "unknown gram method 'bogus'"),
+        ({"method": "shots", "shots": 2.5}, "shots must be an integer, got 2.5"),
+        ({"method": "shots", "shots": "100"}, "shots must be an integer, got '100'"),
+        ({"method": "shots", "seed": -3}, "seed must be a non-negative integer, got -3"),
+        ({"method": "shots", "seed": 2.5}, "seed must be an integer, got 2.5"),
+    ], ids=["method", "fractional shots", "string shots", "negative seed", "fractional seed"])
+    def test_metadata_checked(self, metadata, message):
+        # the header records the route, shots and seed; none that gram cannot produce
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GramMatrix(np.eye(2), **metadata)
+
+    def test_valid_metadata_keeps_its_header(self, tmp_path):
+        # numpy integers are kept as the ints they are, so the header bytes do not move
+        for method in ("exact", "pauli", "shots", "combined"):
+            assert GramMatrix(np.eye(2), method).method == method
+        built = gram(builtin("ef1"), [(0, 0), (0.3, 0.4)], method="shots", shots=100, seed=5)
+        again = GramMatrix(built.values, "shots", shots=np.int64(100), seed=np.int64(5))
+        assert (again.shots, again.seed) == (100, 5)
+        assert type(again.shots) is int and type(again.seed) is int
+        built.to_csv(tmp_path / "a.csv")
+        again.to_csv(tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestCombine:

@@ -245,6 +245,14 @@ class TestMinimumAccuracy:
             minimum_accuracy(empty, builtin("ef1"))
         del ds
 
+    def test_one_point_dataset(self):
+        # one point is the smallest screen: every axis classifies it, and the tie goes
+        # to the highest Pauli index, ZZ
+        report = minimum_accuracy(LabeledDataset([(0.3, -0.2)], [-1]), builtin("ef1"))
+        assert report.minimum_accuracy == 1.0
+        assert report.best_axis_label == "ZZ"
+        assert [r for r, _, _ in report.axis_accuracies] == [1.0] * 16
+
     def test_runs_fast(self):
         ds = generate("moon", 100, seed=1)
         spec = builtin("ef2")

@@ -948,6 +948,23 @@ class TestWarmStart:
             want = warm_start(lane_g, lane_y, c, masked_interior_point)
             assert want.any() and start.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind, eid", [("circle", "ef1"), ("moon", "ef1"), ("xor", "ef2")])
+    def test_train_start_is_its_lane_in_a_stack(self, kind, eid):
+        # the certified factor is built F-ordered, and a lane on F-ordered rows takes other
+        # BLAS bytes than the same rows inside a (C-ordered) stack; train runs its lane on
+        # C-ordered rows, so its start is the start of its lane in a stack whose other
+        # lanes differ, as cross_validate's model lane is
+        ds = generate(kind, 100, seed=7)
+        k = gram(builtin(eid), ds.points).values
+        g = svm._psd_factor(k)[1]
+        assert g.flags.f_contiguous and not g.flags.c_contiguous
+        y = ds.labels.astype(float)
+        turn = np.random.default_rng(0).permutation(len(y))
+        stack = svm._warm_starts(np.stack((g[turn], g, g[::-1])),
+                                 np.stack((y[turn], y, y[::-1])), 100.0)
+        _, start = train_and_start(k, ds.labels, 100.0)
+        assert start.any() and start.tobytes() == stack[1].tobytes()
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(lane_stacks())
     def test_random_lanes_byte_equal_to_masked_reference(self, stack):
@@ -1360,7 +1377,7 @@ class TestCrossValidate:
         ds = self.make_separable()
         # linear kernel separates on x1 directly
         p = ds.points
-        report = cross_validate(ds, GramMatrix(p @ p.T + 1.0, "linear"), folds=5, C=1000.0)
+        report = cross_validate(ds, p @ p.T + 1.0, folds=5, C=1000.0)
         assert report.mean_train == 1.0
 
     def test_circle_ef1_band(self):
@@ -1554,6 +1571,57 @@ class TestCrossValidate:
             assert scored[2 * f][1].tolist() == ds.labels[tr].tolist()
             assert scored[2 * f + 1][1].tolist() == ds.labels[te].tolist()
         assert len(bases) == 1
+
+    def test_model_lane_layout(self):
+        # fold lane f holds its training rows, then its test rows at label 0; lane
+        # `folds` is the whole factor with the dataset's labels; each fold starts from
+        # its lane's first m entries, and the model from the last lane
+        ds = generate("moon", 60, seed=7)
+        k = gram(builtin("ef1"), ds.points).values
+        factor = np.random.default_rng(4).normal(size=(60, 3))
+        lanes, starts = [], []
+
+        def lane_starts(g, y, C):
+            lanes.append((g, y))
+            return np.arange(y.size, dtype=float).reshape(y.shape)
+
+        def fake_train(sub, labels, **kwargs):
+            starts.append(kwargs["_start"])
+
+        with mock.patch.object(svm, "train", fake_train), \
+                mock.patch.object(svm, "accuracy", lambda *args: 0.5), \
+                mock.patch.object(svm, "_warm_starts", lane_starts):
+            report, start = cross_validate(ds, k, folds=5, C=100.0, seed=7, _factor=factor,
+                                           _model_start=True)
+        [(g, y)] = lanes
+        assert g.shape == (6, 60, 3) and y.shape == (6, 60)
+        for f, (tr, te) in enumerate(cyclic_splits(ds.labels, 5, 7)):
+            assert g[f].tobytes() == factor[np.concatenate((tr, te))].tobytes()
+            assert y[f].tolist() == ds.labels[tr].tolist() + [0.0] * len(te)
+            assert starts[f].tolist() == list(range(60 * f, 60 * f + len(tr)))
+        assert g[5].tobytes() == factor.tobytes() and y[5].tolist() == ds.labels.tolist()
+        assert start.tolist() == list(range(300, 360))
+        assert report.fold_test_accuracies == (0.5,) * 5
+
+    @pytest.mark.parametrize("kind", ("circle", "exp", "moon", "xor"))
+    @pytest.mark.parametrize("n", (60, 400))
+    def test_model_lane_keeps_reports(self, kind, n):
+        # the padded fold lanes move their starts within the IPM's stop, not the
+        # reports; the model lane is the one-lane start on the same factor's C-ordered
+        # rows, as train runs it, byte for byte
+        ds = generate(kind, n, seed=7)
+        cases = [(eid, route) for eid in ("ef1", "ef3") for route in ("exact", "pauli", "shots")]
+        for eid, route in cases if n == 60 else [("ef1", "exact")]:
+            full = gram(builtin(eid), ds.points, method=route, shots=1000, seed=7).values
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+                k, g = svm._psd_factor(full)
+            for c in (1.0, 100.0):
+                report, start = cross_validate(ds, k, 5, c, 1e-3, 7, _factor=g,
+                                               _model_start=True)
+                assert report == cross_validate(ds, k, 5, c, 1e-3, 7, _factor=g)
+                alone = warm_start(np.ascontiguousarray(g), ds.labels.astype(float), c)
+                assert start.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("side", ("below", "at"))
     def test_block_builder_error_raised_and_joined(self, side):
