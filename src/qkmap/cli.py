@@ -167,14 +167,12 @@ def cmd_train(args) -> int:
           for phi12 in phi12s]
     if args.weights is not None or len(gs) > 1:
         gs = [kernels.combine(gs, args.weights or [1.0] * len(gs))]
-    # one PSD Gram and its factor serve every fold and the saved model, and one IPM
-    # starts them all: the model is the last lane of the folds' stack
-    k, g = svm._psd_factor(gs[0].values)
-    report = svm.cross_validate(ds, k, folds=args.folds, C=args.C,
-                                tolerance=args.tolerance, seed=args.seed, _factor=g,
-                                _model_start=args.model_out is not None)
+    # one PSD Gram serves every fold and the saved model, and one IPM starts them all
+    report = svm.cross_validate(ds, gs[0], folds=args.folds, C=args.C,
+                                tolerance=args.tolerance, seed=args.seed,
+                                _model=args.model_out is not None)
     if args.model_out is not None:
-        report, start = report
+        report, model = report
     if args.csv:
         print("fold,train_accuracy,test_accuracy")
         for f, (tr, te) in enumerate(zip(report.fold_train_accuracies,
@@ -184,8 +182,6 @@ def cmd_train(args) -> int:
     else:
         print(report.summary())
     if args.model_out is not None:
-        model = svm.train(k, ds.labels, C=args.C, tolerance=args.tolerance,
-                          points=ds.points, _start=start)
         with open(args.model_out, "w") as fh:
             fh.write(model.to_text())
         print(f"wrote model to {args.model_out}")

@@ -44,7 +44,10 @@ class GramMatrix:
 
     ``method`` is one of the four routes (exact, pauli, shots, combined);
     ``shots`` and ``seed``, when given, are integers, the seed non-negative,
-    as ``to_csv`` writes them into its header.
+    and belong to the shots route only; ``weights``, when given, belong to
+    a combined Gram and are m weights in [0, m] summing to m, as
+    :func:`combine` takes them.  So ``to_csv`` writes only a header that
+    some route produces.
     """
 
     values: np.ndarray = field(repr=False)
@@ -63,6 +66,12 @@ class GramMatrix:
         object.__setattr__(self, "values", v)
         if self.method not in (EXACT, PAULI, SHOTS, COMBINED):
             raise ValueError(f"unknown gram method {self.method!r}")
+        if (self.shots is not None or self.seed is not None) and self.method != SHOTS:
+            raise ValueError(f"shots and seed belong to the shots method, not {self.method!r}")
+        if self.weights is not None:
+            if self.method != COMBINED:
+                raise ValueError(f"weights belong to the combined method, not {self.method!r}")
+            object.__setattr__(self, "weights", _check_weights(self.weights, len(self.weights)))
         if self.shots is not None:
             object.__setattr__(self, "shots", _integer(self.shots, "shots"))
         if self.seed is not None:

@@ -43,10 +43,10 @@ values, and :func:`cross_validate` slices every fold out of one PSD
 matrix and factor, made once from the full-dataset Gram it is given.
 Its folds share their size and the factor's rank, so one lockstep IPM
 over the folds' stacked factor rows starts every fold's SMO; for
-``qkmap train --model-out`` the same call starts the full-set model as
-one more lane, each fold lane padded to n by its test rows at label 0,
-which the IPM leaves out of the objective's quadratic term and the
-balance.  Fold f
+``qkmap train --model-out`` the same call also trains the full-set
+model on that matrix, started by one more lane, each fold lane padded
+to n by its test rows at label 0, which the IPM leaves out of the
+objective's quadratic term and the balance.  Fold f
 tests on block f of one seeded permutation and trains on the blocks
 after it in cyclic order, f + 1, ..., f - 1, so its test and training
 points are one window of the permutation followed by its own head, and
@@ -595,9 +595,8 @@ def _cyclic_gram(k: np.ndarray, ext: np.ndarray, size: int) -> np.ndarray:
     return d
 
 
-def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
-                   C: float = 1.0, tolerance: float = 1e-3, seed: int = 0, *,
-                   _factor: np.ndarray | None = None, _model_start: bool = False):
+def cross_validate(dataset: LabeledDataset, gram, folds: int = 5, C: float = 1.0,
+                   tolerance: float = 1e-3, seed: int = 0, *, _model: bool = False):
     """Seeded k-fold cross validation over a full-dataset Gram matrix.
 
     ``gram`` (a GramMatrix or a square array) holds the kernel between
@@ -614,12 +613,12 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     one-class dataset raises at once.  ``folds`` and ``seed`` must be
     integers, ``seed`` non-negative.
 
-    For ``qkmap train``: ``_factor`` is a G with G G^T factoring ``gram`` (a
-    PSD matrix), as :func:`_psd_factor` returns it, and ``_model_start=True``
-    returns ``(report, start)``, ``start`` being ``train``'s own start for
-    the full-set model, from one more lane of the folds' IPM; the fold lanes
-    are then padded to n, which may move their starts within the IPM's stop
-    but not the report.
+    For ``qkmap train --model-out``: ``_model=True`` returns ``(report,
+    model)``, where ``model`` is ``train`` of the full set on that one PSD
+    matrix, with the dataset's labels and points.  One more lane of the
+    folds' IPM starts it, byte for byte as ``train`` would start itself,
+    and it trains after the folds.  The fold lanes are then padded to n,
+    which may move their starts within the IPM's stop but not the report.
     """
     n = len(dataset)
     order = _fold_order(dataset.labels, folds, seed)
@@ -627,7 +626,7 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if k.shape != (n, n):
         raise ValueError(f"gram has shape {k.shape} but the dataset has {n} points")
-    k, g = _psd_factor(k) if _factor is None else (k, _factor)
+    k, g = _psd_factor(k)
     size, m = n // folds, n - n // folds
     ext = np.concatenate((order, order[:m]))
     # row f: fold f's test block, then the m points after it in cyclic order, its training set
@@ -635,7 +634,7 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
     labels = dataset.labels[windows]
     # every fold has the same size and the factor's rank: one lockstep IPM starts them all
     rows, lane_y = windows[:, size:], labels[:, size:].astype(float)
-    if _model_start:  # lane `folds` is the full set; fold lanes pad with their test rows at y = 0
+    if _model:  # lane `folds` is the full set; fold lanes pad with their test rows at y = 0
         rows = np.vstack((np.hstack((rows, windows[:, :size])), np.arange(n)))
         lane_y = np.vstack((np.hstack((lane_y, np.zeros((folds, size)))), dataset.labels))
     lanes = (g[rows], lane_y, C)  # fancy indexing: C-ordered rows, as train's one lane
@@ -647,8 +646,8 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
             building = pool.submit(_cyclic_gram, k, ext, size)
             starts = _warm_starts(*lanes)
         d = building.result()  # raises the worker's exception, BaseException included
-    if _model_start:  # the pads are cut off
-        model_start, starts = starts[folds], starts[:folds, :m]
+    if _model:  # the pads are cut off
+        full_start, starts = starts[folds], starts[:folds, :m]
     train_acc, test_acc = [], []
     for f, (start, y) in enumerate(zip(starts, labels)):
         view = d[f * size:f * size + n, f * size:f * size + m]  # rows in window f's order
@@ -656,4 +655,7 @@ def cross_validate(dataset: LabeledDataset, gram, folds: int = 5,
         train_acc.append(accuracy(model, view[size:], y[size:]))
         test_acc.append(accuracy(model, view[:size], y[:size]))
     report = CvReport(tuple(train_acc), tuple(test_acc), seed)
-    return (report, model_start) if _model_start else report
+    if _model:  # after the folds, so that its warnings follow theirs
+        return report, train(k, dataset.labels, C=C, tolerance=tolerance,
+                             points=dataset.points, _start=full_start)
+    return report

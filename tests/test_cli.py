@@ -429,6 +429,8 @@ class TestTrain:
         assert model.read_text().startswith("C=")
 
     def test_model_reuses_cross_validation_gram(self, tmp_path, capsys, monkeypatch):
+        # the saved model is train's own on the one Gram the folds use; a shot Gram is
+        # not PSD, so the model trains on the clamped matrix that cross validation makes
         builds = []
 
         def counting_gram(*args, **kwargs):
@@ -437,15 +439,37 @@ class TestTrain:
 
         monkeypatch.setattr(kernels, "gram", counting_gram)
         model = tmp_path / "m.txt"
-        code, _, _ = run(capsys, "train", "--generate", "xor", "--n", "30",
-                         "--seed", "1", "--encodings", "ef1",
-                         "--model-out", str(model))
-        assert code == 0
-        assert len(builds) == 1
-        ds = qk.generate("xor", 30, 1)
-        want = qk.train(qk.gram(qk.builtin("ef1"), ds.points), ds.labels,
-                        points=ds.points)
-        assert model.read_text() == want.to_text()
+        for kind, n, seed, C, method in (("xor", 30, 1, 1.0, "exact"),
+                                         ("moon", 100, 7, 100.0, "shots")):
+            builds.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, _ = run(capsys, "train", "--generate", kind, "--n", str(n),
+                                 "--seed", str(seed), "--encodings", "ef1", "--C", repr(C),
+                                 "--method", method, "--shots", "1000",
+                                 "--model-out", str(model))
+            assert code == 0
+            assert len(builds) == 1
+            clamps = ["clamping to PSD" in str(w.message) for w in caught]
+            assert clamps == [True] * (method == "shots")
+            ds = qk.generate(kind, n, seed)
+            full = qk.gram(qk.builtin("ef1"), ds.points, method=method, shots=1000, seed=seed)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+                want = qk.train(full, ds.labels, C=C, points=ds.points)
+            assert model.read_text() == want.to_text()
+
+    def test_one_encoding_skips_combine(self, capsys):
+        # one encoding without --weights trains on its own Gram: combine([g], [1.0])
+        # would keep the bytes but costs an n x n sum (13-18 ms at n = 1600)
+        argv = ("train", "--generate", "moon", "--n", "60", "--seed", "7", "--encodings")
+        with mock.patch.object(kernels, "combine", wraps=kernels.combine) as combine:
+            code, _, _ = run(capsys, *argv, "ef1")
+            assert code == 0 and combine.call_count == 0
+            code, _, _ = run(capsys, *argv, "ef1", "--weights", "1")
+            assert code == 0 and combine.call_count == 1
+            code, _, _ = run(capsys, *argv, "ef1", "ef3")
+            assert code == 0 and combine.call_count == 2
 
     @pytest.mark.parametrize("method, clamps", [("exact", 0), ("shots", 1)])
     def test_one_factor_per_command(self, tmp_path, capsys, method, clamps):

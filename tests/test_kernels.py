@@ -296,9 +296,22 @@ class TestGram:
         ({"method": "shots", "shots": "100"}, "shots must be an integer, got '100'"),
         ({"method": "shots", "seed": -3}, "seed must be a non-negative integer, got -3"),
         ({"method": "shots", "seed": 2.5}, "seed must be an integer, got 2.5"),
-    ], ids=["method", "fractional shots", "string shots", "negative seed", "fractional seed"])
+        ({"method": "exact", "shots": 5}, "shots and seed belong to the shots method, not 'exact'"),
+        ({"method": "pauli", "seed": 3}, "shots and seed belong to the shots method, not 'pauli'"),
+        ({"method": "combined", "seed": 0},
+         "shots and seed belong to the shots method, not 'combined'"),
+        ({"method": "shots", "shots": 5, "weights": (1.0,)},
+         "weights belong to the combined method, not 'shots'"),
+        ({"method": "exact", "weights": (1.0,)},
+         "weights belong to the combined method, not 'exact'"),
+        ({"method": "combined", "weights": (1.0, 2.0)}, "weights must sum to 2, got 3.0"),
+        ({"method": "combined", "weights": (float("nan"),)}, "each weight must lie in [0, 1]"),
+        ({"method": "combined", "weights": ()}, "at least one Gram matrix required"),
+    ], ids=["method", "fractional shots", "string shots", "negative seed", "fractional seed",
+            "shots on exact", "seed on pauli", "seed on combined", "weights on shots",
+            "weights on exact", "weight sum", "NaN weight", "no weights"])
     def test_metadata_checked(self, metadata, message):
-        # the header records the route, shots and seed; none that gram cannot produce
+        # the header records the route, shots, seed and weights; none that no route produces
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GramMatrix(np.eye(2), **metadata)
 
@@ -313,6 +326,13 @@ class TestGram:
         built.to_csv(tmp_path / "a.csv")
         again.to_csv(tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # given weights are kept as the floats combine writes
+        mixed = combine([built, gram(builtin("ef3"), [(0, 0), (0.3, 0.4)])], [1, 1])
+        alike = GramMatrix(mixed.values, "combined", weights=[np.int64(1), 1])
+        assert alike.weights == mixed.weights == (1.0, 1.0)
+        mixed.to_csv(tmp_path / "c.csv")
+        alike.to_csv(tmp_path / "d.csv")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
 
 class TestCombine:

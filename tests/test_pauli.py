@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -299,8 +300,11 @@ class TestSerialization:
         assert pixels.size == 61 * 61 and np.all(pixels == 128)
 
     def test_pgm_flat_grid(self, tmp_path):
-        grid = np.full((3, 3), 0.25)
-        path = tmp_path / "flat.pgm"
-        grid_to_pgm(grid, path)
-        pixels = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
-        assert np.all(pixels == 128)
+        # an all-zero grid is flat at the check's boundary, a span of exactly 0, where
+        # scaling would divide 0 by 0
+        for value in (0.25, 0.0):
+            path = tmp_path / "flat.pgm"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid_to_pgm(np.full((3, 3), value), path)
+            assert path.read_bytes() == b"P5\n3 3\n255\n" + bytes([128] * 9)

@@ -622,6 +622,14 @@ class TestTrain:
         with pytest.raises(ValueError, match=re.escape("max |K - K^T| is 1.400e+00 > 1e-6")):
             train(k, [1, -1, 1, -1], C=10.0)
 
+    def test_asymmetry_bound_is_inclusive(self):
+        # an asymmetry of exactly 1e-6 trains; one ulp more is rejected
+        model = train([[1, 1e-6], [0, 1]], [1, -1], C=10.0)
+        assert model.converged
+        above = float(np.nextafter(1e-6, 1.0))
+        with pytest.raises(ValueError, match=re.escape("max |K - K^T| is 1.000e-06 > 1e-6")):
+            train([[1, above], [0, 1]], [1, -1], C=10.0)
+
     def test_infinite_C_is_hard_margin(self):
         pts = [(0.1, 0.1), (0.8, -0.6)]
         g = gram(builtin("ef1"), pts)
@@ -1550,8 +1558,9 @@ class TestCrossValidate:
         with mock.patch.object(svm, "train", fake_train), \
                 mock.patch.object(svm, "accuracy", fake_accuracy), \
                 mock.patch.object(svm, "_warm_starts", lane_starts), \
-                mock.patch.object(svm, "_cyclic_gram", builder):
-            report = cross_validate(ds, k, folds=folds, seed=seed, _factor=factor)
+                mock.patch.object(svm, "_cyclic_gram", builder), \
+                mock.patch.object(svm, "_psd_factor", lambda k: (k, factor)):
+            report = cross_validate(ds, k, folds=folds, seed=seed)
         here = threading.current_thread()
         assert threads["train"] == threads["accuracy"] == threads["starts"] == {here}
         assert (threads["builder"] == {here}) == (n < svm._OVERLAP_FROM)
@@ -1575,53 +1584,61 @@ class TestCrossValidate:
     def test_model_lane_layout(self):
         # fold lane f holds its training rows, then its test rows at label 0; lane
         # `folds` is the whole factor with the dataset's labels; each fold starts from
-        # its lane's first m entries, and the model from the last lane
+        # its lane's first m entries, and the model, trained last on the whole PSD
+        # matrix with the dataset's labels and points, from the last lane
         ds = generate("moon", 60, seed=7)
         k = gram(builtin("ef1"), ds.points).values
+        psd = k.copy()  # the matrix _psd_factor returns, which the model's train reads
         factor = np.random.default_rng(4).normal(size=(60, 3))
-        lanes, starts = [], []
+        lanes, calls = [], []
 
         def lane_starts(g, y, C):
             lanes.append((g, y))
             return np.arange(y.size, dtype=float).reshape(y.shape)
 
         def fake_train(sub, labels, **kwargs):
-            starts.append(kwargs["_start"])
+            calls.append((sub, labels, kwargs))
+            return len(calls)
 
         with mock.patch.object(svm, "train", fake_train), \
                 mock.patch.object(svm, "accuracy", lambda *args: 0.5), \
-                mock.patch.object(svm, "_warm_starts", lane_starts):
-            report, start = cross_validate(ds, k, folds=5, C=100.0, seed=7, _factor=factor,
-                                           _model_start=True)
+                mock.patch.object(svm, "_warm_starts", lane_starts), \
+                mock.patch.object(svm, "_psd_factor", lambda k: (psd, factor)):
+            report, model = cross_validate(ds, k, folds=5, C=100.0, seed=7, _model=True)
         [(g, y)] = lanes
         assert g.shape == (6, 60, 3) and y.shape == (6, 60)
         for f, (tr, te) in enumerate(cyclic_splits(ds.labels, 5, 7)):
             assert g[f].tobytes() == factor[np.concatenate((tr, te))].tobytes()
             assert y[f].tolist() == ds.labels[tr].tolist() + [0.0] * len(te)
-            assert starts[f].tolist() == list(range(60 * f, 60 * f + len(tr)))
+            assert calls[f][2]["_start"].tolist() == list(range(60 * f, 60 * f + len(tr)))
         assert g[5].tobytes() == factor.tobytes() and y[5].tolist() == ds.labels.tolist()
-        assert start.tolist() == list(range(300, 360))
+        assert len(calls) == 6 and model == 6  # the model is the last train call's
+        sub, labels, kwargs = calls[5]
+        assert sub is psd and labels is ds.labels and kwargs["points"] is ds.points
+        assert kwargs["_start"].tolist() == list(range(300, 360))
+        assert (kwargs["C"], kwargs["tolerance"]) == (100.0, 1e-3)
         assert report.fold_test_accuracies == (0.5,) * 5
 
     @pytest.mark.parametrize("kind", ("circle", "exp", "moon", "xor"))
     @pytest.mark.parametrize("n", (60, 400))
     def test_model_lane_keeps_reports(self, kind, n):
         # the padded fold lanes move their starts within the IPM's stop, not the
-        # reports; the model lane is the one-lane start on the same factor's C-ordered
-        # rows, as train runs it, byte for byte
+        # reports; the model, started by the model lane, is train's own on the full
+        # Gram, byte for byte
         ds = generate(kind, n, seed=7)
         cases = [(eid, route) for eid in ("ef1", "ef3") for route in ("exact", "pauli", "shots")]
         for eid, route in cases if n == 60 else [("ef1", "exact")]:
             full = gram(builtin(eid), ds.points, method=route, shots=1000, seed=7).values
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
-                k, g = svm._psd_factor(full)
             for c in (1.0, 100.0):
-                report, start = cross_validate(ds, k, 5, c, 1e-3, 7, _factor=g,
-                                               _model_start=True)
-                assert report == cross_validate(ds, k, 5, c, 1e-3, 7, _factor=g)
-                alone = warm_start(np.ascontiguousarray(g), ds.labels.astype(float), c)
-                assert start.tobytes() == alone.tobytes()
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "Gram matrix has minimum", RuntimeWarning)
+                    report, model = cross_validate(ds, full, 5, c, 1e-3, 7, _model=True)
+                    assert report == cross_validate(ds, full, 5, c, 1e-3, 7)
+                    alone = train(full, ds.labels, C=c, tolerance=1e-3, points=ds.points)
+                assert model.to_text() == alone.to_text()
+                assert model.alphas.tobytes() == alone.alphas.tobytes()
+                assert (model.iterations, model.converged, model.final_gap) == \
+                    (alone.iterations, alone.converged, alone.final_gap)
 
     @pytest.mark.parametrize("side", ("below", "at"))
     def test_block_builder_error_raised_and_joined(self, side):
