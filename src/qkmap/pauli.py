@@ -38,6 +38,14 @@ def _seed(value) -> int:
     return seed
 
 
+def _labels(labels) -> np.ndarray:
+    """The package's one label rule, checked before any cast could make 1.9, "1" or 1+0j a 1."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biuf" or not np.all((y == 1) | (y == -1)):  # bool, int or float
+        raise ValueError("labels must be -1 or +1")
+    return y
+
+
 def _index(value) -> int:
     index = _integer(value, "pauli index")
     if not 0 <= index < 16:

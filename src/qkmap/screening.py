@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import PhaseFunction
-from .pauli import coefficients, pauli_label
+from .pauli import _labels, coefficients, pauli_label
 
 LEFT_POSITIVE = "left-positive"
 LEFT_NEGATIVE = "left-negative"
@@ -48,11 +48,12 @@ def axis_accuracy(values, labels) -> tuple[float, float, str]:
     Candidate thresholds are the midpoints between consecutive distinct
     sorted values plus one below the minimum (the all-one-side split);
     both orientations (left side positive or negative) are tried.  Ties
-    in value always fall on the same side of any threshold.  The values
-    must be finite and 1-d, with one label in {-1, +1} each.
+    in value always fall on the same side of any threshold; a midpoint whose
+    sum overflows is a/2 + b/2.  The values must be finite and 1-d, with one
+    label each, exactly -1 or +1 (bool, int or float).
     """
     v = np.asarray(values, dtype=float)
-    y = np.asarray(labels)
+    y = _labels(labels)
     if v.ndim != 1 or y.shape != v.shape:
         raise ValueError(f"values and labels must be 1-d and of one length, got shapes "
                          f"{v.shape} and {y.shape}")
@@ -66,9 +67,7 @@ def axis_accuracy(values, labels) -> tuple[float, float, str]:
     y_sorted = y[order]
     pos_prefix = np.concatenate(([0], np.cumsum(y_sorted == 1)))
     n_pos = int(pos_prefix[-1])
-    n_neg = int(np.count_nonzero(y == -1))
-    if n_pos + n_neg != n:
-        raise ValueError("labels must be -1 or +1")
+    n_neg = n - n_pos
 
     # split after t sorted points; t=0 is the below-minimum threshold
     cuts = np.concatenate(([0], np.flatnonzero(v_sorted[1:] > v_sorted[:-1]) + 1))
@@ -83,7 +82,8 @@ def axis_accuracy(values, labels) -> tuple[float, float, str]:
     if best_t == 0:
         threshold = float(v_sorted[0] - 1.0)
     else:
-        threshold = float((v_sorted[best_t - 1] + v_sorted[best_t]) / 2.0)
+        a, b = float(v_sorted[best_t - 1]), float(v_sorted[best_t])
+        threshold = (a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0
     return best_correct / n, threshold, best_orient
 
 

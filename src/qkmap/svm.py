@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import GramMatrix
-from .pauli import _integer, _seed
+from .pauli import _integer, _labels, _seed
 
 MAX_PASSES = 10_000  # SMO pair updates before train stops unconverged
 IPM_STEPS = 100  # interior-point steps before the warm start is taken as it is
@@ -86,19 +86,17 @@ def _check_finite(points: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Finite points in the plane with binary labels in {-1, +1}."""
+    """Finite points in the plane, with labels exactly -1 or +1 (bool, int or float) as ints."""
 
     points: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        lab = np.asarray(self.labels)
+        lab = _labels(self.labels)
         if pts.ndim != 2 or pts.shape[1] != 2 or lab.shape != pts.shape[:1]:
             raise ValueError(f"points must have shape (N, 2) with one label each, got "
                              f"{pts.shape} points and {lab.shape} labels")
-        if not np.all(np.isin(lab, (-1, 1))):  # before the cast, which would make 1.9 a 1
-            raise ValueError("labels must be -1 or +1")
         _check_finite(pts)
         pts = pts.copy()
         lab = lab.astype(int)
@@ -409,6 +407,9 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
           _start: np.ndarray | None = None) -> SvmModel:
     """Solve the soft-margin dual over a precomputed Gram matrix.
 
+    ``labels``: one per Gram row, each exactly -1 or +1 (bool, int or
+    float), both classes present.
+
     Deterministic: the Gram is factored (certified pivoted Cholesky, or
     the PSD check's eigendecomposition), the IPM on that factor starts
     SMO, and SMO finishes, choosing the maximal violating pair with
@@ -421,15 +422,13 @@ def train(gram, labels, C: float = 1.0, tolerance: float = 1e-3, points=None, *,
     a start, train neither factors nor runs the IPM.
     """
     k = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
-    y = np.asarray(labels, dtype=float)
+    y = _labels(labels).astype(float)
     if y.ndim != 1:  # (n, 1) labels would fail at unpacking in SMO
         raise ValueError(f"labels must have shape (N,), got {y.shape}")
     n = len(y)
     if k.shape != (n, n):
         raise ValueError("gram size does not match number of labels")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
-    if np.all(y == y[0]):
+    if not (np.any(y > 0) and np.any(y < 0)):  # as _fold_order tests the classes
         raise ValueError("both classes must be present for training")
     _check_settings(C, tolerance)
     if points is not None:  # as from_text reads them
@@ -521,14 +520,12 @@ def decide(model: SvmModel, kernel_rows) -> np.ndarray:
 
 
 def accuracy(model: SvmModel, kernel_rows: np.ndarray, labels) -> float:
-    """Fraction of rows classified with the correct label (zero counts as +1);
-    a row whose decision value is not finite has no sign and raises ValueError."""
-    values, labels = decide(model, kernel_rows), np.asarray(labels)
+    """Fraction of rows classified with the correct label (zero counts as +1); labels
+    are as :func:`train` takes them, and a non-finite decision value raises ValueError."""
+    values, labels = decide(model, kernel_rows), _labels(labels)
     if labels.shape != values.shape or not len(values):
         raise ValueError(f"{len(values)} kernel rows and {labels.size} labels; accuracy "
                          "needs one label per row and at least one row")
-    if not np.all(np.abs(labels) == 1):  # 0/1 labels would score as if every 0 were wrong
-        raise ValueError("labels must be -1 or +1")
     bad = np.flatnonzero(~np.isfinite(values))  # NaN >= 0 is False: it would score as -1
     if len(bad):
         raise ValueError(f"kernel row {bad[0]} has a non-finite decision value")

@@ -190,6 +190,14 @@ class TestAxisAccuracy:
         with pytest.raises(ValueError, match=re.escape(message)):
             axis_accuracy(values, labels)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_midpoint_of_huge_values_is_finite(self, sign):
+        # the sum 1.6e308 + 1.7e308 overflowed: threshold inf and a RuntimeWarning
+        values = sign * np.array([1e300, 1.7e308, 1.6e308])
+        r, threshold, _ = axis_accuracy(values, [1, -1, 1])
+        assert r == 1.0 and threshold == sign * (1.6e308 / 2 + 1.7e308 / 2)
+        assert 1.6e308 < sign * threshold < 1.7e308
+
     def test_float_labels_at_plus_minus_one_accepted(self):
         assert axis_accuracy([1, 2, 3], [1.0, -1.0, -1.0]) == axis_accuracy([1, 2, 3], [1, -1, -1])
 

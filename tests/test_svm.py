@@ -16,7 +16,7 @@ from qkmap import svm
 from qkmap.datasets import generate
 from qkmap.encodings import builtin
 from qkmap.kernels import GramMatrix, combine, gram
-from qkmap.screening import minimum_accuracy
+from qkmap.screening import axis_accuracy, minimum_accuracy
 from qkmap.svm import (
     IPM_STEPS,
     CvReport,
@@ -474,6 +474,36 @@ def non_finite_gram(bad, where, n=40):
     return k, np.where(np.arange(n) % 2, 1, -1)
 
 
+# one pool for every entry point that takes labels: the first four are accepted
+LABEL_POOL = {"int": [1, -1], "float": [1.0, -1.0], "bool": [True, -1],
+              "int8": np.array([1, -1], np.int8), "1.9": [1.9, -1], "0.5": [0.5, -1],
+              "nan": [np.nan, -1], "zero-one": [0, 1], "uint8-255": np.array([1, 255], np.uint8),
+              "complex": [1j, -1], "real-complex": [1 + 0j, -1 + 0j], "strings": ["1", "-1"],
+              "none": [1, None]}
+
+
+@pytest.mark.parametrize("name", LABEL_POOL)
+def test_one_label_rule_at_every_entry_point(name):
+    # complex labels scored 0.5 in accuracy and raised a bare TypeError in train; "1", "-1"
+    # trained but raised numpy's UFuncTypeError in accuracy; None raised TypeError there
+    labels = LABEL_POOL[name]
+    model = SvmModel(np.ones(2), 0.0, np.array([1, -1]), 1.0, 1e-3)
+    calls = {"LabeledDataset": lambda: LabeledDataset(np.zeros((2, 2)), labels).labels.tolist(),
+             "train": lambda: train(np.eye(2), labels).labels.tolist(),
+             "accuracy": lambda: accuracy(model, np.eye(2), labels),
+             "axis_accuracy": lambda: axis_accuracy([0.0, 1.0], labels)}
+    want = {"LabeledDataset": [1, -1], "train": [1, -1], "accuracy": 1.0,
+            "axis_accuracy": axis_accuracy([0.0, 1.0], [1, -1])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast of complex labels warns with ComplexWarning
+        for entry, call in calls.items():
+            if name in ("int", "float", "bool", "int8"):
+                assert call() == want[entry], entry
+            else:
+                with pytest.raises(ValueError, match=r"^labels must be -1 or \+1$"):
+                    call()
+
+
 class TestLabeledDataset:
     @pytest.mark.parametrize("label", [1.9, -1.2, 0.5, np.nan])
     def test_non_integer_label_rejected_as_train_rejects_it(self, label):
@@ -507,6 +537,11 @@ class TestTrain:
         # (4, 1) labels failed in SMO with "too many values to unpack (expected 3)"
         with pytest.raises(ValueError, match=re.escape("labels must have shape (N,), got (4, 1)")):
             train(np.eye(4), [[1], [-1], [1], [-1]])
+
+    def test_no_labels_have_no_class(self):
+        # y[0] of no labels raised IndexError
+        with pytest.raises(ValueError, match="^both classes must be present for training$"):
+            train(np.zeros((0, 0)), [])
 
     def test_gram_size_must_match_labels(self):
         with pytest.raises(ValueError, match="^gram size does not match number of labels$"):
