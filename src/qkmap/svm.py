@@ -14,13 +14,13 @@ eigendecomposition that clamps eigenvalues below -1e-6 to zero with a
 RuntimeWarning naming the minimum eigenvalue, and whose eigenvectors
 factor the clamped matrix.  A Mehrotra predictor-corrector
 interior-point method then solves the dual in the factor's r-dimensional
-space, one r x r Cholesky and one r x n operator per step (Fine &
-Scheinberg, JMLR 2, 243 (2001); Ferris & Munson, SIAM J. Optim. 13, 783
-(2002)).  It steps a stack of same-sized problems (lanes) in lockstep,
-each numpy call acting on every live lane; ``train`` is its one-lane
-case.  Its points, put on the box and on y^T alpha = 0, start SMO as one
-float array, a row per lane: a lane it fails on (NaN, as at C = inf) or
-left off balance is a zero row, SMO's cold start.
+space, two batched r x r solves per step (Fine & Scheinberg, JMLR 2, 243
+(2001); Ferris & Munson, SIAM J. Optim. 13, 783 (2002)).  It steps a
+stack of same-sized problems (lanes) in lockstep, each numpy call acting
+on every live lane; ``train`` is its one-lane case.  Its points, put on
+the box and on y^T alpha = 0, start SMO as one float array, a row per
+lane: a lane it fails on (NaN, as at C = inf) or left off balance is a
+zero row, SMO's cold start.
 
 SMO's working pair is the maximal violating pair in Keerthi's sense:
 with g_i = sum_j alpha_j y_j K_ij and c_i = y_i - g_i, feasibility of the
@@ -60,6 +60,7 @@ Solves and scores stay on the calling thread.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,13 +112,11 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Dual solution: multipliers, bias, and the training labels/points.
-
-    ``iterations``, ``converged`` and ``final_gap`` are the solver's stats
-    (pair updates taken, whether the gap closed to 2*tolerance, and the
-    last gap); they are None for a model not produced by ``train``, such
-    as one read with ``from_text``, and are not serialised.
-    """
+    """Dual solution: multipliers, bias, the training labels (one per alpha, -1 or +1 as
+    ``train`` takes them) and points.  ``iterations``, ``converged`` and ``final_gap`` are
+    the solver's stats (pair updates taken, whether the gap closed to 2*tolerance, and the
+    last gap); they are None for a model not produced by ``train``, such as one read with
+    ``from_text``, and are not serialised."""
 
     alphas: np.ndarray = field(repr=False)
     bias: float
@@ -128,6 +127,12 @@ class SvmModel:
     iterations: int | None = None
     converged: bool | None = None
     final_gap: float | None = None
+
+    def __post_init__(self):  # decide and to_text read one label per alpha
+        alphas, labels = np.shape(self.alphas), _labels(self.labels).shape
+        if len(alphas) != 1 or labels != alphas:
+            raise ValueError(f"a model needs 1-d alphas with one label each, got "
+                             f"{alphas} alphas and {labels} labels")
 
     def to_text(self) -> str:
         lines = [f"C={float(self.C)!r}", f"tolerance={float(self.tolerance)!r}",
@@ -250,52 +255,47 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
     """One (a, s) per lane, (L, 2, m): Mehrotra predictor-corrector on the dual with Q = V V^T.
 
     v stacks L problems' factor rows, (L, m, r), and y their labels, (L, m);
-    all lanes step together, each numpy call acting on every live lane.
-    For each lane it minimises 1/2 a^T Q a - sum(a) subject to y^T a = 0
-    and a + s = C, a, s >= 0, with the slack s its own variable so that a
-    multiplier near C keeps its distance to C to full precision.  Per
-    step, one r x r Cholesky L L^T = I + V^T D^{-1} V and one r x m operator
-    p = L^{-1} V^T D^{-1} give (D + V V^T)^{-1} = D^{-1} - p^T p
-    (Sherman-Morrison-Woodbury), O(m r^2).  A lane stops when its duality
-    measure is at most 1e-9 * C, or after IPM_STEPS steps, and keeps its NaN
-    point once that measure is not finite; a lane whose Cholesky fails steps
-    to NaN.  A stopped lane is dropped from every stack; each product is a
-    per-slice ``np.matmul``, so every lane's bytes are those it would have alone
-    on rows of the same memory layout: a stack's rows are C-ordered, F-ordered
-    rows take other BLAS paths, so ``train`` runs its lane on C-ordered rows.
-    A step makes the plain step's IEEE operations, operands and order, each
-    once: w / s, -x, a z and s w are shared, the Newton steps fill one reused
-    buffer, x steps in place, and sigma is a float64 scalar power per lane.
+    all lanes step together, each numpy call acting on every live lane.  For
+    each lane it minimises 1/2 a^T Q a - sum(a) subject to y^T a = 0 and
+    a + s = C, a, s >= 0, with the slack s its own variable so that a
+    multiplier near C keeps its distance to C to full precision.  A Newton
+    system (D + V V^T) u = rhs is u = t - D^{-1} V M^{-1} V^T t, t = rhs / d,
+    M = I + V^T D^{-1} V (Sherman-Morrison-Woodbury), O(m r^2): a step
+    solves M for m_y and the predictor at once, then for the corrector.  A
+    lane stops at a duality measure of at most 1e-9 * C, or after IPM_STEPS
+    steps, keeps its NaN point once that measure is not finite (as after a
+    failed solve), and is then dropped from every stack.  Each product is a
+    per-slice ``np.matmul``, so a lane's bytes are those it has alone on
+    rows of the same memory layout: ``train`` runs its lane on C-ordered
+    rows, as a stack's are.  The halves (a, s) and (z, w) of x pair up in
+    each division and product; sigma is a float64 scalar power per lane.
     """
-    lanes, m, r = v.shape
+    lanes, m, rank = v.shape
     points, live = np.full((lanes, 2, m), np.nan), np.arange(lanes)
     x = np.empty((lanes, 4, m))  # a, s, z, w of each lane, stepped in place
     x[:, :2], x[:, 2:] = C / 2.0, 1.0
-    beta, eye = np.zeros(lanes), np.eye(r)
+    beta, eye = np.zeros(lanes), np.eye(rank)
 
-    def measure(x):
-        """The duality measure (a.z + s.w) / 2m of each lane, both dots from one np.matmul."""
+    def measure(x):  # the duality measure (a.z + s.w) / 2m per lane, both dots in one matmul
         dots = np.matmul(x[:, :2, None, :], x[:, 2:, :, None])
         return (dots[:, 0, 0, 0] + dots[:, 1, 0, 0]) / (2.0 * m)
 
     def solve(rhs):
-        """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury, per lane."""
-        return rhs / d - np.matmul(np.matmul(p, rhs[:, :, None])[:, None, :, 0], p)[:, 0]
+        """(D + V V^T)^{-1} rhs per lane, (L, k, m); M's solve gets (L, r, k) in any numpy."""
+        t = rhs / d[:, None]
+        u = _solves(q, np.matmul(vt, t.transpose(0, 2, 1)))
+        return t - np.matmul(vd, u).transpose(0, 2, 1)
 
-    def newton(r_az, r_sw):
-        """The step of beta, writing those of a, s, z, w into dx: d_z = -(r_az + z d_a) / a."""
-        m_rho = solve(neg_r_d - r_az / a + r_sw / s - w_s_r_u)
+    def rho(r):  # the reduced right-hand side of r = (r_az, r_sw), (L, 2, m)
+        r_a, r_s = (r / x[:, :2]).transpose(1, 0, 2)
+        return neg_r_d - r_a + r_s - w_s_r_u
+
+    def newton(r, m_rho):  # the step of beta; those of a, s, z, w go to dx
         d_beta = (_dots(y, m_rho) + r_e) / y_m_y
         np.subtract(m_rho, d_beta[:, None] * m_y, out=d_a)
         np.subtract(neg_r_u, d_a, out=d_s)
-        np.divide(-(r_az + z * d_a), a, out=d_z)
-        np.divide(-(r_sw + w * d_s), s, out=d_w)
+        np.divide(-(r + x[:, 2:] * dx[:, :2]), x[:, :2], out=dx[:, 2:])
         return d_beta
-
-    def longest():
-        """Largest step in (0, 1] per lane along dx keeping a, s, z, w nonnegative: the
-        quotients of entries with dx >= 0, divisions by zero among them, are dropped."""
-        return np.minimum.reduce(np.where(dx < 0.0, neg_x / dx, 1.0), axis=(1, 2), initial=1.0)
 
     mu = measure(x)
     for step in range(IPM_STEPS):
@@ -306,24 +306,25 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
                 return points
             live, x, beta, v, y, mu = (t[keep] for t in (live, x, beta, v, y, mu))
             vt, dx = v.transpose(0, 2, 1), np.empty_like(x)  # dx: both Newton steps in turn
-            a, s, z, w = x.transpose(1, 0, 2)
-            d_a, d_s, d_z, d_w = dx.transpose(1, 0, 2)
-        w_s, neg_x, az, sw = w / s, -x, a * z, s * w
-        d = z / a + w_s
+            (a, s, z, w), (d_a, d_s) = x.transpose(1, 0, 2), dx.transpose(1, 0, 2)[:2]
+        ratio, az_sw = x[:, 2:] / x[:, :2], x[:, :2] * x[:, 2:]  # z / a, w / s and a z, s w
+        d = ratio[:, 0] + ratio[:, 1]
         vd = v / d[:, :, None]
-        p = np.matmul(_inverse_factors(np.matmul(vt, vd) + eye), vd.transpose(0, 2, 1))
+        q = np.matmul(vt, vd) + eye
         neg_r_d = -(np.matmul(v, np.matmul(vt, a[:, :, None]))[:, :, 0] - 1.0
                     + beta[:, None] * y - z + w)
-        r_u, r_e, m_y = a + s - C, _dots(y, a), solve(y)
-        neg_r_u, w_s_r_u, y_m_y = -r_u, w_s * r_u, _dots(y, m_y)
+        r_u, r_e = a + s - C, _dots(y, a)
+        neg_r_u, w_s_r_u = -r_u, ratio[:, 1] * r_u
         # predictor: the affine-scaling step, which sets the centering sigma
-        newton(az, sw)
-        mu_aff = measure(x + longest()[:, None, None] * dx)
-        sigma = np.array([q ** 3 for q in mu_aff / mu])  # scalar powers: an array's moves bits
+        m_y, m_rho = solve(np.stack((y, rho(az_sw)), axis=1)).transpose(1, 0, 2)
+        y_m_y = _dots(y, m_y)
+        newton(az_sw, m_rho)
+        mu_aff = measure(x + _longest(x, dx)[:, None, None] * dx)
+        sigma = np.array([f ** 3 for f in mu_aff / mu])  # scalar powers: an array's moves bits
         # corrector: centred, with the predictor's second-order term, formed before dx is reused
-        centre = (sigma * mu)[:, None]
-        d_beta = newton(az + d_a * d_z - centre, sw + d_s * d_w - centre)
-        t = 0.995 * longest()
+        r = az_sw + dx[:, :2] * dx[:, 2:] - (sigma * mu)[:, None, None]
+        d_beta = newton(r, solve(rho(r)[:, None])[:, 0])
+        t = 0.995 * _longest(x, dx)
         x += t[:, None, None] * dx
         beta = beta + t * d_beta
         mu = measure(x)
@@ -331,24 +332,24 @@ def _interior_points(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
     return points
 
 
-def _inverse_factors(q: np.ndarray) -> np.ndarray:
-    """inv(L) per lane, L L^T = q, for a stack q of (r, r) matrices; NaN where that fails.
+def _longest(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Largest step in (0, 1] per lane keeping the (L, 4, m) x + step * dx >= 0: the masked
+    gather's quotients x / -dx at dx < 0, since an entry with dx >= 0 divides by +0 (``+ 0.0``
+    turns -0 into +0) and a NaN dx by NaN, giving inf or NaN, which fmin skips."""
+    return np.fmin.reduce(x / (np.maximum(-dx, 0.0) + 0.0), axis=(1, 2), initial=1.0)
 
-    A batched Cholesky raises for the whole stack when one lane fails, so
-    the lanes are then factored one at a time; a lane whose Cholesky (or
-    inverse) raises LinAlgError keeps its NaNs.
-    """
+
+def _solves(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve per lane of (L, r, r) q and (L, r, k) b.  A singular lane makes the
+    batch raise; the lanes are then solved one at a time, and one that raises is NaN."""
     try:
-        return np.linalg.inv(np.linalg.cholesky(q))
+        return np.linalg.solve(q, b)
     except np.linalg.LinAlgError:
-        pass
-    factors = np.full_like(q, np.nan)
-    for i, lane in enumerate(q):
-        try:
-            factors[i] = np.linalg.inv(np.linalg.cholesky(lane))
-        except np.linalg.LinAlgError:
-            pass
-    return factors
+        out = np.full_like(b, np.nan)
+    for i, (lane_q, lane_b) in enumerate(zip(q, b)):
+        with suppress(np.linalg.LinAlgError):
+            out[i] = np.linalg.solve(lane_q, lane_b)
+    return out
 
 
 def _warm_starts(g: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
@@ -359,9 +360,8 @@ def _warm_starts(g: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
     its carried slack s, is set to the bound, so that SMO does not spend a
     pair update on each one; the others take their Euclidean projection
     onto y^T a = 0, clipped to the box.  A lane then more than 1e-9 * C off
-    y^T a = 0 is a zero row, SMO's cold start.  So is a NaN lane, on which
-    the IPM failed (every lane at C = inf, whose duality measure is
-    infinite from the first step), as NaN fails that comparison.
+    y^T a = 0 is a zero row, SMO's cold start, and so is a NaN lane, which
+    fails that comparison (the IPM failed on it, as on every lane at C = inf).
     """
     with np.errstate(all="ignore"):  # NaN lanes, and lanes with no free multiplier
         a, s = _interior_points(y[:, :, None] * g, y, C).transpose(1, 0, 2)

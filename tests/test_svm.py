@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkmap import svm
 from qkmap.datasets import generate
@@ -221,12 +222,15 @@ def mvp_interior_point(v: np.ndarray, y: np.ndarray, C: float):
 
 
 def masked_interior_point(v: np.ndarray, y: np.ndarray, C: float):
-    """Reference: the solver's single-problem IPM when its step length gathered by
-    boolean masks, verbatim.
+    """Reference: the solver's step for one problem, with the step length gathered by
+    boolean masks.
 
-    The solver's IPM steps every lane of a stack at once and takes each
-    lane's step length by one ``np.where`` over all its entries; every
-    lane must give the warm start this gives alone, byte for byte.
+    Each Newton system is solved in r dimensions by Sherman-Morrison-Woodbury,
+    with one ``np.linalg.solve`` of M = I + V^T D^-1 V for m_y and the
+    predictor together and one for the corrector.  The solver's IPM steps
+    every lane of a stack at once and takes each lane's step length without
+    a mask; every lane must give the warm start this gives alone, byte for
+    byte.
     """
     n = len(y)
     a = np.full(n, C / 2.0)
@@ -246,17 +250,17 @@ def masked_interior_point(v: np.ndarray, y: np.ndarray, C: float):
         r_u = a + s - C
         d = z / a + w / s
         vd = v / d[:, None]
-        p = np.linalg.inv(np.linalg.cholesky(eye + v.T @ vd)) @ vd.T
+        q = eye + v.T @ vd
 
-        def solve(rhs):
-            """(D + V V^T)^{-1} rhs by Sherman-Morrison-Woodbury."""
-            return rhs / d - (p @ rhs) @ p
+        def solve(*rhs):
+            """(D + V V^T)^{-1} of each right-hand side by Sherman-Morrison-Woodbury."""
+            t = np.stack(rhs) / d
+            return t - (vd @ np.linalg.solve(q, v.T @ t.T)).T
 
-        m_y = solve(y)
+        def rho(r_az, r_sw):
+            return -r_d - r_az / a + r_sw / s - (w / s) * r_u
 
-        def newton(r_az, r_sw):
-            rho = -r_d - r_az / a + r_sw / s - (w / s) * r_u
-            m_rho = solve(rho)
+        def newton(r_az, r_sw, m_rho):
             d_beta = (y @ m_rho + r_e) / (y @ m_y)
             d_a = m_rho - d_beta * m_y
             d_s = -r_u - d_a
@@ -269,13 +273,15 @@ def masked_interior_point(v: np.ndarray, y: np.ndarray, C: float):
             return float(np.min(-x[neg] / dx[neg], initial=1.0))
 
         # predictor: the affine-scaling step, which sets the centering sigma
-        a_a, a_s, a_z, a_w, _ = newton(a * z, s * w)
+        m_y, m_rho = solve(y, rho(a * z, s * w))
+        a_a, a_s, a_z, a_w, _ = newton(a * z, s * w, m_rho)
         t = longest(a_a, a_s, a_z, a_w)
         mu_aff = ((a + t * a_a) @ (z + t * a_z) + (s + t * a_s) @ (w + t * a_w)) / (2.0 * n)
         sigma = (mu_aff / mu) ** 3
         # corrector: centred, with the predictor's second-order term
-        d_a, d_s, d_z, d_w, d_beta = newton(a * z + a_a * a_z - sigma * mu,
-                                            s * w + a_s * a_w - sigma * mu)
+        r_az, r_sw = a * z + a_a * a_z - sigma * mu, s * w + a_s * a_w - sigma * mu
+        [m_rho] = solve(rho(r_az, r_sw))
+        d_a, d_s, d_z, d_w, d_beta = newton(r_az, r_sw, m_rho)
         t = 0.995 * longest(d_a, d_s, d_z, d_w)
         a = a + t * d_a
         s = s + t * d_s
@@ -289,7 +295,7 @@ def lanewise(reference):
     """The lane API of svm._interior_points over a single-lane reference IPM.
 
     Each lane is solved alone; a lane on which the reference gives None or
-    its Cholesky raises is NaN, as the solver's failure handling makes it.
+    its solve raises is NaN, as the solver's failure handling makes it.
     """
     def interior_points(v, y, C):
         points = np.full((len(v), 2, v.shape[1]), np.nan)
@@ -394,6 +400,19 @@ def lane_stacks(draw):
     return rng.normal(size=(lanes, m, rank)), y, draw(st.sampled_from([1e-3, 1.0, 100.0, 1e5]))
 
 
+@st.composite
+def step_stacks(draw):
+    """((L, 4, m) x, (L, 4, m) dx) for the IPM's step length: x finite and >= 0 with
+    exact zeros, dx of mixed signs with +-0, +-inf and NaN among them."""
+    shape = (draw(st.integers(1, 4)), 4, draw(st.integers(1, 12)))
+    x = draw(arrays(float, shape, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 1e300), st.floats(0.0, 1e-300))))
+    dx = draw(arrays(float, shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        st.floats(allow_nan=False, allow_infinity=False))))
+    return np.abs(x), dx
+
+
 def warm_start(factor, y, C, reference=None):
     """One lane's start from svm._warm_starts, or from a reference IPM when one is given."""
     if reference is None:
@@ -491,9 +510,11 @@ def test_one_label_rule_at_every_entry_point(name):
     calls = {"LabeledDataset": lambda: LabeledDataset(np.zeros((2, 2)), labels).labels.tolist(),
              "train": lambda: train(np.eye(2), labels).labels.tolist(),
              "accuracy": lambda: accuracy(model, np.eye(2), labels),
-             "axis_accuracy": lambda: axis_accuracy([0.0, 1.0], labels)}
+             "axis_accuracy": lambda: axis_accuracy([0.0, 1.0], labels),
+             "SvmModel": lambda: np.asarray(
+                 SvmModel(np.ones(2), 0.0, labels, 1.0, 1e-3).labels).tolist()}
     want = {"LabeledDataset": [1, -1], "train": [1, -1], "accuracy": 1.0,
-            "axis_accuracy": axis_accuracy([0.0, 1.0], [1, -1])}
+            "axis_accuracy": axis_accuracy([0.0, 1.0], [1, -1]), "SvmModel": [1, -1]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a cast of complex labels warns with ComplexWarning
         for entry, call in calls.items():
@@ -1021,63 +1042,75 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("kind, eid, c", [
         ("moon", "ef1", 100.0), ("exp", "ef1", 100.0), ("xor", "ef3", 1e5)])
-    def test_one_batched_cholesky_and_inverse_per_step(self, kind, eid, c):
-        # each step factors the live stack once and inverts that factor once; a lane
-        # that stops leaves the next step's batch, and no call is made per lane
+    def test_two_batched_solves_per_step(self, kind, eid, c):
+        # each step solves the live stack's r x r systems twice, m_y with the predictor
+        # (two right-hand sides) and then the corrector (one); a lane that stops leaves
+        # the next step's batch, no call is made per lane, and none factors or inverts
         g, y = self.cv_lanes(kind, eid, 100)
-        cholesky, inv, factors, inverted = np.linalg.cholesky, np.linalg.inv, [], []
+        solve, calls = np.linalg.solve, []
 
-        def counted(q):
-            factors.append(cholesky(q))
-            return factors[-1]
+        def counted(q, b):
+            calls.append((q.shape, b.shape))
+            return solve(q, b)
 
         def steps_alone(lane_g, lane_y):
-            """The steps the lane's IPM takes alone: one Cholesky each."""
-            factors.clear()
-            with mock.patch.object(np.linalg, "cholesky", counted):
+            """The steps the lane's IPM takes alone: two solves each."""
+            calls.clear()
+            with mock.patch.object(np.linalg, "solve", counted):
                 warm_start(lane_g, lane_y, c, masked_interior_point)
-            return len(factors)
+            return len(calls) // 2
 
         steps = [steps_alone(lane_g, lane_y) for lane_g, lane_y in zip(g, y)]
         assert len(set(steps)) > 1
-        factors.clear()
-        with mock.patch.object(np.linalg, "cholesky", counted), \
-                mock.patch.object(np.linalg, "inv", lambda a: inverted.append(a) or inv(a)):
+        calls.clear()
+        unused = AssertionError("factored or inverted")
+        with mock.patch.object(np.linalg, "solve", counted), \
+                mock.patch.object(np.linalg, "cholesky", side_effect=unused), \
+                mock.patch.object(np.linalg, "inv", side_effect=unused):
             svm._warm_starts(g, y, c)
         live = [sum(n > step for n in steps) for step in range(max(steps))]
-        assert [f.shape for f in factors] == [(n, g.shape[2], g.shape[2]) for n in live]
-        assert len(inverted) == len(factors)
-        assert all(a is f for a, f in zip(inverted, factors))
+        r = g.shape[2]
+        assert calls == [((n, r, r), (n, r, k)) for n in live for k in (2, 1)]
+
+    @staticmethod
+    def failing_solve(bad_call, batches, lane_calls):
+        """np.linalg.solve that raises for lane 2 of the stacked call number ``bad_call``
+        (counted from 1; 0 for none) and for every later system equal to that lane's M."""
+        solve, bad = np.linalg.solve, []
+
+        def failing(q, b):
+            if q.ndim == 3:
+                batches.append(len(q))
+                if len(batches) == bad_call:
+                    bad.append(q[2].copy())
+            else:
+                lane_calls.append(q.shape)
+            if any(np.array_equal(lane, m) for lane in q.reshape(-1, *q.shape[-2:]) for m in bad):
+                raise np.linalg.LinAlgError("forced")
+            return solve(q, b)
+
+        return failing
 
     @pytest.mark.parametrize("poison", ["nan row", "inf row", "failing slice"])
     def test_failed_lane_leaves_the_other_lanes(self, poison):
         # a poisoned lane starts cold and leaves the other lanes' bytes: a NaN or inf
-        # factor row makes its duality measure non-finite, and a Cholesky that fails
-        # for it mid-run makes the batched call raise for the whole stack
+        # factor row makes its duality measure non-finite, and a solve that fails for it
+        # mid-run (the predictor's of step 2) makes the batched call raise for the whole
+        # stack, whose lanes are then solved one at a time
         g, y = self.cv_lanes("moon", "ef1", 100)
         want = svm._warm_starts(g, y, 100.0)
         g = g.copy()
         if poison != "failing slice":
             g[2, 5] = np.nan if poison == "nan row" else np.inf
-        cholesky, batches, bad = np.linalg.cholesky, [], []
-
-        def failing(q):
-            """Cholesky that, from the third stacked call on, fails for that call's lane 2."""
-            if q.ndim == 3:
-                batches.append(len(q))
-                if poison == "failing slice" and len(batches) == 3:
-                    bad.append(q[2].copy())
-            if any(np.array_equal(lane, b) for lane in q.reshape(-1, *q.shape[-2:]) for b in bad):
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(q)
-
+        batches, lane_calls = [], []
+        failing = self.failing_solve(3 if poison == "failing slice" else 0, batches, lane_calls)
         interior_points, points = svm._interior_points, []
 
         def recorded(*args):
             points.append(interior_points(*args))
             return points[-1]
 
-        with mock.patch.object(np.linalg, "cholesky", failing), \
+        with mock.patch.object(np.linalg, "solve", failing), \
                 mock.patch.object(svm, "_interior_points", recorded):
             got = svm._warm_starts(g, y, 100.0)
             if poison != "failing slice":
@@ -1089,27 +1122,20 @@ class TestWarmStart:
         assert not got[2].any() and want[2].any()
         for lane in (0, 1, 3, 4):
             assert got[lane].tobytes() == want[lane].tobytes()
-        # the failed lane leaves the stack at once; the others step on together
-        fails = 3 if poison == "failing slice" else 1
-        assert batches[:fails + 1] == [5] * fails + [4]
+        # the failed lane leaves the stack after its step; the others step on together
+        fails = 2 if poison == "failing slice" else 1  # steps the poisoned lane takes
+        assert batches[:2 * fails + 1] == [5] * (2 * fails) + [4]
+        if poison == "failing slice":  # its predictor and corrector solves, lane by lane
+            r = g.shape[2]
+            assert lane_calls == [(r, r)] * 10
 
     def test_lane_failing_on_the_last_step_starts_cold(self):
-        # a Cholesky that fails on the final IPM step leaves that lane's point NaN, with
-        # no step after it to find a non-finite measure: _warm_starts' finiteness check
-        # starts the lane cold, and the other lanes keep their bytes
+        # a solve that fails on the final IPM step, the corrector's, leaves that lane's
+        # point NaN, with no step after it to find a non-finite measure: _warm_starts'
+        # finiteness check starts the lane cold, and the other lanes keep their bytes
         g, y = self.cv_lanes("moon", "ef1", 100)
-        cholesky, interior_points, batches, bad, points = (
-            np.linalg.cholesky, svm._interior_points, [], [], [])
-
-        def failing(q):
-            """Cholesky that fails for lane 2 of the third stacked call, the last step."""
-            if q.ndim == 3:
-                batches.append(len(q))
-                if len(batches) == 3:
-                    bad.append(q[2].copy())
-            if any(np.array_equal(lane, b) for lane in q.reshape(-1, *q.shape[-2:]) for b in bad):
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(q)
+        batches, lane_calls, points = [], [], []
+        interior_points = svm._interior_points
 
         def recorded(*args):
             points.append(interior_points(*args))
@@ -1117,14 +1143,35 @@ class TestWarmStart:
 
         with mock.patch.object(svm, "IPM_STEPS", 3):
             want = svm._warm_starts(g, y, 100.0)
-            with mock.patch.object(np.linalg, "cholesky", failing), \
+            with mock.patch.object(np.linalg, "solve",
+                                   self.failing_solve(6, batches, lane_calls)), \
                     mock.patch.object(svm, "_interior_points", recorded):
                 got = svm._warm_starts(g, y, 100.0)
-        assert batches == [5, 5, 5] and len(bad) == 1
+        assert batches == [5] * 6 and len(lane_calls) == 5
         assert np.isnan(points[0][2, 0]).all()
         assert not got[2].any() and want[2].any()
         for lane in (0, 1, 3, 4):
             assert got[lane].tobytes() == want[lane].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(step_stacks(), st.booleans())
+    def test_step_length_is_the_masked_gather(self, stack, first_on_ties):
+        # the step length reads no mask, yet takes each lane's minimum over exactly the
+        # quotients -x / dx of its entries with dx < 0, byte for byte; which zero numpy's
+        # maximum returns on a tie of -0 and +0 depends on its loop, so the step length
+        # must also hold under a maximum that keeps its first operand on ties
+        x, dx = stack
+        with np.errstate(all="ignore"):
+            want = np.array([np.min(-lane_x[lane_dx < 0.0] / lane_dx[lane_dx < 0.0], initial=1.0)
+                             for lane_x, lane_dx in zip(x, dx)])
+            if first_on_ties:
+                maximum = np.maximum
+                with mock.patch.object(np, "maximum", lambda a, b: np.where(
+                        (a >= b) | np.isnan(a), a, maximum(a, b))):
+                    got = svm._longest(x, dx)
+            else:
+                got = svm._longest(x, dx)
+        assert got.shape == (len(x),) and got.tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(ipm_stacks())
@@ -1143,9 +1190,9 @@ class TestWarmStart:
 
     def test_overflowing_measure_starts_every_lane_cold(self):
         # at C = 1e308 the first duality measure a.z + s.w overflows to +inf, above
-        # 1e-9 * C: a lane steps only while its measure is finite, so none is factored
+        # 1e-9 * C: a lane steps only while its measure is finite, so none is solved
         g, y = self.cv_lanes("moon", "ef1", 100)
-        with mock.patch.object(np.linalg, "cholesky", side_effect=AssertionError("factored")):
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("solved")):
             got = svm._warm_starts(g, y, 1e308)
         assert got.tobytes() == np.zeros(g.shape[:2]).tobytes()
 
@@ -1154,15 +1201,15 @@ class TestWarmStart:
         k, labels = self.problem()
         g, y = svm._certified_factor(k), labels.astype(float)
 
-        def failing(m):
-            """The IPM's r x r Cholesky fails."""
+        def failing(q, b):
+            """The IPM's r x r solve fails."""
             if inner == "raise":
                 raise np.linalg.LinAlgError("forced")
-            return np.full_like(m, np.nan)
+            return np.full_like(b, np.nan)
 
         assert warm_start(g, y, 10.0).any()
         want = svm._smo(_clamp_psd(k)[0], labels, 10.0, 1e-3, None, np.zeros(80))
-        with warnings.catch_warnings(), mock.patch.object(np.linalg, "cholesky", failing):
+        with warnings.catch_warnings(), mock.patch.object(np.linalg, "solve", failing):
             warnings.simplefilter("error")
             assert not warm_start(g, y, 10.0).any()
             model = train(k, labels, C=10.0)
@@ -1249,6 +1296,32 @@ class TestDecide:
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         assert accuracy(model, rows, [1, -1, -1, -1]) == 0.75
         assert accuracy(model, rows, np.array([1.0, -1.0, -1.0, -1.0])) == 0.75
+
+
+class TestSvmModel:
+    def test_label_outside_pm1_rejected(self):
+        # accepted before: decide weighed row 2 by 5, and to_text wrote a model that
+        # from_text rejects
+        with pytest.raises(ValueError, match=r"^labels must be -1 or \+1$"):
+            SvmModel(np.ones(2), 0.0, np.array([1, 5]), 1.0, 1e-3)
+
+    @pytest.mark.parametrize("alphas, labels, shapes", [
+        (np.ones(3), [1, -1], r"\(3,\) alphas and \(2,\) labels"),
+        (np.ones((2, 1)), [1, -1], r"\(2, 1\) alphas and \(2,\) labels"),
+        (np.ones(2), [[1, -1]], r"\(2,\) alphas and \(1, 2\) labels"),
+        (1.0, 1, r"\(\) alphas and \(\) labels")],
+        ids=["three alphas", "column alphas", "row labels", "scalars"])
+    def test_one_label_per_alpha(self, alphas, labels, shapes):
+        # three alphas with two labels failed in numpy's broadcast, in decide
+        with pytest.raises(ValueError, match=r"^a model needs 1-d alphas with one label "
+                                             r"each, got " + shapes + "$"):
+            SvmModel(alphas, 0.0, labels, 1.0, 1e-3)
+
+    def test_valid_fields_kept_as_given(self):
+        # the check neither copies nor casts: float labels stay float, list alphas a list
+        alphas, labels = [0.5, 1e300], np.array([1.0, -1.0])
+        model = SvmModel(alphas, -0.0, labels, 2.0, 1e-3)
+        assert model.alphas is alphas and model.labels is labels
 
 
 class TestSerialization:
